@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.special import jv
 
 from .constants import TWO_PI
@@ -38,6 +39,24 @@ _MODULUS_TOL = 1.0e-9
 _GRID_SNAP_TOL = 1.0e-6  # in units of one grid step
 
 _FINITE_PAD_FACTOR = 8
+_UNIFORM_TOL = 1.0e-9  # relative spread of grid steps
+
+
+def _require_uniform(x: np.ndarray, what: str) -> None:
+    """Raise ValueError unless x is a 1-D ascending grid of >= 2 points whose
+    steps agree to 1e-9 relative."""
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"{what} must be a 1-D grid of at least 2 points")
+    steps = np.diff(x)
+    if steps[0] <= 0.0 or np.max(np.abs(steps - steps[0])) > _UNIFORM_TOL * steps[0]:
+        raise ValueError(f"{what} must be uniform and ascending")
+
+
+def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex 1-D sequences by zero-padded FFT."""
+    n = a.size + b.size - 1
+    n_fft = next_fast_len(n)
+    return ifft(fft(a, n_fft) * fft(b, n_fft))[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +81,8 @@ class DensitySpectrum:
         object.__setattr__(self, "values", v)
         if w.ndim != 1 or w.size < 3 or v.shape != w.shape:
             raise ValueError("omega_grid and values must be matching 1-D arrays")
-        steps = np.diff(w)
-        step = steps[0]
-        if step <= 0.0 or np.max(np.abs(steps - step)) > 1.0e-9 * step:
-            raise ValueError("omega_grid must be uniform and ascending")
+        _require_uniform(w, "omega_grid")
+        step = w[1] - w[0]
         i0 = int(np.argmin(np.abs(w)))
         if abs(w[i0]) > 1.0e-9 * step:
             raise ValueError("omega_grid must contain omega = 0")
@@ -97,17 +114,41 @@ class DensitySpectrum:
                 f"omega = {worst!r} rad/fs is {np.max(miss):.3e} grid steps off the "
                 f"spectral lattice (step {self.domega:g})"
             )
+        return self._covered(idx).astype(np.intp)
+
+    def _covered(self, idx: np.ndarray) -> np.ndarray:
         if np.any(idx < 0) or np.any(idx > self.omega_grid.size - 1):
             raise GridCoverageError(
                 "requested frequency lies outside the covered spectral range "
                 f"[{self.omega_grid[0]:g}, {self.omega_grid[-1]:g}] rad/fs"
             )
-        return idx.astype(np.intp)
+        return idx
 
     def value_at(self, omega):
         """F at one or many lattice frequencies (snap within 1e-6 steps)."""
         out = self.values[self._indices(omega)]
         return complex(out) if np.isscalar(omega) else out
+
+    def pair_values(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F at every difference and sum frequency of a grid w_0..w_{N-1} that
+        is a uniform stride of the lattice.
+
+        On such a grid F(w_m - w_n) depends only on m - n and F(w_n + w_m)
+        only on n + m, so each N x N table collapses to 2N-1 lattice lookups:
+        returns (diff, sums) with diff[k + N - 1] = F(w_{n+k} - w_n) and
+        sums[s] = F(w_n + w_{s-n}).  The indices are built from the snapped
+        grid itself, so they are exactly those the N x N lookups would hit
+        and GridCoverageError is raised for the same grids.
+        """
+        idx = self._indices(omega)
+        stride = np.diff(idx)
+        if np.any(stride != stride[:1]):
+            raise ValueError("omega must be a uniform stride of the spectral lattice")
+        span = idx - idx[0]
+        z = self._zero_index
+        diff = self._covered(z + np.concatenate([-span[:0:-1], span]))
+        sums = self._covered(np.concatenate([idx[0] + idx, idx[-1] + idx[1:]]) - z)
+        return self.values[diff], self.values[sums]
 
 
 def density_spectrum(density: WavepacketDensity) -> DensitySpectrum:
@@ -452,21 +493,35 @@ def time_domain_field(
     """Coherent temporal field from the spectral amplitudes.
 
     Default time grid spans one full period 2 pi / d omega of the spectral
-    lattice, centred on t = 0.
+    lattice, centred on t = 0.  Both the field's omega grid and t must be
+    uniform and ascending (steps equal to 1e-9 relative; ValueError
+    otherwise): the uniform-to-uniform DFT is then one chirp-z transform
+    (Rabiner, Schafer & Rader 1969), evaluated as Bluestein's FFT convolution
+    in O((N + M) log(N + M)) for N frequencies and M times.
     """
     w = field.omega_grid
-    a = field.a_mean
+    _require_uniform(w, "field omega_grid")
     dw = field.domega
     if t is None:
         span = TWO_PI / dw
         t = np.linspace(-0.5 * span, 0.5 * span, int(n_samples))
     t = np.asarray(t, dtype=float)
-    out = np.empty(t.size, dtype=complex)
-    block = max(1, int(4.0e6 / max(w.size, 1)))
-    for start in range(0, t.size, block):
-        tt = t[start : start + block]
-        out[start : start + tt.size] = np.exp(-1j * tt[:, None] * w[None, :]) @ a
-    out *= dw / TWO_PI
+    _require_uniform(t, "t")
+    n, m = w.size, t.size
+    dt = (t[-1] - t[0]) / (m - 1)
+    # With w_k = w_c + p dw and t_j = t_c + q dt about the grid centres and
+    # theta = dw dt, p q = (p^2 + q^2 - (q - p)^2) / 2 turns the sum over k
+    # into a convolution with the chirp e^{i theta (q - p)^2 / 2}.  Centring
+    # both grids keeps the chirp phases, and so their round-off, small.
+    p = np.arange(n) - 0.5 * (n - 1)
+    q = np.arange(m) - 0.5 * (m - 1)
+    w_c = 0.5 * (w[0] + w[-1])
+    t_c = 0.5 * (t[0] + t[-1])
+    theta = dw * dt
+    x = field.a_mean * np.exp(-1j * p * (dw * t_c + 0.5 * theta * p))
+    r = np.arange(1 - n, m) - 0.5 * (m - n)  # every q - p, in convolution order
+    conv = fft_convolve(x, np.exp(0.5j * theta * r * r))[n - 1 : n - 1 + m]
+    out = (dw / TWO_PI) * np.exp(-1j * (w_c * t + 0.5 * theta * q * q)) * conv
     env = np.abs(out)
     return TimeDomainField(
         t=t,

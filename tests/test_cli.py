@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clcoherence
 from clcoherence import BeamParameters
 from clcoherence.cli import main
 from clcoherence.oracle import _run_single
@@ -268,3 +273,17 @@ class TestShippedConfigs:
             cfg = ScenarioConfig.from_file(scenario, root / name)
             assert cfg.scenario == scenario
             assert len(cfg.sha256()) == 64
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal costs ~0.7 s to import; the FFT kernels use scipy.fft only,
+    # so loading the CLI must not pull it in.
+    src = str(Path(clcoherence.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, clcoherence.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

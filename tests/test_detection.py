@@ -8,10 +8,16 @@ import pytest
 from clcoherence import (
     BeamParameters,
     BeamSplitter,
+    EnvelopeSpec,
     FlatCoupling,
+    GaussianBandCoupling,
+    GridCoverageError,
+    NoiseFloorReport,
     PhysicsGuardError,
     ReferencePulse,
     balanced_signal,
+    coupling_amplitude,
+    density_spectrum,
     detector_means,
     ladder_spectrum,
     mean_field,
@@ -20,6 +26,7 @@ from clcoherence import (
     propagate,
     sample_shots,
     snr_estimate,
+    synthesize_density,
 )
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -184,6 +191,22 @@ class TestShotSampling:
         np.testing.assert_array_equal(short.counts1, long.counts1[:30])
         np.testing.assert_array_equal(short.counts2, long.counts2[:30])
 
+    @pytest.mark.parametrize("seed, total_counts", [(3, 500.0), (2**40 + 17, 6.0)])
+    def test_stream_matches_a_fresh_generator_per_draw(self, seed, total_counts):
+        # Pins the stream: shot k of detector d is the first Poisson draw of
+        # Philox(key=seed, counter=[0, 0, k, d]).  The two means cover both
+        # of numpy's Poisson algorithms (below and above a mean of 10).
+        model, spectrum, field, ref = make_setup(total_counts=total_counts)
+        splitter = BeamSplitter(R=math.cos(0.7), T=np.exp(0.4j) * math.sin(0.7))
+        ens = sample_shots(splitter, ref, field, n_shots=300, seed=seed, qe1=0.9, qe2=0.55)
+        means = {1: ens.config["mu1"], 2: ens.config["mu2"]}
+        for det, counts in ((1, ens.counts1), (2, ens.counts2)):
+            expected = []
+            for shot in range(ens.n_shots):
+                bitgen = np.random.Philox(key=seed, counter=[0, 0, shot, det])
+                expected.append(np.random.Generator(bitgen).poisson(means[det]))
+            np.testing.assert_array_equal(counts, expected)
+
     def test_seed_changes_stream(self):
         model, spectrum, field, ref = make_setup(total_counts=500.0)
         s = BeamSplitter.heterodyne()
@@ -310,3 +333,96 @@ class TestNoiseFloor:
         # The normal correlator reduces to |g|^2 at equal frequencies, feeding
         # a positive alpha-weighted cross term.
         assert rep.field_cross > 0.0
+
+
+def dense_noise_floor(splitter, reference, model, spectrum):
+    """The N x N double-sum formula of the noise floor, kept as the reference
+    for the FFT (Toeplitz/Hankel) route of `noise_floor_terms`."""
+    w = reference.omega_grid
+    dw = reference.domega
+    alpha = reference.alpha
+    g = np.asarray(coupling_amplitude(model, w), dtype=complex)
+    mean_a = g * spectrum.value_at(w)
+    f_diff = spectrum.value_at(w[None, :] - w[:, None])
+    f_sum = spectrum.value_at(w[None, :] + w[:, None])
+    c_norm = np.conj(g)[:, None] * g[None, :] * f_diff - np.conj(mean_a)[:, None] * mean_a[None, :]
+    c_anom = g[:, None] * g[None, :] * f_sum - mean_a[:, None] * mean_a[None, :]
+    kappa = splitter.kappa
+    p = splitter.imbalance
+    abs_k2 = abs(kappa) ** 2
+    reference_shot = abs_k2 * float(np.sum(np.abs(alpha) ** 2) * dw)
+    cl_shot = abs_k2 * float(np.sum(np.abs(g) ** 2) * dw)
+    cross = float(dw * dw * (
+        2.0 * np.real(kappa**2 * np.sum(alpha[:, None] * alpha[None, :] * np.conj(c_anom)))
+        + 2.0 * np.real(abs_k2 * np.sum(alpha[:, None] * np.conj(alpha)[None, :] * c_norm))
+    ))
+    return NoiseFloorReport(
+        variance_total=reference_shot + cl_shot + cross,
+        reference_shot=reference_shot,
+        cl_shot=cl_shot,
+        field_cross=cross,
+        alpha4_coefficient=p * p,
+        alpha3_coefficient=2.0 * abs(p) * abs(kappa),
+        is_balanced=p == 0.0,
+    )
+
+
+# kappa^2 = -1 for the heterodyne splitter; the tilted one has a complex
+# kappa^2, so a wrongly conjugated anomalous (Hankel) sum cannot hide.
+SPLITTERS = {
+    "heterodyne": BeamSplitter.heterodyne(),
+    "complex-kappa2": BeamSplitter(R=math.cos(0.7), T=np.exp(0.4j) * math.sin(0.7)),
+}
+
+
+@pytest.fixture(scope="module")
+def sampled_spectrum():
+    state = propagate(pinem_ladder(4.0, BEAM), 6.43e6, mode="quadratic")
+    return density_spectrum(synthesize_density(state, EnvelopeSpec("gaussian", fwhm=50.0)))
+
+
+def random_reference(grid, seed):
+    rng = np.random.default_rng(seed)
+    alpha = 30.0 * (rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
+    return ReferencePulse(grid, alpha)
+
+
+class TestNoiseFloorAgainstDenseSum:
+    @pytest.mark.parametrize("splitter", SPLITTERS.values(), ids=SPLITTERS.keys())
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_sampled_lattice(self, sampled_spectrum, splitter, stride):
+        spec = sampled_spectrum
+        i_w0 = int(np.argmin(np.abs(spec.omega_grid - W0)))
+        grid = spec.omega_grid[i_w0 - 60 : i_w0 + 61 : stride]
+        ref = random_reference(grid, seed=stride)
+        model = GaussianBandCoupling(0.4 * np.exp(0.3j), W0, 0.02)
+        self._assert_matches(splitter, ref, model, spec)
+
+    @pytest.mark.parametrize("splitter", SPLITTERS.values(), ids=SPLITTERS.keys())
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_harmonic_lattice(self, splitter, stride):
+        state = propagate(pinem_ladder(4.0, BEAM), 6.43e6, mode="quadratic")
+        spec = ladder_spectrum(state, n_max=40)
+        grid = W0 * np.arange(1, 20, stride)
+        ref = random_reference(grid, seed=10 + stride)
+        model = FlatCoupling(0.3 - 0.1j, 0.5 * W0, 12.5 * W0)
+        self._assert_matches(splitter, ref, model, spec)
+
+    def test_uncovered_sum_frequencies_raise_on_both_routes(self):
+        state = propagate(pinem_ladder(4.0, BEAM), 6.43e6, mode="quadratic")
+        spec = ladder_spectrum(state, n_max=10)  # covers w_m - w_n, not w_n + w_m
+        ref = ReferencePulse.gaussian(W0 * np.arange(1, 9), 3 * W0, W0, total_counts=100.0)
+        model = FlatCoupling(0.3, 0.5 * W0, 8.5 * W0)
+        for route in (noise_floor_terms, dense_noise_floor):
+            with pytest.raises(GridCoverageError):
+                route(BeamSplitter.heterodyne(), ref, model, spec)
+
+    @staticmethod
+    def _assert_matches(splitter, ref, model, spec):
+        fast = noise_floor_terms(splitter, ref, model, spec)
+        dense = dense_noise_floor(splitter, ref, model, spec)
+        assert abs(dense.field_cross) > 1e-6 * dense.variance_total  # not a vanishing cross term
+        for name in ("variance_total", "reference_shot", "cl_shot", "field_cross",
+                     "alpha4_coefficient", "alpha3_coefficient"):
+            assert getattr(fast, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=0.0), name
+        assert fast.is_balanced == dense.is_balanced

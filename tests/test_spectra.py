@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from clcoherence import (
     BeamParameters,
+    CoherentField,
     DensitySpectrum,
     EnvelopeSpec,
     FlatCoupling,
@@ -353,6 +354,68 @@ class TestTimeDomainField:
         t = np.linspace(-20.0, 20.0, 64)  # envelope never reaches half max
         tf = time_domain_field(field, t=t)
         assert math.isnan(tf.fwhm_envelope)
+
+
+def direct_time_field(field, t):
+    """E(t_j) = (d omega / 2 pi) sum_k <a_k> e^{-i omega_k t_j} as the direct
+    O(N M) sum, kept as the reference for the chirp-z route."""
+    phases = np.exp(-1j * np.asarray(t)[:, None] * field.omega_grid[None, :])
+    return field.domega / (2.0 * math.pi) * (phases @ field.a_mean)
+
+
+def random_band_field(n, seed):
+    """A complex spectrum on n uniform points of a 0.12 rad/fs band at omega0."""
+    rng = np.random.default_rng(seed)
+    w = W0 - 0.06 + 0.12 * np.arange(n) / (n - 1)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return CoherentField(w, a, FlatCoupling(1.0, 0.5 * W0, 1.5 * W0))
+
+
+class TestTimeDomainFieldAgainstDirectSum:
+    # (N spectral points, M time samples): M < N, M > N, M = N, odd and even.
+    SIZES = [(601, 200), (600, 257), (150, 901), (256, 256), (257, 257)]
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_matches_direct_sum(self, n, m):
+        field = random_band_field(n, seed=n + m)
+        t = np.linspace(-2560.0, 2560.0, m)
+        direct = direct_time_field(field, t)
+        fast = time_domain_field(field, t=t).values
+        assert np.max(np.abs(fast - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_matches_scipy_czt(self, n, m):
+        from scipy.signal import czt
+
+        field = random_band_field(n, seed=n + m)
+        w, dw = field.omega_grid, field.domega
+        t = np.linspace(-1000.0, 3000.0, m)
+        tau = t[1] - t[0]
+        # X_j = sum_k x_k A^{-k} W^{jk} with A = e^{i dw t_0}, W = e^{-i dw tau}
+        spiral = czt(field.a_mean, m, w=np.exp(-1j * dw * tau), a=np.exp(1j * dw * t[0]))
+        reference = dw / (2.0 * math.pi) * np.exp(-1j * w[0] * t) * spiral
+        fast = time_domain_field(field, t=t).values
+        # scipy's chirp is not centred, so it is the less accurate of the two
+        assert np.max(np.abs(fast - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+    def test_default_grid_matches_direct_sum(self):
+        field = random_band_field(301, seed=5)
+        tf = time_domain_field(field, n_samples=512)
+        direct = direct_time_field(field, tf.t)
+        assert np.max(np.abs(tf.values - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+    def test_non_uniform_grids_rejected(self):
+        field = random_band_field(64, seed=1)
+        t = np.linspace(-100.0, 100.0, 33)
+        t[5] += 1e-6 * (t[1] - t[0])
+        with pytest.raises(ValueError, match="uniform"):
+            time_domain_field(field, t=t)
+        with pytest.raises(ValueError, match="uniform"):
+            time_domain_field(field, t=t[::-1])
+        w = field.omega_grid.copy()
+        w[10] += 1e-6 * field.domega
+        with pytest.raises(ValueError, match="uniform"):
+            time_domain_field(CoherentField(w, field.a_mean, field.coupling), t=t[:5])
 
 
 @settings(max_examples=25, deadline=None)
