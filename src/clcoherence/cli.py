@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     clcoherence <scenario> --config cfg.json [--out DIR] [--seed N]
-                [--threads K] [--gnuplot-stub] [--quiet]
+                [--gnuplot-stub] [--quiet]
 
 Exit codes: 0 success, 2 configuration error, 3 physics guard tripped,
 4 oracle mismatch.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from .config import SCENARIOS, ScenarioConfig
@@ -37,30 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the shot-sampling seed")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: CLCOHERENCE_THREADS or 1)",
-    )
-    parser.add_argument(
         "--gnuplot-stub",
         action="store_true",
         help="also write ready-to-run gnuplot scripts next to the CSVs",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
-
-
-def _resolve_threads(arg_value: int | None, cfg: ScenarioConfig) -> int:
-    if arg_value is not None:
-        return max(1, arg_value)
-    env = os.environ.get("CLCOHERENCE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"CLCOHERENCE_THREADS={env!r} is not an integer") from None
-    return max(1, cfg.data.get("threads", 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,7 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or cfg.section("output").get("directory") or f"out-{args.scenario}"
         options = RunOptions(
             seed_override=args.seed,
-            threads=_resolve_threads(args.threads, cfg),
             gnuplot=args.gnuplot_stub or bool(cfg.section("output").get("gnuplot", False)),
         )
         result = run_scenario(cfg, out_dir, options)

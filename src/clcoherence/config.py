@@ -37,7 +37,6 @@ _TOP_KEYS = {
     "detection",
     "sweep",
     "output",
-    "threads",
 }
 
 _REQUIRED = {
@@ -338,9 +337,6 @@ class ScenarioConfig:
         data = _need_mapping(data, "<config>")
         _check_keys(data, "<config>", _TOP_KEYS)
         for name, section in data.items():
-            if name == "threads":
-                _integer(data, "<config>", "threads", minimum=1)
-                continue
             _SECTION_VALIDATORS[name](_need_mapping(section, name))
         missing = [s for s in _REQUIRED[scenario] if s not in data]
         if missing:

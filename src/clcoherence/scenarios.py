@@ -61,7 +61,6 @@ NM_PER_UM = 1.0e3
 @dataclass(frozen=True)
 class RunOptions:
     seed_override: int | None = None
-    threads: int = 1
     gnuplot: bool = False
 
 
@@ -626,7 +625,7 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 
 def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     beam = build_beam(cfg) if cfg.section("beam") else BeamParameters.from_wavelength(200.0e3, 800.0)
-    rows = run_test_matrix(beam, max_workers=max(1, options.threads))
+    rows = run_test_matrix(beam)
     _write_csv(
         out_dir / "oracle_check.csv",
         [
@@ -638,7 +637,6 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "doc_fundamental",
             "max_abs_error",
             "passed",
-            "runtime_s",
         ],
         [
             (
@@ -650,7 +648,6 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
                 r.doc_fundamental,
                 r.max_error,
                 r.passed,
-                round(r.runtime_s, 4),
             )
             for r in rows
         ],
@@ -662,7 +659,6 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         "passed": sum(1 for r in rows if r.passed),
         "max_abs_error": max(r.max_error for r in rows),
         "doc_fundamental_range": max(docs) - min(docs),
-        "total_runtime_s": sum(r.runtime_s for r in rows),
     }
     for r in rows:
         log.info(

@@ -107,8 +107,9 @@ class DensitySpectrum:
     def _indices(self, omega) -> np.ndarray:
         x = (np.asarray(omega, dtype=float) - self.omega_grid[0]) / self.domega
         idx = np.rint(x)
-        miss = np.abs(x - idx)
-        if np.max(miss) > _GRID_SNAP_TOL:
+        with np.errstate(invalid="ignore"):  # a non-finite omega misses by NaN
+            miss = np.abs(x - idx)
+        if not np.all(miss <= _GRID_SNAP_TOL):
             worst = np.asarray(omega, dtype=float).flat[int(np.argmax(miss))]
             raise GridCoverageError(
                 f"omega = {worst!r} rad/fs is {np.max(miss):.3e} grid steps off the "
@@ -117,7 +118,7 @@ class DensitySpectrum:
         return self._covered(idx).astype(np.intp)
 
     def _covered(self, idx: np.ndarray) -> np.ndarray:
-        if np.any(idx < 0) or np.any(idx > self.omega_grid.size - 1):
+        if not np.all((idx >= 0) & (idx <= self.omega_grid.size - 1)):
             raise GridCoverageError(
                 "requested frequency lies outside the covered spectral range "
                 f"[{self.omega_grid[0]:g}, {self.omega_grid[-1]:g}] rad/fs"

@@ -155,7 +155,7 @@ class TestExitCodes:
         row = _run_single(0.0, 0.0, 0.05, (1,), beam)
         bad_check = dataclasses.replace(row.checks[0], error=1.0, passed=False)
         bad_row = dataclasses.replace(row, checks=(bad_check, *row.checks[1:]))
-        monkeypatch.setattr(scen, "run_test_matrix", lambda beam, max_workers=1: [bad_row])
+        monkeypatch.setattr(scen, "run_test_matrix", lambda beam: [bad_row])
         cfg = write_config(tmp_path, "oracle.json", {"beam": dict(BEAM_SECTION)})
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
         # The per-row CSV is still written before the failure is raised.
@@ -166,10 +166,16 @@ class TestExitCodes:
             main(["frobnicate", "--config", "x.json"])
         assert excinfo.value.code == 2
 
-    def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLCOHERENCE_THREADS", "many")
+    def test_threads_config_key_is_config_error(self, tmp_path):
+        # The oracle matrix runs serially; a leftover `threads` key is unknown.
+        cfg = write_config(tmp_path, "oracle.json", {"beam": dict(BEAM_SECTION), "threads": 2})
+        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+    def test_threads_flag_rejected_by_parser(self, tmp_path):
         cfg = doc_slice_config(tmp_path)
-        assert main(["doc-slice", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["doc-slice", "--config", cfg, "--threads", "2", "--quiet"])
+        assert excinfo.value.code == 2
 
 
 class TestReproducibility:
@@ -193,6 +199,16 @@ class TestReproducibility:
             == 0
         )
         for name in ("shots.csv", "summary.json", "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_oracle_check_manifest_rerun_is_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, "oracle.json", {"beam": dict(BEAM_SECTION)})
+        out1 = tmp_path / "first"
+        out2 = tmp_path / "second"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
+        manifest = str(out1 / "manifest.json")
+        assert main(["oracle-check", "--config", manifest, "--out", str(out2), "--quiet"]) == 0
+        for name in ("oracle_check.csv", "summary.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_manifest_scenario_mismatch_rejected(self, tmp_path):

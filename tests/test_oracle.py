@@ -21,7 +21,12 @@ from clcoherence import (
     propagate,
     run_test_matrix,
 )
+from clcoherence import oracle
 from clcoherence.oracle import (
+    BETA_GRID,
+    COUPLING_GRID,
+    DISTANCE_GRID,
+    MODE_SETS,
     build_generator,
     electron_mean_level,
     electron_mean_level_initial,
@@ -29,6 +34,7 @@ from clcoherence.oracle import (
     evolve_dense,
     initial_vector,
     observables,
+    oracle_central_moment,
     oracle_mean_a,
     oracle_mean_n,
     oracle_pair_correlation,
@@ -83,6 +89,59 @@ class TestEvolution:
         fast = evolve(space, state.coefficients)
         dense = evolve_dense(space, state.coefficients)
         assert np.linalg.norm(fast - dense) < 1e-10
+
+    def test_two_mode_matches_dense_matrix_exponential(self):
+        # Harmonics 1 and 2 with unequal photon cutoffs and complex couplings.
+        state = propagate(pinem_ladder(0.5, BEAM), 0.1 * BEAM.talbot_distance, mode="quadratic")
+        modes = (
+            OracleMode(1, 0.12 + 0.09j, photon_cutoff=5),
+            OracleMode(2, -0.06 + 0.08j, photon_cutoff=4),
+        )
+        space = TruncatedSpace(26, modes)
+        assert space.dimension <= 4000
+        fast = evolve(space, state.coefficients)
+        dense = evolve_dense(space, state.coefficients)
+        assert np.linalg.norm(fast - dense) < 1e-10
+
+    def test_bit_identical_under_global_random_seeds(self):
+        # expm_multiply estimates operator norms with a randomized onenormest
+        # when ||G||_1 is large; the largest (and strongest-coupled) space of
+        # the validation matrix must not depend on the global numpy stream.
+        state = propagate(
+            pinem_ladder(max(BETA_GRID), BEAM),
+            max(DISTANCE_GRID) * BEAM.talbot_distance,
+            mode="quadratic",
+        )
+        modes = tuple(OracleMode(n, max(COUPLING_GRID)) for n in MODE_SETS[-1])
+        space = TruncatedSpace.for_ladder(state.cutoff, modes)
+        assert space.dimension == 17407
+        saved = np.random.get_state()
+        try:
+            runs = []
+            for seed in (1, 2):
+                np.random.seed(seed)
+                runs.append(evolve(space, state.coefficients))
+        finally:
+            np.random.set_state(saved)
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_norm_guard_rejects_nan_vector(self, monkeypatch):
+        monkeypatch.setattr(oracle, "expm_multiply", lambda gen, v: np.full_like(v, np.nan))
+        state = pinem_ladder(0.5, BEAM)
+        space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
+        with pytest.raises(PhysicsGuardError, match="norm"):
+            evolve(space, state.coefficients)
+
+    def test_leakage_guard_rejects_nan_leakage(self, monkeypatch):
+        # A NaN behind a finite entry: Python's max() would return the 0.0.
+        monkeypatch.setattr(oracle, "expm_multiply", lambda gen, v: v)
+        monkeypatch.setattr(
+            oracle, "truncation_leakage", lambda space, v: {"electron_low": 0.0, "top": np.nan}
+        )
+        state = pinem_ladder(0.5, BEAM)
+        space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
+        with pytest.raises(PhysicsGuardError, match="truncation"):
+            evolve(space, state.coefficients)
 
     def test_norm_preserved(self):
         state = pinem_ladder(1.0, BEAM)
@@ -203,6 +262,41 @@ class TestTwoModeObservables:
         leak = truncation_leakage(space, v)
         assert set(leak) == {"electron_low", "electron_high", "mode0_top_fock", "mode1_top_fock"}
         assert max(leak.values()) < 1e-8
+
+
+def _kron_annihilation(space: TruncatedSpace, index: int) -> sp.csr_matrix:
+    """Reference a_index = I_electron (x) ... (x) a (x) ... (x) I on the full space."""
+    out = sp.identity(space.electron_dim, format="csr")
+    for k, dim in enumerate(space.photon_dims):
+        op = sp.diags(np.sqrt(np.arange(1.0, dim)), offsets=1) if k == index else sp.identity(dim)
+        out = sp.kron(out, op, format="csr")
+    return out
+
+
+class TestSlicedAnnihilationAgainstKron:
+    """The tensor-sliced mode operators against explicit Kronecker products."""
+
+    TOL = 1e-13
+
+    def test_single_mode_observables(self, strong_two_mode):
+        _, space, v = strong_two_mode
+        for i in range(len(space.modes)):
+            a = _kron_annihilation(space, i)
+            mean = np.vdot(v, a @ v)
+            assert abs(oracle_mean_a(space, v, i) - mean) <= self.TOL
+            assert abs(oracle_mean_n(space, v, i) - np.vdot(a @ v, a @ v).real) <= self.TOL
+            for order in (2, 3):
+                u = v
+                for _ in range(order):
+                    u = a @ u - mean * u
+                assert abs(oracle_central_moment(space, v, i, order) - np.vdot(v, u)) <= self.TOL
+
+    def test_pair_correlations(self, strong_two_mode):
+        _, space, v = strong_two_mode
+        a0, a1 = _kron_annihilation(space, 0), _kron_annihilation(space, 1)
+        normal, anomalous = oracle_pair_correlation(space, v, 0, 1)
+        assert abs(normal - np.vdot(a0 @ v, a1 @ v)) <= self.TOL
+        assert abs(anomalous - np.vdot(v, a0 @ (a1 @ v))) <= self.TOL
 
 
 class TestValidationMatrix:

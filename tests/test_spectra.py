@@ -162,6 +162,19 @@ class TestDensitySpectrumValidation:
         with pytest.raises(GridCoverageError):
             spec.value_at(7 * W0)  # outside covered range
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_value_at_rejects_non_finite_frequency(self, omega):
+        spec = ladder_spectrum(pinem_ladder(2.0, BEAM))
+        with pytest.raises(GridCoverageError):
+            spec.value_at(omega)
+
+    def test_pair_values_rejects_nan_in_grid(self):
+        spec = ladder_spectrum(pinem_ladder(2.0, BEAM))
+        grid = W0 * np.arange(-2.0, 3.0)
+        grid[2] = math.nan
+        with pytest.raises(GridCoverageError):
+            spec.pair_values(grid)
+
 
 class TestDegreeOfCoherence:
     def test_unit_at_zero_frequency(self):
