@@ -53,12 +53,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = ScenarioConfig.from_file(args.scenario, args.config)
-        out_dir = args.out or cfg.section("output").get("directory") or f"out-{args.scenario}"
-        options = RunOptions(
-            seed_override=args.seed,
-            gnuplot=args.gnuplot_stub or bool(cfg.section("output").get("gnuplot", False)),
-        )
-        result = run_scenario(cfg, out_dir, options)
+        gnuplot = args.gnuplot_stub or cfg.output.gnuplot
+        options = RunOptions(seed_override=args.seed, gnuplot=gnuplot)
+        result = run_scenario(cfg, args.out or cfg.output.directory, options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

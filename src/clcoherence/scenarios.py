@@ -1,7 +1,9 @@
 """Scenario runners behind the CLI: compute, write CSV/JSON artifacts, manifest.
 
-Every run writes `summary.json` plus scenario-specific CSVs into the output
-directory, and a `manifest.json` that embeds the resolved config, its sha256,
+The runners read the typed fields of a resolved `ScenarioConfig` only: its
+defaults and conversions were all settled at load.  Every run writes
+`summary.json` plus scenario-specific CSVs into the output directory, and a
+`manifest.json` that embeds the resolved config (`to_mapping()`), its sha256,
 the effective seed, derived beam constants, and the list of outputs.  Feeding
 a manifest back through --config reproduces the run byte-for-byte.
 """
@@ -11,25 +13,22 @@ import csv
 import json
 import logging
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .config import ScenarioConfig
+from .config import FlatBand, GaussianBand, ScenarioConfig, Tabulated
 from .constants import TWO_PI
 from .coupling import (
-    DEFAULT_GROUP_VELOCITY_RATIO,
-    DEFAULT_GVD_FS2_NM,
     FlatCoupling,
     GaussianBandCoupling,
     TabulatedCoupling,
     WaveguideCoupling,
 )
 from .detection import (
-    BeamSplitter,
     ReferencePulse,
     balanced_signal,
     detector_means,
@@ -38,14 +37,14 @@ from .detection import (
     snr_estimate,
 )
 from .errors import ConfigError
-from .estate import EnvelopeSpec, pinem_ladder, propagate, synthesize_density
+from .estate import LadderState, pinem_ladder, propagate, synthesize_density
 from .kinematics import BeamParameters
 from .oracle import require_all_passed, run_test_matrix
 from .spectra import (
+    _fwhm,
     density_spectrum,
     doc_map,
     ladder_overlap,
-    ladder_spectrum,
     mean_field,
     optimal_bunching_distance,
     spectral_width,
@@ -107,92 +106,50 @@ def _derived_constants(beam: BeamParameters) -> dict:
 # ----------------------------------------------------------------- builders
 
 
-def build_beam(cfg: ScenarioConfig) -> BeamParameters:
-    beam = cfg.section("beam")
-    if "wavelength_nm" in beam:
-        return BeamParameters.from_wavelength(beam["kinetic_energy_ev"], beam["wavelength_nm"])
-    return BeamParameters(beam["kinetic_energy_ev"], beam["photon_energy_ev"])
-
-
-def build_beta(cfg: ScenarioConfig) -> complex:
-    mod = cfg.section("modulation")
-    return mod["beta_abs"] * np.exp(1j * mod.get("beta_arg", 0.0))
-
-
-def build_state(cfg: ScenarioConfig, beam: BeamParameters):
-    mod = cfg.section("modulation")
-    state = pinem_ladder(build_beta(cfg), beam, cutoff=mod.get("cutoff"))
-    prop = cfg.section("propagation")
-    distance_mm = prop.get("distance_mm", 0.0)
-    if distance_mm:
-        state = propagate(state, distance_mm * NM_PER_MM, prop.get("mode", "exact"))
+def build_state(cfg: ScenarioConfig) -> LadderState:
+    """The modulated ladder, propagated over the configured distance."""
+    mod, prop = cfg.modulation, cfg.propagation
+    state = pinem_ladder(mod.beta, cfg.beam, cutoff=mod.cutoff)
+    if prop.distance_mm:
+        state = propagate(state, prop.distance_mm * NM_PER_MM, prop.mode)
     return state
 
 
-def build_envelope(cfg: ScenarioConfig) -> tuple[EnvelopeSpec, float | None, float | None]:
-    env = cfg.section("envelope")
-    spec = EnvelopeSpec(kind=env["kind"], fwhm=env.get("fwhm_fs"))
-    return spec, env.get("dt_fs"), env.get("window_fs")
+def _spectrum(cfg: ScenarioConfig):
+    """(ladder, sampled density, its spectrum) of a run with an envelope."""
+    state = build_state(cfg)
+    env = cfg.envelope
+    density = synthesize_density(state, env.spec, dt=env.dt_fs, window=env.window_fs)
+    return state, density, density_spectrum(density)
 
 
-def build_coupling(cfg: ScenarioConfig, beam: BeamParameters, length_um: float | None = None):
-    sec = cfg.section("coupling")
-    variant = sec["variant"]
-    w0 = beam.omega0
-    if variant == "flat":
-        lo, hi = sec["band_over_omega0"]
-        return FlatCoupling(
-            g0=complex(sec["g0"]) if not isinstance(sec["g0"], list) else complex(*sec["g0"]),
-            band_min=lo * w0,
-            band_max=hi * w0,
-        )
-    if variant == "gaussian_band":
-        g0 = sec["g0"]
+def build_coupling(cfg: ScenarioConfig, length_um: float | None = None):
+    c, w0 = cfg.coupling, cfg.beam.omega0
+    if isinstance(c, FlatBand):
+        lo, hi = c.band_over_omega0
+        return FlatCoupling(g0=c.g0, band_min=lo * w0, band_max=hi * w0)
+    if isinstance(c, GaussianBand):
         return GaussianBandCoupling(
-            g0=complex(g0) if not isinstance(g0, list) else complex(*g0),
-            center=sec.get("center_over_omega0", 1.0) * w0,
-            sigma=sec["sigma_over_omega0"] * w0,
+            g0=c.g0, center=c.center_over_omega0 * w0, sigma=c.sigma_over_omega0 * w0
         )
-    if variant == "tabulated":
-        table_path = Path(sec["table_path"])
-        if not table_path.is_absolute():
-            table_path = cfg.base_dir / table_path
+    if isinstance(c, Tabulated):
         try:
-            rows = np.loadtxt(table_path, delimiter=",", skiprows=1, ndmin=2)
+            rows = np.loadtxt(c.table_path, delimiter=",", skiprows=1, ndmin=2)
         except OSError:
-            raise ConfigError(f"coupling.table_path: cannot read {table_path}") from None
+            raise ConfigError(f"coupling.table_path: cannot read {c.table_path}") from None
         if rows.shape[1] != 3:
             raise ConfigError(
                 "coupling table must have columns omega_rad_per_fs,g_real,g_imag"
             )
         return TabulatedCoupling(rows[:, 0], rows[:, 1] + 1j * rows[:, 2])
-    # waveguide
-    g0 = sec["g0"]
-    g0 = complex(g0) if not isinstance(g0, list) else complex(*g0)
-    if length_um is None:
-        length_um = sec.get("length_um")
-        if length_um is None:
-            raise ConfigError("coupling.length_um is required here (lengths_um is a sweep)")
-    v_e = beam.velocity
+    v_e = cfg.beam.velocity
     return WaveguideCoupling(
-        g0=g0,
-        omega_match=sec.get("omega_match_over_omega0", 1.0) * w0,
+        g0=c.g0,
+        omega_match=c.omega_match_over_omega0 * w0,
         v_electron=v_e,
-        v_group=sec.get("v_group_ratio", DEFAULT_GROUP_VELOCITY_RATIO) * v_e,
-        gvd=sec.get("gvd_fs2_nm", DEFAULT_GVD_FS2_NM),
-        length=length_um * NM_PER_UM,
-    )
-
-
-def build_splitter(det: dict) -> BeamSplitter:
-    spl = det.get("splitter", {"type": "heterodyne"})
-    if spl.get("type") == "heterodyne" or "type" in spl:
-        return BeamSplitter.heterodyne()
-    r = spl["R"]
-    t = spl["T"]
-    return BeamSplitter(
-        R=complex(r) if not isinstance(r, list) else complex(*r),
-        T=complex(t) if not isinstance(t, list) else complex(*t),
+        v_group=c.v_group_ratio * v_e,
+        gvd=c.gvd_fs2_nm,
+        length=(c.length_um if length_um is None else length_um) * NM_PER_UM,
     )
 
 
@@ -200,31 +157,22 @@ def build_splitter(det: dict) -> BeamSplitter:
 
 
 def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    beam = build_beam(cfg)
-    beta = build_beta(cfg)
-    scan = cfg.section("scan")
-    d_min = scan.get("d_min_mm", 0.0) * NM_PER_MM
-    d_max = scan.get("d_max_mm", 20.0) * NM_PER_MM
-    step = scan.get("coarse_step_mm", 0.01) * NM_PER_MM
-    refine = scan.get("refine_tol_mm", 1.0e-3) * NM_PER_MM
-    threshold = scan.get("threshold", 0.01)
-    n_harm = scan.get("n_harmonics", 40)
-    mode = cfg.section("propagation").get("mode", "exact")
-
+    scan, mode = cfg.scan, cfg.propagation.mode
     optimum = optimal_bunching_distance(
-        beta,
-        beam,
-        d_min,
-        d_max,
-        coarse_step=step,
-        refine_tol=refine,
-        threshold=threshold,
-        n_scan=n_harm,
+        cfg.modulation.beta,
+        cfg.beam,
+        scan.d_min_mm * NM_PER_MM,
+        scan.d_max_mm * NM_PER_MM,
+        coarse_step=scan.coarse_step_mm * NM_PER_MM,
+        refine_tol=scan.refine_tol_mm * NM_PER_MM,
+        threshold=scan.threshold,
+        n_scan=scan.n_harmonics,
         mode=mode,
     )
-    state = pinem_ladder(beta, beam)
+    # the ladder at the modulation plane; doc_map propagates it to each distance
+    state = pinem_ladder(cfg.modulation.beta, cfg.beam)
     distances = optimum.coarse_distances
-    matrix = doc_map(state, distances, n_max=min(n_harm, 2 * state.cutoff), mode=mode)
+    matrix = doc_map(state, distances, n_max=min(scan.n_harmonics, 2 * state.cutoff), mode=mode)
 
     rows = []
     for ni in range(matrix.shape[0]):
@@ -242,7 +190,7 @@ def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         "optimal_distance_nm": optimum.distance,
         "width_max": optimum.width,
         "tiebreak_sum_sqrt_doc": optimum.tiebreak_value,
-        "threshold": threshold,
+        "threshold": scan.threshold,
         "propagation_mode": mode,
         "sqrt_doc_at_optimum": {
             str(n): float(
@@ -263,16 +211,12 @@ def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "plot 'doc_map.csv' using 2:1:3 every ::1 with points palette pt 5 notitle\n"
         )
         outputs.append("plot_doc_map.gp")
-    return outputs, summary, beam
+    return outputs, summary
 
 
 def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    beam = build_beam(cfg)
-    state = build_state(cfg, beam)
-    env, dt, window = build_envelope(cfg)
-    density = synthesize_density(state, env, dt=dt, window=window)
-    spectrum = density_spectrum(density)
-    w0 = beam.omega0
+    state, density, spectrum = _spectrum(cfg)
+    w0 = cfg.beam.omega0
 
     n_keep = min(2 * state.cutoff, 24)
     harm_rows = []
@@ -326,8 +270,8 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 
     doc_by_n = np.array([abs(ladder_overlap(state, n)) ** 2 for n in range(0, 2 * state.cutoff + 1)])
     summary = {
-        "distance_mm": cfg.section("propagation").get("distance_mm", 0.0),
-        "envelope": {"kind": env.kind, "fwhm_fs": env.fwhm},
+        "distance_mm": cfg.propagation.distance_mm,
+        "envelope": {"kind": cfg.envelope.kind, "fwhm_fs": cfg.envelope.fwhm_fs},
         "samples": int(density.samples.size),
         "dt_fs": density.dt,
         "periods_in_window": density.periods_in_window,
@@ -351,7 +295,7 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "plot 'spectrum.csv' using 1:4 every ::1 with lines notitle\n"
         )
         outputs.append("plot_doc_slice.gp")
-    return outputs, summary, beam
+    return outputs, summary
 
 
 def _coherent_band(spectrum, model, w0: float, half_width: float):
@@ -359,30 +303,23 @@ def _coherent_band(spectrum, model, w0: float, half_width: float):
 
 
 def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    beam = build_beam(cfg)
-    state = build_state(cfg, beam)
-    env, dt, window = build_envelope(cfg)
-    density = synthesize_density(state, env, dt=dt, window=window)
-    spectrum = density_spectrum(density)
-    w0 = beam.omega0
+    _, _, spectrum = _spectrum(cfg)
+    w0 = cfg.beam.omega0
 
-    sec = cfg.section("coupling")
-    lengths_um = sec.get("lengths_um") or [sec["length_um"]]
+    lengths_um = cfg.coupling.lengths_um or (cfg.coupling.length_um,)
     half_width = 0.06  # rad/fs band around the fundamental; resolves all lines
     t_grid = np.linspace(-2560.0, 2560.0, 8193)
 
     outputs = []
     per_length = []
     for length_um in lengths_um:
-        model = build_coupling(cfg, beam, length_um=length_um)
+        model = build_coupling(cfg, length_um=length_um)
         field = _coherent_band(spectrum, model, w0, half_width)
         wsel = field.omega_grid
         intensity = np.abs(field.a_mean) ** 2
         envelope_vals = model.envelope(wsel)
 
         # spectral width of |<a>|^2 and sign changes inside the DOC line peak
-        from .spectra import _fwhm  # shared width helper
-
         spec_fwhm = _fwhm(wsel, intensity)
         line = np.abs(spectrum.value_at(wsel)) ** 2
         peak_region = line >= 0.01 * np.max(line)
@@ -443,8 +380,8 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         ),
         "time_fwhm_monotone_increasing": bool(all(a < b for a, b in zip(tims, tims[1:]))),
         "defaults": {
-            "v_group_ratio": sec.get("v_group_ratio", DEFAULT_GROUP_VELOCITY_RATIO),
-            "gvd_fs2_nm": sec.get("gvd_fs2_nm", DEFAULT_GVD_FS2_NM),
+            "v_group_ratio": cfg.coupling.v_group_ratio,
+            "gvd_fs2_nm": cfg.coupling.gvd_fs2_nm,
         },
     }
     log.info(
@@ -464,20 +401,16 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             + "\n"
         )
         outputs.append("plot_waveguide.gp")
-    return outputs, summary, beam
+    return outputs, summary
 
 
 def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    beam = build_beam(cfg)
-    state = build_state(cfg, beam)
-    env, dt, window = build_envelope(cfg)
-    density = synthesize_density(state, env, dt=dt, window=window)
-    spectrum = density_spectrum(density)
-    model = build_coupling(cfg, beam)
-    w0 = beam.omega0
+    _, _, spectrum = _spectrum(cfg)
+    model = build_coupling(cfg)
+    w0 = cfg.beam.omega0
 
     field = _coherent_band(spectrum, model, w0, 0.5 * w0)
-    fwhm = env.fwhm or 8.0 * beam.optical_period
+    fwhm = cfg.envelope.fwhm_fs or 8.0 * cfg.beam.optical_period
     t_grid = np.linspace(-8.0 * fwhm, 8.0 * fwhm, 4097)
     tfield = time_domain_field(field, t=t_grid)
 
@@ -502,7 +435,7 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         else float("nan")
     )
     summary = {
-        "envelope_fwhm_fs": env.fwhm,
+        "envelope_fwhm_fs": cfg.envelope.fwhm_fs,
         "field_envelope_fwhm_fs": tfield.fwhm_envelope,
         "field_intensity_fwhm_fs": tfield.fwhm_intensity,
         "envelope_to_intensity_ratio": ratio,
@@ -519,41 +452,36 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "plot 'field_time.csv' using 1:5 every ::1 with lines notitle\n"
         )
         outputs.append("plot_pulse_shape.gp")
-    return outputs, summary, beam
+    return outputs, summary
 
 
 def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    beam = build_beam(cfg)
-    state = build_state(cfg, beam)
-    env, dt, window = build_envelope(cfg)
-    density = synthesize_density(state, env, dt=dt, window=window)
-    spectrum = density_spectrum(density)
-    model = build_coupling(cfg, beam)
-    det = cfg.section("detection")
-    w0 = beam.omega0
+    _, _, spectrum = _spectrum(cfg)
+    model = build_coupling(cfg)
+    det = cfg.detection
+    w0 = cfg.beam.omega0
 
-    ref_cfg = det["reference"]
-    center = ref_cfg.get("center_over_omega0", 1.0) * w0
-    sigma = ref_cfg["sigma_over_omega0"] * w0
+    center = det.reference.center_over_omega0 * w0
+    sigma = det.reference.sigma_over_omega0 * w0
     half_width = 6.0 * sigma
     field = mean_field(model, spectrum, band=(center - half_width, center + half_width))
     reference = ReferencePulse.gaussian(
         field.omega_grid,
         center=center,
         sigma=sigma,
-        total_counts=ref_cfg["total_counts"],
-        phase=ref_cfg.get("phase_rad", 0.0),
+        total_counts=det.reference.total_counts,
+        phase=det.reference.phase_rad,
     )
-    splitter = build_splitter(det)
-    qe1, qe2 = det.get("qe", [1.0, 1.0])
-    seed = options.seed_override if options.seed_override is not None else det["seed"]
+    splitter = det.splitter
+    qe1, qe2 = det.qe
+    seed = options.seed_override if options.seed_override is not None else det.seed
 
     mu1, mu2 = detector_means(splitter, reference, field, qe1, qe2)
     ensemble = sample_shots(
         splitter,
         reference,
         field,
-        n_shots=det["shots"],
+        n_shots=det.shots,
         seed=seed,
         qe1=qe1,
         qe2=qe2,
@@ -568,9 +496,8 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     )
     outputs = ["shots.csv"]
 
-    sweep_points = det.get("phase_sweep_points", 0)
-    if sweep_points:
-        phases = np.linspace(0.0, TWO_PI, sweep_points, endpoint=False)
+    if det.phase_sweep_points:
+        phases = np.linspace(0.0, TWO_PI, det.phase_sweep_points, endpoint=False)
         _write_csv(
             out_dir / "phase_sweep.csv",
             ["phase_rad", "signal"],
@@ -620,12 +547,11 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "plot 'shots.csv' using 1:($2-$3) every ::1 with points pt 7 ps 0.3 notitle\n"
         )
         outputs.append("plot_detect.gp")
-    return outputs, summary, beam
+    return outputs, summary
 
 
 def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    beam = build_beam(cfg) if cfg.section("beam") else BeamParameters.from_wavelength(200.0e3, 800.0)
-    rows = run_test_matrix(beam)
+    rows = run_test_matrix(cfg.beam)
     _write_csv(
         out_dir / "oracle_check.csv",
         [
@@ -672,31 +598,21 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "ok" if r.passed else "FAIL",
         )
     require_all_passed(rows)
-    return outputs, summary, beam
+    return outputs, summary
 
 
 def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    beam = build_beam(cfg)
-    sweep = cfg.section("sweep")
-    param = sweep["parameter"]
-    values = sweep["values"]
-    n_harm = sweep.get("n_harmonics", 24)
-    prop = cfg.section("propagation")
-    mode = prop.get("mode", "exact")
-
+    sweep = cfg.sweep
+    param = sweep.parameter
     rows = []
     records = []
-    for value in values:
+    for value in sweep.values:
         if param == "beta_abs":
-            beta = value * np.exp(1j * cfg.section("modulation").get("beta_arg", 0.0))
-            distance_mm = prop.get("distance_mm", 0.0)
+            point = replace(cfg, modulation=replace(cfg.modulation, beta_abs=value))
         else:
-            beta = build_beta(cfg)
-            distance_mm = value
-        state = pinem_ladder(beta, beam)
-        if distance_mm:
-            state = propagate(state, distance_mm * NM_PER_MM, mode)
-        n_top = min(n_harm, 2 * state.cutoff)
+            point = replace(cfg, propagation=replace(cfg.propagation, distance_mm=value))
+        state = build_state(point)
+        n_top = min(sweep.n_harmonics, 2 * state.cutoff)
         doc_by_n = np.array(
             [abs(ladder_overlap(state, n)) ** 2 for n in range(0, n_top + 1)]
         )
@@ -714,7 +630,7 @@ def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     )
     outputs = ["sweep.csv"]
     summary = {"parameter": param, "records": records}
-    log.info("sweep over %s: %d values", param, len(values))
+    log.info("sweep over %s: %d values", param, len(sweep.values))
     if options.gnuplot:
         (out_dir / "plot_sweep.gp").write_text(
             "set datafile separator ','\n"
@@ -722,7 +638,7 @@ def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "plot 'sweep.csv' using 3:4 every ::1 with points notitle\n"
         )
         outputs.append("plot_sweep.gp")
-    return outputs, summary, beam
+    return outputs, summary
 
 
 _RUNNERS = {
@@ -743,21 +659,21 @@ def run_scenario(
     options = options or RunOptions()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, summary, beam = _RUNNERS[cfg.scenario](cfg, out_dir, options)
+    outputs, summary = _RUNNERS[cfg.scenario](cfg, out_dir, options)
     _write_json(out_dir / "summary.json", summary)
     outputs = list(outputs) + ["summary.json"]
 
     seed = options.seed_override
-    if seed is None:
-        seed = cfg.section("detection").get("seed") if "detection" in cfg.data else None
+    if seed is None and cfg.detection is not None:
+        seed = cfg.detection.seed
     manifest = {
         "tool": "clcoherence",
         "version": __version__,
         "scenario": cfg.scenario,
-        "config": cfg.data,
+        "config": cfg.to_mapping(),
         "config_sha256": cfg.sha256(),
         "seed": seed,
-        "derived_constants": _derived_constants(beam),
+        "derived_constants": _derived_constants(cfg.beam),
         "outputs": sorted(outputs),
         "versions": {
             "python": platform.python_version(),

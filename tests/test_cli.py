@@ -171,6 +171,42 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "oracle.json", {"beam": dict(BEAM_SECTION), "threads": 2})
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
+    def test_nan_beta_abs_is_config_error(self, tmp_path):
+        # json.dumps writes NaN, and json.loads reads it back as a float
+        cfg = doc_slice_config(tmp_path, modulation={"beta_abs": float("nan")})
+        assert main(["doc-slice", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+    def test_infinite_sweep_distance_is_config_error(self, tmp_path):
+        payload = {
+            "beam": dict(BEAM_SECTION),
+            "modulation": {"beta_abs": 4.0},
+            "sweep": {"parameter": "distance_mm", "values": [1.0, float("inf")]},
+        }
+        cfg = write_config(tmp_path, "sweep.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_kinetic_energy_below_recoil_limit_is_config_error(self, tmp_path):
+        # 10 eV electrons and 1.55 eV photons: BeamParameters rejects the recoil
+        cfg = write_config(
+            tmp_path, "oracle.json", {"beam": {"kinetic_energy_ev": 10, "wavelength_nm": 800.0}}
+        )
+        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+    def test_sweep_honours_modulation_cutoff(self, tmp_path):
+        payload = {
+            "beam": dict(BEAM_SECTION),
+            "modulation": {"beta_abs": 4.0, "cutoff": 1},
+            "sweep": {"parameter": "distance_mm", "values": [0.0, 6.43]},
+        }
+        cfg = write_config(tmp_path, "sweep.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+
+    def test_doc_map_rejects_modulation_cutoff(self, tmp_path):
+        payload = {"beam": dict(BEAM_SECTION), "modulation": {"beta_abs": 4.0, "cutoff": 1}}
+        cfg = write_config(tmp_path, "doc_map.json", payload)
+        assert main(["doc-map", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
     def test_threads_flag_rejected_by_parser(self, tmp_path):
         cfg = doc_slice_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -226,6 +262,66 @@ class TestReproducibility:
             )
             == 2
         )
+
+    def test_manifest_from_another_version_rejected(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "sweep.json",
+            {
+                "beam": dict(BEAM_SECTION),
+                "modulation": {"beta_abs": 4.0},
+                "sweep": {"parameter": "beta_abs", "values": [1.0]},
+            },
+        )
+        out = tmp_path / "first"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == clcoherence.__version__
+        manifest["version"] = "0.0.0"
+        edited = write_config(tmp_path, "manifest.json", manifest)
+        assert main(["sweep", "--config", edited, "--out", str(tmp_path / "x"), "--quiet"]) == 2
+
+    def test_detect_defaults_spelled_out_give_the_same_manifest(self, tmp_path):
+        bare = {
+            "beam": dict(BEAM_SECTION),
+            "modulation": {"beta_abs": 4.0},
+            "propagation": {},
+            "envelope": {"kind": "gaussian", "fwhm_fs": 200.0},
+            "coupling": {"variant": "flat", "g0": 0.05, "band_over_omega0": [0.5, 1.5]},
+            "detection": {
+                "reference": {"sigma_over_omega0": 0.02, "total_counts": 10000.0},
+                "shots": 200,
+                "seed": 7,
+            },
+        }
+        explicit = json.loads(json.dumps(bare))
+        explicit["modulation"]["beta_arg"] = 0.0
+        explicit["propagation"] = {"distance_mm": 0.0, "mode": "exact"}
+        explicit["coupling"]["g0"] = [0.05, 0.0]
+        explicit["detection"].update(
+            splitter={"type": "heterodyne"}, qe=[1.0, 1.0], phase_sweep_points=0
+        )
+        explicit["detection"]["reference"].update(center_over_omega0=1.0, phase_rad=0.0)
+        explicit["output"] = {"directory": "out-detect", "gnuplot": False}
+        outs = []
+        for name, payload in (("bare.json", bare), ("explicit.json", explicit)):
+            outs.append(tmp_path / name.removesuffix(".json"))
+            cfg = write_config(tmp_path, name, payload)
+            assert main(["detect", "--config", cfg, "--out", str(outs[-1]), "--quiet"]) == 0
+        for name in ("manifest.json", "summary.json", "shots.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        manifest = json.loads((outs[0] / "manifest.json").read_text())
+        assert summary["config_sha256"] == manifest["config_sha256"]
+
+    def test_oracle_check_default_beam_gives_the_same_manifest(self, tmp_path):
+        outs = []
+        for name, payload in (("bare.json", {}), ("beam.json", {"beam": dict(BEAM_SECTION)})):
+            outs.append(tmp_path / name.removesuffix(".json"))
+            cfg = write_config(tmp_path, name, payload)
+            assert main(["oracle-check", "--config", cfg, "--out", str(outs[-1]), "--quiet"]) == 0
+        for name in ("manifest.json", "summary.json", "oracle_check.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_seed_override_changes_shots_and_is_recorded(self, tmp_path):
         cfg = detect_config(tmp_path, shots=200, seed=7)
