@@ -27,6 +27,7 @@ from .estate import (
     auto_cutoff,
     pinem_ladder,
     propagate,
+    sampling_lattice,
     synthesize_density,
 )
 from .spectra import (
@@ -36,6 +37,7 @@ from .spectra import (
     PairCorrelation,
     TimeDomainField,
     analytic_pinem_overlap,
+    band_spectrum,
     central_moment,
     density_spectrum,
     doc,

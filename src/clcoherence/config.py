@@ -34,7 +34,7 @@ from . import __version__
 from .coupling import DEFAULT_GROUP_VELOCITY_RATIO, DEFAULT_GVD_FS2_NM
 from .detection import BeamSplitter
 from .errors import ConfigError
-from .estate import EnvelopeSpec
+from .estate import EnvelopeSpec, auto_cutoff, sampling_lattice
 from .kinematics import BeamParameters
 
 SCENARIOS = (
@@ -242,6 +242,9 @@ class Scan:
     def __post_init__(self) -> None:
         if self.d_max_mm <= self.d_min_mm:
             raise ValueError("d_max_mm must exceed d_min_mm")
+        # the coarse scan needs 3 distances (the margin absorbs rounding)
+        if not self.d_max_mm - self.d_min_mm > 1.5 * self.coarse_step_mm * (1.0 + 1.0e-9):
+            raise ValueError("d_max_mm - d_min_mm must exceed 1.5 coarse_step_mm")
 
 
 @dataclass(frozen=True)
@@ -425,6 +428,13 @@ class ScenarioConfig:
             )
         if scenario == "detect" and None in (used["detection"].shots, used["detection"].seed):
             raise ConfigError("detection: scenario 'detect' requires shots and seed")
+        env, mod = used.get("envelope"), used.get("modulation")
+        if env is not None:  # dt_fs and window_fs against this beam, by the run's own checks
+            cutoff = mod.cutoff if mod.cutoff is not None else auto_cutoff(mod.beta_abs)
+            try:
+                sampling_lattice(used["beam"], env.spec, cutoff, env.dt_fs, env.window_fs)
+            except ValueError as exc:
+                raise ConfigError(f"envelope: {exc}") from None
         return cls(scenario=scenario, **used)
 
     @classmethod

@@ -64,16 +64,17 @@ class LadderState:
         object.__setattr__(self, "coefficients", c)
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError("coefficients must be a 1-D array of odd length")
-        norm = float(np.sum(np.abs(c) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise PhysicsGuardError(
-                f"ladder state norm {norm!r} deviates from 1 by more than {_NORM_TOL:g}"
-            )
-        edge = max(abs(c[0]) ** 2, abs(c[-1]) ** 2)
-        if edge > _EDGE_TOL:
+        # guards read `not (err <= tol)` so that a NaN trips them
+        edge = float(np.max(np.abs(c[[0, -1]]) ** 2))
+        if not edge <= _EDGE_TOL:
             raise TruncationError(
                 f"boundary sideband occupation {edge:.3e} exceeds {_EDGE_TOL:g}; "
                 "increase the cutoff"
+            )
+        norm = float(np.sum(np.abs(c) ** 2))
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise PhysicsGuardError(
+                f"ladder state norm {norm!r} deviates from 1 by more than {_NORM_TOL:g}"
             )
         if self.propagated_distance < 0.0:
             raise ValueError("propagated_distance must be non-negative")
@@ -204,12 +205,12 @@ class WavepacketDensity:
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.samples, dtype=float)
-        if np.min(rho) < -1.0e-12:
+        if not np.min(rho) >= -1.0e-12:
             raise PhysicsGuardError("density has significantly negative samples")
         rho = np.maximum(rho, 0.0)
         object.__setattr__(self, "samples", rho)
         total = float(np.sum(rho) * self.dt)
-        if abs(total - 1.0) > 1.0e-8:
+        if not abs(total - 1.0) <= 1.0e-8:
             raise PhysicsGuardError(f"density integral {total!r} deviates from 1")
 
     @property
@@ -221,21 +222,18 @@ class WavepacketDensity:
         return int(round(self.samples.size * self.dt * self.omega0 / TWO_PI))
 
 
-def synthesize_density(
-    state: LadderState,
-    envelope: EnvelopeSpec,
-    dt: float | None = None,
-    window: float | None = None,
-) -> WavepacketDensity:
-    """Sample rho(t) = |f(t) sum_j c_j e^{-i j omega0 t}|^2, normalized to 1.
+def sampling_lattice(
+    beam: BeamParameters, envelope: EnvelopeSpec, cutoff: int, dt=None, window=None
+) -> tuple[float, int, int]:
+    """(dt, samples per period, periods) sampling a ladder of half-width `cutoff`.
 
     Defaults: dt = T0/256 and window = 16*fwhm (gaussian) or 64*T0 (infinite).
     dt is snapped to T0/m (integer m) and the window up to an integer number of
     periods so that harmonics fall on the FFT lattice.  Guards: dt must not
-    exceed T0/64, the window must cover >= 8*fwhm resp. >= 64 periods, and the
-    highest retained harmonic must stay below Nyquist (else AliasingError).
+    exceed T0/64, the window must cover >= 8*fwhm resp. >= 64 periods (both
+    ValueError), and the highest harmonic must stay below Nyquist (AliasingError).
     """
-    t_period = state.beam.optical_period
+    t_period = beam.optical_period
     if dt is None:
         dt = t_period / 256.0
     if dt <= 0.0:
@@ -245,10 +243,9 @@ def synthesize_density(
     samples_per_period = int(round(t_period / dt))
     dt_eff = t_period / samples_per_period
 
-    cut = state.cutoff
-    if samples_per_period <= 2 * cut:
+    if samples_per_period <= 2 * cutoff:
         raise AliasingError(
-            f"dt={dt_eff:g} fs aliases harmonic {cut}: need more than {2 * cut} "
+            f"dt={dt_eff:g} fs aliases harmonic {cutoff}: need more than {2 * cutoff} "
             "samples per period"
         )
 
@@ -264,12 +261,25 @@ def synthesize_density(
         if window < 64.0 * t_period * (1.0 - 1.0e-12):
             raise ValueError(f"window={window:g} fs < 64 periods={64.0 * t_period:g} fs")
     n_periods = int(math.ceil(window / t_period - 1.0e-9))
-    window_eff = n_periods * t_period
+    return dt_eff, samples_per_period, n_periods
 
+
+def synthesize_density(
+    state: LadderState,
+    envelope: EnvelopeSpec,
+    dt: float | None = None,
+    window: float | None = None,
+) -> WavepacketDensity:
+    """Sample rho(t) = |f(t) sum_j c_j e^{-i j omega0 t}|^2, normalized to 1,
+    on the time lattice of `sampling_lattice` (its defaults and guards)."""
+    dt_eff, samples_per_period, n_periods = sampling_lattice(
+        state.beam, envelope, state.cutoff, dt, window
+    )
     n = n_periods * samples_per_period
-    t0 = -0.5 * window_eff
+    t0 = -0.5 * (n_periods * state.beam.optical_period)
     t = t0 + dt_eff * np.arange(n)
 
+    cut = state.cutoff
     omega0 = state.beam.omega0
     step = np.exp(-1j * omega0 * t)
     running = np.exp(1j * cut * omega0 * t)  # e^{-i j omega0 t} at j = -cutoff

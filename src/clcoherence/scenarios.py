@@ -36,12 +36,13 @@ from .detection import (
     sample_shots,
     snr_estimate,
 )
-from .errors import ConfigError
+from .errors import ConfigError, PhysicsGuardError
 from .estate import LadderState, pinem_ladder, propagate, synthesize_density
 from .kinematics import BeamParameters
 from .oracle import require_all_passed, run_test_matrix
 from .spectra import (
     _fwhm,
+    band_spectrum,
     density_spectrum,
     doc_map,
     ladder_overlap,
@@ -89,7 +90,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # name the offending keys, read off a lenient dump
+        lines = json.dumps(payload, indent=2, sort_keys=True).splitlines()
+        bad = " ".join(s.strip() for s in lines if s.rstrip(",").endswith(("NaN", "Infinity")))
+        raise PhysicsGuardError(f"{path.name} would hold non-finite numbers: {bad}") from None
+    path.write_text(text + "\n")
 
 
 def _derived_constants(beam: BeamParameters) -> dict:
@@ -115,12 +122,18 @@ def build_state(cfg: ScenarioConfig) -> LadderState:
     return state
 
 
-def _spectrum(cfg: ScenarioConfig):
-    """(ladder, sampled density, its spectrum) of a run with an envelope."""
-    state = build_state(cfg)
+def _band_spectrum(cfg: ScenarioConfig, lo: float, hi: float, max_omega: float, what: str):
+    """F on the sampled lattice of a run up to |omega| = max_omega; the band
+    lo <= omega <= hi that the run reads must hold 2 or more lattice points."""
     env = cfg.envelope
-    density = synthesize_density(state, env.spec, dt=env.dt_fs, window=env.window_fs)
-    return state, density, density_spectrum(density)
+    spectrum = band_spectrum(build_state(cfg), env.spec, max_omega, env.dt_fs, env.window_fs)
+    w = spectrum.omega_grid
+    if np.count_nonzero((w > 0.0) & (w >= lo) & (w <= hi)) < 2:
+        raise ConfigError(
+            f"{what}: the band [{lo:g}, {hi:g}] rad/fs holds fewer than 2 points of the "
+            f"spectral lattice, whose step {spectrum.domega:g} rad/fs the envelope window sets"
+        )
+    return spectrum
 
 
 def build_coupling(cfg: ScenarioConfig, length_um: float | None = None):
@@ -215,7 +228,11 @@ def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 
 
 def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    state, density, spectrum = _spectrum(cfg)
+    # the independent route: FFT of the sampled density, checked against the ladder
+    state = build_state(cfg)
+    env = cfg.envelope
+    density = synthesize_density(state, env.spec, dt=env.dt_fs, window=env.window_fs)
+    spectrum = density_spectrum(density)
     w0 = cfg.beam.omega0
 
     n_keep = min(2 * state.cutoff, 24)
@@ -298,23 +315,19 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     return outputs, summary
 
 
-def _coherent_band(spectrum, model, w0: float, half_width: float):
-    return mean_field(model, spectrum, band=(w0 - half_width, w0 + half_width))
-
-
 def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    _, _, spectrum = _spectrum(cfg)
     w0 = cfg.beam.omega0
+    lo, hi = w0 - 0.06, w0 + 0.06  # rad/fs band around the fundamental; resolves all lines
+    spectrum = _band_spectrum(cfg, lo, hi, hi, "envelope")
 
     lengths_um = cfg.coupling.lengths_um or (cfg.coupling.length_um,)
-    half_width = 0.06  # rad/fs band around the fundamental; resolves all lines
     t_grid = np.linspace(-2560.0, 2560.0, 8193)
 
     outputs = []
     per_length = []
     for length_um in lengths_um:
         model = build_coupling(cfg, length_um=length_um)
-        field = _coherent_band(spectrum, model, w0, half_width)
+        field = mean_field(model, spectrum, band=(lo, hi))
         wsel = field.omega_grid
         intensity = np.abs(field.a_mean) ** 2
         envelope_vals = model.envelope(wsel)
@@ -405,11 +418,10 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 
 
 def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    _, _, spectrum = _spectrum(cfg)
     model = build_coupling(cfg)
     w0 = cfg.beam.omega0
-
-    field = _coherent_band(spectrum, model, w0, 0.5 * w0)
+    spectrum = _band_spectrum(cfg, 0.5 * w0, 1.5 * w0, 1.5 * w0, "envelope")
+    field = mean_field(model, spectrum, band=(0.5 * w0, 1.5 * w0))
     fwhm = cfg.envelope.fwhm_fs or 8.0 * cfg.beam.optical_period
     t_grid = np.linspace(-8.0 * fwhm, 8.0 * fwhm, 4097)
     tfield = time_domain_field(field, t=t_grid)
@@ -429,11 +441,7 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         ],
     )
     outputs = ["field_time.csv"]
-    ratio = (
-        tfield.fwhm_envelope / tfield.fwhm_intensity
-        if tfield.fwhm_intensity and not np.isnan(tfield.fwhm_intensity)
-        else float("nan")
-    )
+    ratio = tfield.fwhm_envelope / tfield.fwhm_intensity  # NaN when a width is NaN
     summary = {
         "envelope_fwhm_fs": cfg.envelope.fwhm_fs,
         "field_envelope_fwhm_fs": tfield.fwhm_envelope,
@@ -456,15 +464,16 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 
 
 def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
-    _, _, spectrum = _spectrum(cfg)
     model = build_coupling(cfg)
     det = cfg.detection
     w0 = cfg.beam.omega0
 
     center = det.reference.center_over_omega0 * w0
     sigma = det.reference.sigma_over_omega0 * w0
-    half_width = 6.0 * sigma
-    field = mean_field(model, spectrum, band=(center - half_width, center + half_width))
+    lo, hi = center - 6.0 * sigma, center + 6.0 * sigma
+    # the noise floor reads F at every sum frequency of the band, up to 2 hi
+    spectrum = _band_spectrum(cfg, lo, hi, 2.0 * hi, "detection.reference")
+    field = mean_field(model, spectrum, band=(lo, hi))
     reference = ReferencePulse.gaussian(
         field.omega_grid,
         center=center,

@@ -16,6 +16,11 @@ statistics follow from F evaluated at sums and differences of frequencies:
     <a+_w a_w'>         = conj(g_w) g_w' F(w' - w),
     <a_w a_w'>          = g_w g_w' F(w + w').
 
+Routes to F: `ladder_spectrum` on the harmonic lattice; `band_spectrum`, the
+production route, in closed form on a sampled density's lattice cut to a band;
+`density_spectrum`, the FFT of a synthesized density over its whole x8-padded
+lattice, kept as the independent cross-check (doc-slice and the tests).
+
 UNITS: rad/fs frequencies, fs times.
 """
 from __future__ import annotations
@@ -30,7 +35,8 @@ from scipy.special import jv
 from .constants import TWO_PI
 from .coupling import CouplingModel, coupling_amplitude
 from .errors import GridCoverageError, PhysicsGuardError
-from .estate import LadderState, WavepacketDensity, auto_cutoff, pinem_ladder
+from .estate import EnvelopeSpec, LadderState, WavepacketDensity, auto_cutoff, pinem_ladder
+from .estate import sampling_lattice
 from .kinematics import BeamParameters, wavenumber
 
 _F0_TOL = 1.0e-8
@@ -63,10 +69,10 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class DensitySpectrum:
     """F(omega) sampled on a uniform frequency lattice containing omega = 0.
 
-    source is "ladder" (harmonic lattice, spacing omega0) or "sampled" (FFT of
-    a synthesized density).  Values off the lattice are never interpolated;
-    lookups snap to the nearest point and raise GridCoverageError beyond a
-    1e-6-step mismatch.
+    source is "ladder" (harmonic lattice, spacing omega0), "sampled" (FFT of
+    a synthesized density) or "analytic" (closed form on that FFT's lattice).
+    Values off the lattice are never interpolated; lookups snap to the nearest
+    point and raise GridCoverageError beyond a 1e-6-step mismatch.
     """
 
     omega_grid: np.ndarray
@@ -86,15 +92,15 @@ class DensitySpectrum:
         i0 = int(np.argmin(np.abs(w)))
         if abs(w[i0]) > 1.0e-9 * step:
             raise ValueError("omega_grid must contain omega = 0")
-        if abs(v[i0] - 1.0) > _F0_TOL:
+        if not abs(v[i0] - 1.0) <= _F0_TOL:  # `not (err <= tol)`: a NaN trips it
             raise PhysicsGuardError(f"F(0) = {v[i0]!r} deviates from 1 beyond {_F0_TOL:g}")
         # Hermitian symmetry F(-w) = conj F(w) on every +/- pair in the grid
         left = v[:i0][::-1]
         right = v[i0 + 1 :]
         m = min(left.size, right.size)
-        if m and np.max(np.abs(left[:m] - np.conj(right[:m]))) > _HERMITIAN_TOL:
+        if m and not np.max(np.abs(left[:m] - np.conj(right[:m]))) <= _HERMITIAN_TOL:
             raise PhysicsGuardError("spectrum violates Hermitian symmetry")
-        if np.max(np.abs(v)) > 1.0 + _MODULUS_TOL:
+        if not np.max(np.abs(v)) <= 1.0 + _MODULUS_TOL:
             raise PhysicsGuardError("|F| exceeds 1 beyond tolerance")
         object.__setattr__(self, "_zero_index", i0)
 
@@ -170,6 +176,46 @@ def density_spectrum(density: WavepacketDensity) -> DensitySpectrum:
     omega = np.fft.fftshift(omega)
     values = np.fft.fftshift(values)
     return DensitySpectrum(omega, values, "sampled", density.omega0)
+
+
+def band_spectrum(
+    state: LadderState, envelope: EnvelopeSpec, max_omega: float, dt=None, window=None
+) -> DensitySpectrum:
+    """F in closed form on the lattice (and with the guards, `sampling_lattice`)
+    of density_spectrum(synthesize_density(state, envelope, dt, window)), cut
+    to |omega| <= max_omega.  With L_n = ladder_overlap(state, n), |n| <= 2J:
+
+    gaussian |f|^2 of FWHM D:  F(w) = sum_n L_n e^{-a (w - n w0)^2} / sum_n L_n e^{-a (n w0)^2},
+    a = D^2 / (16 ln 2), each line summed only where it does not underflow to 0;
+    infinite:  L_n / L_0 at the harmonics of the unpadded lattice, 0 elsewhere.
+    """
+    if not max_omega > 0.0:
+        raise ValueError("max_omega must be positive (rad/fs)")
+    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff, dt, window)
+    n_fft = per_period * periods * (1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR)
+    # density_spectrum's fftshifted lattice, index by index as np.fft.fftfreq forms it
+    val = 1.0 / (n_fft * dt_eff)
+    k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
+    k = np.arange(max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2) + 1)
+    omega = TWO_PI * (k * val)
+    keep = np.abs(omega) <= max_omega
+    k, omega = k[keep], omega[keep]
+
+    n_max = 2 * state.cutoff
+    lines = ladder_spectrum(state, n_max)  # L_n at n omega0, n = -n_max..n_max
+    values = np.zeros(omega.size, dtype=complex)
+    if envelope.kind == "infinite":
+        h, offset = np.divmod(k, periods)
+        on = (offset == 0) & (np.abs(h) <= n_max)
+        values[on] = lines.values[h[on] + n_max]
+    else:
+        a = envelope.fwhm**2 / (16.0 * math.log(2.0))
+        reach = math.sqrt(746.0 / a)  # exp(-x) is exactly 0.0 in float64 for x > 745.14
+        for center, line in zip(lines.omega_grid, lines.values):
+            lo, hi = np.searchsorted(omega, (center - reach, center + reach))
+            values[lo:hi] += line * np.exp(-a * (omega[lo:hi] - center) ** 2)
+    values /= values[np.searchsorted(k, 0)]
+    return DensitySpectrum(omega, values, "analytic", state.beam.omega0)
 
 
 def ladder_overlap(state: LadderState, harmonic: int) -> complex:
@@ -389,8 +435,9 @@ def mean_field(
 ) -> CoherentField:
     """<a_omega> on the positive-frequency part of the spectral lattice.
 
-    `band` restricts to band[0] <= omega <= band[1]; recommended for sampled
-    spectra, whose full lattice can hold millions of points.
+    `band` restricts to band[0] <= omega <= band[1].  A sampled spectrum's
+    full lattice can hold millions of points; `band_spectrum` builds only the
+    part of that lattice a band and its sum frequencies need.
     """
     w = spectrum.omega_grid
     mask = w > 0.0
@@ -405,7 +452,7 @@ def mean_field(
     g = np.asarray(coupling_amplitude(model, wsel), dtype=complex)
     cap = np.abs(g) * (1.0 + _MODULUS_TOL) + 1.0e-300
     a = g * spectrum.values[mask]
-    if np.any(np.abs(a) > cap):
+    if not np.all(np.abs(a) <= cap):
         raise PhysicsGuardError("|<a>| exceeds |g|; corrupted spectrum")
     return CoherentField(wsel, a, model)
 

@@ -15,6 +15,26 @@ from clcoherence.cli import main
 from clcoherence.oracle import _run_single
 
 BEAM_SECTION = {"kinetic_energy_ev": 200000.0, "wavelength_nm": 800.0}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = [
+    ("doc-map", "configs/doc_map.json"),
+    ("doc-slice", "configs/doc_slice.json"),
+    ("doc-slice", "configs/doc_slice_infinite.json"),
+    ("waveguide", "configs/waveguide.json"),
+    ("pulse-shape", "configs/pulse_shape.json"),
+    ("detect", "configs/detect.json"),
+    ("oracle-check", "configs/oracle_check.json"),
+    ("sweep", "configs/sweep.json"),
+]
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +/-Infinity."""
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_config(tmp_path, name, payload):
@@ -207,6 +227,50 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "doc_map.json", payload)
         assert main(["doc-map", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
+    def test_doc_map_scan_of_fewer_than_three_distances_is_config_error(self, tmp_path, capsys):
+        payload = {
+            "beam": dict(BEAM_SECTION),
+            "modulation": {"beta_abs": 4.0},
+            "scan": {"d_max_mm": 0.01, "coarse_step_mm": 0.01},
+        }
+        cfg = write_config(tmp_path, "doc_map.json", payload)
+        assert main(["doc-map", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "coarse_step_mm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario,name", [("doc-slice", "doc_slice"), ("waveguide", "waveguide")]
+    )
+    def test_dt_above_a_64th_period_is_config_error(self, scenario, name, tmp_path, capsys):
+        payload = json.loads((CONFIGS / f"{name}.json").read_text())
+        payload["envelope"]["dt_fs"] = 1.0  # T0/64 = 0.0417 fs
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "envelope: dt=1 fs exceeds T0/64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("center", [1.0, 1.00001])
+    def test_detect_band_of_fewer_than_two_lattice_points_is_config_error(
+        self, center, tmp_path, capsys
+    ):
+        # +-6 sigma = 2.8e-8 rad/fs holds one lattice point at the harmonic, none beside it
+        payload = json.loads((CONFIGS / "detect.json").read_text())
+        payload["detection"]["reference"].update(sigma_over_omega0=1e-9, center_over_omega0=center)
+        cfg = write_config(tmp_path, "detect.json", payload)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "detection.reference: the band" in capsys.readouterr().err
+
+    def test_non_finite_summary_value_is_physics_guard(self, tmp_path, capsys):
+        # a 2e-4 omega0 coupling band: the time field has no half-maximum widths
+        payload = json.loads((CONFIGS / "pulse_shape.json").read_text())
+        payload["coupling"]["band_over_omega0"] = [0.9999, 1.0001]
+        cfg = write_config(tmp_path, "pulse_shape.json", payload)
+        out = tmp_path / "o"
+        assert main(["pulse-shape", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        for key in ("field_envelope_fwhm_fs", "field_intensity_fwhm_fs"):
+            assert f'"{key}": NaN' in err
+        assert '"envelope_to_intensity_ratio": NaN' in err
+        assert not (out / "summary.json").exists()
+
     def test_threads_flag_rejected_by_parser(self, tmp_path):
         cfg = doc_slice_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -347,21 +411,25 @@ class TestReproducibility:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "scenario,config",
-        [
-            ("doc-slice", "configs/doc_slice_infinite.json"),
-            ("sweep", "configs/sweep.json"),
-        ],
-    )
+    @pytest.mark.parametrize("scenario,config", SHIPPED)
     def test_fast_shipped_configs_run(self, scenario, config, tmp_path):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        code = main(
-            [scenario, "--config", str(root / config), "--out", str(tmp_path / "o"), "--quiet"]
-        )
+        root = CONFIGS.parent
+        out = tmp_path / "o"
+        code = main([scenario, "--config", str(root / config), "--out", str(out), "--quiet"])
         assert code == 0
+        strict_json((out / "summary.json").read_text())
+
+    @pytest.mark.parametrize("scenario", ["waveguide", "pulse-shape", "detect"])
+    def test_band_scenarios_never_run_the_fft_route(self, scenario, tmp_path, monkeypatch):
+        import clcoherence.scenarios as scen
+
+        def fft_route(*args, **kwargs):
+            raise AssertionError("the FFT route runs in doc-slice only")
+
+        monkeypatch.setattr(scen, "synthesize_density", fft_route)
+        monkeypatch.setattr(scen, "density_spectrum", fft_route)
+        config = str(CONFIGS / f"{scenario.replace('-', '_')}.json")
+        assert main([scenario, "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
     def test_all_shipped_configs_validate(self):
         import pathlib

@@ -19,6 +19,7 @@ from clcoherence import (
     LadderState,
     PhysicsGuardError,
     TruncationError,
+    WavepacketDensity,
     auto_cutoff,
     pinem_ladder,
     propagate,
@@ -125,6 +126,18 @@ class TestLadderState:
     def test_edge_occupation_guard(self):
         c = np.zeros(5, dtype=complex)
         c[0] = 1.0
+        with pytest.raises(TruncationError):
+            LadderState(c, BEAM)
+
+    def test_nan_coefficient_trips_norm_guard(self):
+        c = pinem_ladder(1.0, BEAM).coefficients.copy()
+        c[c.size // 2] = math.nan
+        with pytest.raises(PhysicsGuardError, match="norm"):
+            LadderState(c, BEAM)
+
+    def test_nan_boundary_coefficient_trips_edge_guard(self):
+        c = pinem_ladder(1.0, BEAM).coefficients.copy()
+        c[-1] = math.nan
         with pytest.raises(TruncationError):
             LadderState(c, BEAM)
 
@@ -257,6 +270,20 @@ class TestDensitySynthesis:
         with pytest.raises(ValueError):
             synthesize_density(
                 state, EnvelopeSpec("gaussian", fwhm=200.0), window=100.0
+            )
+
+    def test_nan_sample_trips_negativity_guard(self):
+        density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
+        rho = density.samples.copy()
+        rho[7] = math.nan
+        with pytest.raises(PhysicsGuardError, match="negative"):
+            WavepacketDensity(rho, density.dt, density.t0, density.envelope, density.omega0)
+
+    def test_nan_step_trips_integral_guard(self):
+        density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
+        with pytest.raises(PhysicsGuardError, match="integral"):
+            WavepacketDensity(
+                density.samples, math.nan, density.t0, density.envelope, density.omega0
             )
 
     def test_envelope_validation(self):

@@ -3,6 +3,7 @@
 Independent cross-checks used here:
   * FFT pipeline vs direct ladder-coefficient sums vs closed Bessel-sum form,
     three separately coded routes to the same quantity;
+  * the closed-form band spectrum vs the FFT pipeline on its own lattice;
   * Gaussian envelope vs the analytic Gaussian Fourier transform;
   * central moments vs direct numerical expectation integrals over the
     synthesized density.
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clcoherence import (
+    AliasingError,
     BeamParameters,
     CoherentField,
     DensitySpectrum,
@@ -24,6 +26,7 @@ from clcoherence import (
     GridCoverageError,
     PhysicsGuardError,
     analytic_pinem_overlap,
+    band_spectrum,
     central_moment,
     density_spectrum,
     doc,
@@ -92,6 +95,96 @@ class TestFFTPipeline:
             assert abs(ladder_overlap(state, n)) < 1e-10
 
 
+# (|beta|, distance in nm): zero distance and the bunching optimum, which sits
+# near 6.47 mm at |beta| = 4 and scales as 1/|beta|; |beta| = 0 takes the
+# |beta| = 4 distance.
+BAND_STATES = [
+    (beta_abs, distance)
+    for beta_abs in (0.0, 1.0, 4.0)
+    for distance in (0.0, 6.47e6 * 4.0 / (beta_abs or 4.0))
+]
+BAND_ENVELOPES = [
+    EnvelopeSpec("gaussian", fwhm=200.0),
+    EnvelopeSpec("gaussian", fwhm=50.0),
+    EnvelopeSpec("gaussian", fwhm=3.0),
+    EnvelopeSpec("infinite"),
+]
+
+
+def assert_band_matches_fft(state, envelope, max_omega, dt=None, window=None):
+    """band_spectrum equals the FFT route's lattice exactly and its values to 1e-8."""
+    ref = density_spectrum(synthesize_density(state, envelope, dt=dt, window=window))
+    band = band_spectrum(state, envelope, max_omega, dt=dt, window=window)
+    shared = np.abs(ref.omega_grid) <= max_omega
+    np.testing.assert_array_equal(band.omega_grid, ref.omega_grid[shared])
+    assert np.max(np.abs(band.values - ref.values[shared])) <= 1e-8
+    assert band.source == "analytic"
+    return band
+
+
+class TestBandSpectrum:
+    @pytest.mark.parametrize("envelope", BAND_ENVELOPES, ids=lambda e: f"{e.kind}-{e.fwhm}")
+    @pytest.mark.parametrize("beta_abs,distance", BAND_STATES)
+    def test_matches_fft_route(self, envelope, beta_abs, distance):
+        state = pinem_ladder(beta_abs, BEAM)
+        if distance:
+            state = propagate(state, distance)
+        assert_band_matches_fft(state, envelope, 2.3 * W0)
+
+    def test_normalization_is_the_line_sum_at_zero(self):
+        # 3 fs lines overlap: sum_n L_n e^{-a (n w0)^2} is not L_0, so dividing
+        # by L_0 instead would miss the FFT route by ~5e-3.
+        state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
+        envelope = EnvelopeSpec("gaussian", fwhm=3.0)
+        a = envelope.fwhm**2 / (16.0 * math.log(2.0))
+        n = np.arange(-2 * state.cutoff, 2 * state.cutoff + 1)
+        lines = np.array([ladder_overlap(state, k) for k in n])
+        norm = np.sum(lines * np.exp(-a * (n * W0) ** 2))
+        assert abs(norm - 1.0) > 1e-3
+        band = assert_band_matches_fft(state, envelope, 2.3 * W0)
+        k = np.argmin(np.abs(band.omega_grid - W0))
+        expected = np.sum(lines * np.exp(-a * (band.omega_grid[k] - n * W0) ** 2)) / norm
+        assert abs(band.values[k] - expected) < 1e-13
+
+    @pytest.mark.parametrize(
+        "envelope,dt,window",
+        [
+            (EnvelopeSpec("gaussian", fwhm=50.0), BEAM.optical_period / 100.0, 500.0),
+            (EnvelopeSpec("infinite"), BEAM.optical_period / 128.0, 100.0 * BEAM.optical_period),
+        ],
+    )
+    def test_explicit_dt_and_window(self, envelope, dt, window):
+        state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
+        assert_band_matches_fft(state, envelope, 2.3 * W0, dt=dt, window=window)
+
+    def test_band_beyond_nyquist_is_the_whole_lattice(self):
+        state = propagate(pinem_ladder(1.0, BEAM), 2.0e7)
+        dt = BEAM.optical_period / 64.0
+        band = assert_band_matches_fft(state, EnvelopeSpec("infinite"), math.inf, dt=dt)
+        assert band.omega_grid.size == 64 * 64
+
+    @pytest.mark.parametrize(
+        "beta_abs,envelope,kwargs,error",
+        [
+            (1.0, EnvelopeSpec("infinite"), {"dt": BEAM.optical_period / 32.0}, ValueError),
+            (15.0, EnvelopeSpec("infinite"), {"dt": BEAM.optical_period / 64.0}, AliasingError),
+            (1.0, EnvelopeSpec("gaussian", fwhm=200.0), {"window": 100.0}, ValueError),
+            (1.0, EnvelopeSpec("infinite"), {"window": 10 * BEAM.optical_period}, ValueError),
+        ],
+    )
+    def test_same_guards_as_the_fft_route(self, beta_abs, envelope, kwargs, error):
+        state = pinem_ladder(beta_abs, BEAM)
+        with pytest.raises(error):
+            synthesize_density(state, envelope, **kwargs)
+        with pytest.raises(error):
+            band_spectrum(state, envelope, 2.0 * W0, **kwargs)
+
+    @pytest.mark.parametrize("max_omega", [0.0, -1.0, math.nan])
+    def test_max_omega_must_be_positive(self, max_omega):
+        with pytest.raises(ValueError):
+            band_spectrum(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"), max_omega)
+
+
 class TestAnalyticOverlap:
     @pytest.mark.parametrize("beta_abs", [1.0, 4.0])
     @pytest.mark.parametrize("x", [0.0, 0.01, 0.25])
@@ -151,6 +244,28 @@ class TestDensitySpectrumValidation:
         v[4] = 1.0
         with pytest.raises(ValueError):
             DensitySpectrum(g, v, "ladder", 1.0)
+
+    def test_nan_at_zero_trips_f0_guard(self):
+        v = np.zeros(9, dtype=complex)
+        v[4] = math.nan
+        with pytest.raises(PhysicsGuardError, match=r"F\(0\)"):
+            DensitySpectrum(self._grid(), v, "ladder", 1.0)
+
+    def test_nan_at_both_ends_trips_hermitian_guard(self):
+        v = np.zeros(9, dtype=complex)
+        v[4] = 1.0
+        v[0] = v[-1] = math.nan
+        with pytest.raises(PhysicsGuardError, match="Hermitian"):
+            DensitySpectrum(self._grid(), v, "ladder", 1.0)
+
+    def test_nan_without_mirror_point_trips_modulus_guard(self):
+        # grid -4..5: the last point has no -omega partner to compare with
+        grid = np.arange(-4.0, 6.0)
+        v = np.zeros(10, dtype=complex)
+        v[4] = 1.0
+        v[-1] = math.nan
+        with pytest.raises(PhysicsGuardError, match=r"\|F\| exceeds"):
+            DensitySpectrum(grid, v, "ladder", 1.0)
 
     def test_value_at_snaps_and_guards(self):
         state = pinem_ladder(1.0, BEAM)
@@ -257,6 +372,11 @@ class TestCoherentField:
     def test_band_validation(self):
         with pytest.raises(ValueError):
             mean_field(self.model, self.spec, band=(3.0, 1.0))
+
+    def test_nan_coupling_trips_the_cap(self):
+        model = FlatCoupling(complex(math.nan, 0.0), 0.5 * W0, 20.5 * W0)
+        with pytest.raises(PhysicsGuardError, match="exceeds"):
+            mean_field(model, self.spec, band=(0.9 * W0, 5.1 * W0))
 
     def test_mean_photon_number_is_state_independent(self):
         # <n> depends only on the coupling, not on the electron state.
