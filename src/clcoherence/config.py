@@ -307,7 +307,7 @@ class Detection:
     reference: Reference = _key(_section(Reference))
     splitter: BeamSplitter = _key(_splitter, default_factory=BeamSplitter.heterodyne)
     qe: tuple[float, float] = _key(_list(_real(0.0, 1.0), 2), (1.0, 1.0))
-    shots: int | None = _key(_integer(1), None)  # required by the detect scenario
+    shots: int | None = _key(_integer(2), None)  # required by the detect scenario
     seed: int | None = _key(_integer(0), None)
     phase_sweep_points: int = _key(_integer(0), 0)
 

@@ -114,6 +114,8 @@ class ReferencePulse:
         w = np.asarray(omega_grid, dtype=float)
         if sigma <= 0.0 or total_counts < 0.0:
             raise ValueError("sigma must be positive and total_counts non-negative")
+        if w.ndim != 1 or w.size < 2:
+            raise ValueError("omega_grid must be a 1-D grid of 2 or more points")
         shape = np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
         dw = w[1] - w[0]
         norm = np.sum(shape) * dw
@@ -253,14 +255,18 @@ class SnrReport:
 
 
 def snr_estimate(ensemble: ShotEnsemble) -> SnrReport:
-    """Empirical difference-signal statistics of an ensemble."""
+    """Empirical difference-signal statistics of an ensemble of 2 or more
+    shots; an ensemble with zero variance trips a PhysicsGuardError."""
     if ensemble.n_shots < 2:
         raise ValueError("need at least 2 shots for a noise estimate")
     diff = ensemble.counts1.astype(float) - ensemble.counts2.astype(float)
     signal = float(np.mean(diff))
     noise = float(np.std(diff, ddof=1))
     if noise == 0.0:
-        raise ValueError("degenerate ensemble: zero variance")
+        raise PhysicsGuardError(
+            f"degenerate ensemble: all {ensemble.n_shots} shots give the same difference "
+            "signal (zero variance), so no noise estimate exists"
+        )
     stderr = noise / np.sqrt(ensemble.n_shots)
     return SnrReport(
         signal=signal,

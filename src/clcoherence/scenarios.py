@@ -9,7 +9,6 @@ a manifest back through --config reproduces the run byte-for-byte.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import platform
@@ -45,7 +44,7 @@ from .spectra import (
     band_spectrum,
     density_spectrum,
     doc_map,
-    ladder_overlap,
+    ladder_spectrum,
     mean_field,
     optimal_bunching_distance,
     spectral_width,
@@ -71,22 +70,19 @@ class RunResult:
     summary: dict
 
 
-def _fmt_cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV file: the header is the keys of `columns`, row i holds element i
+    of each equal-length 1-D column.  Floats are written as their repr, bools
+    as 1/0; nothing is quoted, since no column holds a separator.  A non-finite
+    float raises PhysicsGuardError before the file is opened."""
+    cols = {name: np.asarray(col) for name, col in columns.items()}
+    bad = [name for name, c in cols.items() if c.dtype.kind == "f" and not np.isfinite(c).all()]
+    if bad:
+        raise PhysicsGuardError(f"{path.name} would hold non-finite numbers in: {' '.join(bad)}")
+    cells = [map(str, (c.astype(int) if c.dtype == bool else c).tolist()) for c in cols.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(c) for c in row])
+        fh.write(",".join(cols) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -187,16 +183,16 @@ def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     distances = optimum.coarse_distances
     matrix = doc_map(state, distances, n_max=min(scan.n_harmonics, 2 * state.cutoff), mode=mode)
 
-    rows = []
-    for ni in range(matrix.shape[0]):
-        for di in range(distances.size):
-            rows.append((ni, distances[di] / NM_PER_MM, matrix[ni, di]))
-    _write_csv(out_dir / "doc_map.csv", ["omega_over_omega0", "d_mm", "doc"], rows)
+    d_mm = distances / NM_PER_MM
     _write_csv(
-        out_dir / "width.csv",
-        ["d_mm", "width"],
-        [(d / NM_PER_MM, int(w)) for d, w in zip(distances, optimum.coarse_widths)],
+        out_dir / "doc_map.csv",
+        {
+            "omega_over_omega0": np.repeat(np.arange(matrix.shape[0]), distances.size),
+            "d_mm": np.tile(d_mm, matrix.shape[0]),
+            "doc": matrix.ravel(),
+        },
     )
+    _write_csv(out_dir / "width.csv", {"d_mm": d_mm, "width": optimum.coarse_widths})
     outputs = ["doc_map.csv", "width.csv"]
     summary = {
         "optimal_distance_mm": optimum.distance / NM_PER_MM,
@@ -236,56 +232,39 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     w0 = cfg.beam.omega0
 
     n_keep = min(2 * state.cutoff, 24)
-    harm_rows = []
-    for n in range(-n_keep, n_keep + 1):
-        f_fft = spectrum.value_at(n * w0)
-        f_lad = ladder_overlap(state, n)
-        harm_rows.append(
-            (
-                n,
-                f_fft.real,
-                f_fft.imag,
-                f_lad.real,
-                f_lad.imag,
-                abs(f_fft) ** 2,
-                abs(f_fft),
-            )
-        )
+    n = np.arange(-n_keep, n_keep + 1)
+    f_fft = spectrum.value_at(n * w0)
+    f_all = ladder_spectrum(state).values  # harmonics -2J..2J
+    f_lad = f_all[n + 2 * state.cutoff]
     _write_csv(
         out_dir / "harmonics.csv",
-        [
-            "omega_over_omega0",
-            "f_fft_real",
-            "f_fft_imag",
-            "f_ladder_real",
-            "f_ladder_imag",
-            "doc",
-            "sqrt_doc",
-        ],
-        harm_rows,
+        {
+            "omega_over_omega0": n,
+            "f_fft_real": f_fft.real,
+            "f_fft_imag": f_fft.imag,
+            "f_ladder_real": f_lad.real,
+            "f_ladder_imag": f_lad.imag,
+            "doc": np.abs(f_fft) ** 2,
+            "sqrt_doc": np.abs(f_fft),
+        },
     )
 
     grid = spectrum.omega_grid
-    mask = np.abs(grid) <= n_keep * w0 * (1.0 + 1.0e-12)
-    idx = np.nonzero(mask)[0]
-    stride = max(1, int(np.ceil(idx.size / 50000)))
-    idx = idx[::stride]
+    idx = np.nonzero(np.abs(grid) <= n_keep * w0 * (1.0 + 1.0e-12))[0]
+    idx = idx[:: max(1, int(np.ceil(idx.size / 50000)))]
+    f = spectrum.values[idx]
     _write_csv(
         out_dir / "spectrum.csv",
-        ["omega_over_omega0", "f_real", "f_imag", "doc"],
-        [
-            (
-                grid[i] / w0,
-                spectrum.values[i].real,
-                spectrum.values[i].imag,
-                abs(spectrum.values[i]) ** 2,
-            )
-            for i in idx
-        ],
+        {
+            "omega_over_omega0": grid[idx] / w0,
+            "f_real": f.real,
+            "f_imag": f.imag,
+            "doc": np.abs(f) ** 2,
+        },
     )
     outputs = ["harmonics.csv", "spectrum.csv"]
 
-    doc_by_n = np.array([abs(ladder_overlap(state, n)) ** 2 for n in range(0, 2 * state.cutoff + 1)])
+    doc_by_n = np.abs(f_all[2 * state.cutoff :]) ** 2
     summary = {
         "distance_mm": cfg.propagation.distance_mm,
         "envelope": {"kind": cfg.envelope.kind, "fwhm_fs": cfg.envelope.fwhm_fs},
@@ -293,12 +272,7 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         "dt_fs": density.dt,
         "periods_in_window": density.periods_in_window,
         "width_at_1pct": int(spectral_width(doc_by_n, 0.01)),
-        "max_fft_ladder_mismatch": float(
-            max(
-                abs(complex(r[1], r[2]) - complex(r[3], r[4]))
-                for r in harm_rows
-            )
-        ),
+        "max_fft_ladder_mismatch": float(np.max(np.abs(f_fft - f_lad))),
     }
     log.info(
         "doc-slice: width(1%%) = %d, FFT/ladder mismatch = %.3e",
@@ -343,33 +317,23 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 
         tag = f"{length_um:g}um"
         spec_name = f"spectrum_{tag}.csv"
+        sel = slice(None, None, max(1, wsel.size // 4000))
+        g = model.amplitude(wsel[sel])
         _write_csv(
             out_dir / spec_name,
-            ["omega_rad_per_fs", "g_real", "g_imag", "sinc_envelope", "a_abs2"],
-            [
-                (
-                    wsel[i],
-                    complex(model.amplitude(wsel[i])).real,
-                    complex(model.amplitude(wsel[i])).imag,
-                    envelope_vals[i],
-                    intensity[i],
-                )
-                for i in range(0, wsel.size, max(1, wsel.size // 4000))
-            ],
+            {
+                "omega_rad_per_fs": wsel[sel],
+                "g_real": g.real,
+                "g_imag": g.imag,
+                "sinc_envelope": envelope_vals[sel],
+                "a_abs2": intensity[sel],
+            },
         )
         time_name = f"field_{tag}.csv"
+        e = tfield.values[::2]
         _write_csv(
             out_dir / time_name,
-            ["t_fs", "e_real", "e_imag", "intensity"],
-            [
-                (
-                    t_grid[i],
-                    tfield.values[i].real,
-                    tfield.values[i].imag,
-                    abs(tfield.values[i]) ** 2,
-                )
-                for i in range(0, t_grid.size, 2)
-            ],
+            {"t_fs": t_grid[::2], "e_real": e.real, "e_imag": e.imag, "intensity": np.abs(e) ** 2},
         )
         outputs.extend([spec_name, time_name])
         per_length.append(
@@ -426,19 +390,16 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     t_grid = np.linspace(-8.0 * fwhm, 8.0 * fwhm, 4097)
     tfield = time_domain_field(field, t=t_grid)
 
+    e = tfield.values
     _write_csv(
         out_dir / "field_time.csv",
-        ["t_fs", "e_real", "e_imag", "envelope", "intensity"],
-        [
-            (
-                t_grid[i],
-                tfield.values[i].real,
-                tfield.values[i].imag,
-                abs(tfield.values[i]),
-                abs(tfield.values[i]) ** 2,
-            )
-            for i in range(t_grid.size)
-        ],
+        {
+            "t_fs": t_grid,
+            "e_real": e.real,
+            "e_imag": e.imag,
+            "envelope": np.abs(e),
+            "intensity": np.abs(e) ** 2,
+        },
     )
     outputs = ["field_time.csv"]
     ratio = tfield.fwhm_envelope / tfield.fwhm_intensity  # NaN when a width is NaN
@@ -500,21 +461,18 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 
     _write_csv(
         out_dir / "shots.csv",
-        ["shot_index", "i1", "i2"],
-        [(i, int(ensemble.counts1[i]), int(ensemble.counts2[i])) for i in range(ensemble.n_shots)],
+        {
+            "shot_index": np.arange(ensemble.n_shots),
+            "i1": ensemble.counts1,
+            "i2": ensemble.counts2,
+        },
     )
     outputs = ["shots.csv"]
 
     if det.phase_sweep_points:
         phases = np.linspace(0.0, TWO_PI, det.phase_sweep_points, endpoint=False)
-        _write_csv(
-            out_dir / "phase_sweep.csv",
-            ["phase_rad", "signal"],
-            [
-                (p, balanced_signal(splitter, reference.with_phase(p), field))
-                for p in phases
-            ],
-        )
+        signal = [balanced_signal(splitter, reference.with_phase(p), field) for p in phases]
+        _write_csv(out_dir / "phase_sweep.csv", {"phase_rad": phases, "signal": signal})
         outputs.append("phase_sweep.csv")
 
     summary = {
@@ -563,29 +521,16 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     rows = run_test_matrix(cfg.beam)
     _write_csv(
         out_dir / "oracle_check.csv",
-        [
-            "beta_abs",
-            "d_over_zt",
-            "g",
-            "harmonics",
-            "dimension",
-            "doc_fundamental",
-            "max_abs_error",
-            "passed",
-        ],
-        [
-            (
-                r.beta_abs,
-                r.d_over_zt,
-                r.g,
-                "+".join(str(h) for h in r.harmonics),
-                r.dimension,
-                r.doc_fundamental,
-                r.max_error,
-                r.passed,
-            )
-            for r in rows
-        ],
+        {
+            "beta_abs": [r.beta_abs for r in rows],
+            "d_over_zt": [r.d_over_zt for r in rows],
+            "g": [r.g for r in rows],
+            "harmonics": ["+".join(map(str, r.harmonics)) for r in rows],
+            "dimension": [r.dimension for r in rows],
+            "doc_fundamental": [r.doc_fundamental for r in rows],
+            "max_abs_error": [r.max_error for r in rows],
+            "passed": [r.passed for r in rows],
+        },
     )
     outputs = ["oracle_check.csv"]
     docs = [r.doc_fundamental for r in rows]
@@ -613,7 +558,7 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
 def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     sweep = cfg.sweep
     param = sweep.parameter
-    rows = []
+    docs = []
     records = []
     for value in sweep.values:
         if param == "beta_abs":
@@ -621,21 +566,25 @@ def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         else:
             point = replace(cfg, propagation=replace(cfg.propagation, distance_mm=value))
         state = build_state(point)
-        n_top = min(sweep.n_harmonics, 2 * state.cutoff)
-        doc_by_n = np.array(
-            [abs(ladder_overlap(state, n)) ** 2 for n in range(0, n_top + 1)]
-        )
-        for n in range(n_top + 1):
-            rows.append((param, value, n, doc_by_n[n]))
+        n_top = min(sweep.n_harmonics, 2 * state.cutoff)  # >= 1: both bounds are >= 1
+        doc_by_n = np.abs(ladder_spectrum(state, n_top).values[n_top:]) ** 2
+        docs.append(doc_by_n)
         records.append(
             {
                 "value": float(value),
                 "width_at_1pct": int(spectral_width(doc_by_n, 0.01)),
-                "doc_fundamental": float(doc_by_n[1]) if n_top >= 1 else 0.0,
+                "doc_fundamental": float(doc_by_n[1]),
             }
         )
+    lengths = [d.size for d in docs]
     _write_csv(
-        out_dir / "sweep.csv", ["parameter", "value", "omega_over_omega0", "doc"], rows
+        out_dir / "sweep.csv",
+        {
+            "parameter": [param] * sum(lengths),
+            "value": np.repeat(sweep.values, lengths),
+            "omega_over_omega0": np.concatenate([np.arange(k) for k in lengths]),
+            "doc": np.concatenate(docs),
+        },
     )
     outputs = ["sweep.csv"]
     summary = {"parameter": param, "records": records}

@@ -2,17 +2,21 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clcoherence
 from clcoherence import BeamParameters
 from clcoherence.cli import main
 from clcoherence.oracle import _run_single
+from clcoherence.scenarios import _write_csv
 
 BEAM_SECTION = {"kinetic_energy_ev": 200000.0, "wavelength_nm": 800.0}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -35,6 +39,34 @@ def strict_json(text):
         raise ValueError(f"non-finite number {name}")
 
     return json.loads(text, parse_constant=reject)
+
+
+# the only string columns: sweep's swept parameter and oracle-check's mode set
+STRING_CELL = {
+    "parameter": re.compile(r"beta_abs|distance_mm"),
+    "harmonics": re.compile(r"\d+(\+\d+)*"),
+}
+
+
+def assert_csv_format(path):
+    """Rows end in CRLF and match the header's width; every cell is an int
+    literal, a finite float written as its repr, or a known string column."""
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n"), path.name
+    lines = data.decode("ascii").split("\r\n")[:-1]
+    assert not any("\r" in line or "\n" in line for line in lines), path.name
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(header), (path.name, line)
+        for column, cell in zip(header, cells):
+            if column in STRING_CELL:
+                assert STRING_CELL[column].fullmatch(cell), (path.name, column, cell)
+            elif column == "passed":
+                assert cell in ("0", "1"), (path.name, cell)
+            elif not re.fullmatch(r"-?\d+", cell):
+                value = float(cell)
+                assert math.isfinite(value) and repr(value) == cell, (path.name, column, cell)
 
 
 def write_config(tmp_path, name, payload):
@@ -271,6 +303,34 @@ class TestExitCodes:
         assert '"envelope_to_intensity_ratio": NaN' in err
         assert not (out / "summary.json").exists()
 
+    def test_non_finite_csv_column_is_physics_guard(self, tmp_path, capsys):
+        # |E|^2 of a g0 = 1e160 field overflows to inf
+        payload = json.loads((CONFIGS / "pulse_shape.json").read_text())
+        payload["coupling"]["g0"] = 1e160
+        cfg = write_config(tmp_path, "pulse_shape.json", payload)
+        out = tmp_path / "o"
+        assert main(["pulse-shape", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "field_time.csv" in err and "intensity" in err
+        assert not (out / "field_time.csv").exists()
+
+    def test_single_shot_is_config_error(self, tmp_path, capsys):
+        cfg = detect_config(tmp_path, shots=1)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "detection.shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dead", ["no_light", "no_quantum_efficiency"])
+    def test_zero_variance_ensemble_is_physics_guard(self, dead, tmp_path, capsys):
+        payload = json.loads(Path(detect_config(tmp_path)).read_text())
+        if dead == "no_light":
+            payload["coupling"]["g0"] = 0.0
+            payload["detection"]["reference"]["total_counts"] = 0.0
+        else:
+            payload["detection"]["qe"] = [0.0, 0.0]
+        cfg = write_config(tmp_path, "detect.json", payload)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert "zero variance" in capsys.readouterr().err
+
     def test_threads_flag_rejected_by_parser(self, tmp_path):
         cfg = doc_slice_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -418,6 +478,12 @@ class TestShippedConfigs:
         code = main([scenario, "--config", str(root / config), "--out", str(out), "--quiet"])
         assert code == 0
         strict_json((out / "summary.json").read_text())
+        outputs = strict_json((out / "manifest.json").read_text())["outputs"]
+        csvs = [name for name in outputs if name.endswith(".csv")]
+        assert csvs
+        for name in csvs:
+            assert_csv_format(out / name)
+
 
     @pytest.mark.parametrize("scenario", ["waveguide", "pulse-shape", "detect"])
     def test_band_scenarios_never_run_the_fft_route(self, scenario, tmp_path, monkeypatch):
@@ -467,3 +533,19 @@ def test_cli_import_does_not_load_scipy_signal():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_csv_writer_round_trips_every_column(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+    ints = rng.integers(-(2**62), 2**62, 200)
+    flags = rng.random(200) < 0.5
+    _write_csv(tmp_path / "t.csv", {"x": floats, "n": ints, "ok": flags, "s": ["1+2"] * 200})
+    lines = (tmp_path / "t.csv").read_bytes().decode().split("\r\n")
+    assert lines[0] == "x,n,ok,s" and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [float(r[0]) for r in rows] == floats.tolist()
+    assert [int(r[1]) for r in rows] == ints.tolist()
+    assert [r[2] for r in rows] == ["1" if f else "0" for f in flags]
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "u.csv", {"x": floats, "n": ints[:-1]})

@@ -172,6 +172,10 @@ class TestReferencePulse:
         with pytest.raises(ValueError):
             ReferencePulse.gaussian(grid, 3 * W0, W0, -5.0)
 
+    def test_gaussian_on_one_point_grid_rejected(self):
+        with pytest.raises(ValueError, match="2 or more points"):
+            ReferencePulse.gaussian(np.array([W0]), W0, 0.1 * W0, 10.0)
+
 
 class TestShotSampling:
     def test_deterministic_for_fixed_seed(self):
@@ -283,6 +287,12 @@ class TestSnrEstimate:
         _, _, _, ref = make_setup(total_counts=100.0)
         ens = sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=1, seed=0)
         with pytest.raises(ValueError):
+            snr_estimate(ens)
+
+    def test_zero_variance_ensemble_is_physics_guard(self):
+        _, _, _, ref = make_setup(total_counts=0.0)
+        ens = sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=50, seed=0)
+        with pytest.raises(PhysicsGuardError, match="zero variance"):
             snr_estimate(ens)
 
 
