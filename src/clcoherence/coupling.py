@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .kinematics import BeamParameters
 
@@ -80,6 +78,8 @@ class TabulatedCoupling:
     """
 
     def __init__(self, omega_table: Sequence[float], g_table: Sequence[complex]):
+        from scipy.interpolate import CubicSpline  # loads scipy.optimize; only used here
+
         w = np.asarray(omega_table, dtype=float)
         g = np.asarray(g_table, dtype=complex)
         if w.ndim != 1 or w.size < 4:
@@ -100,6 +100,8 @@ class TabulatedCoupling:
         return out if w.shape else complex(out)
 
     def eels_probability(self) -> float:
+        from scipy.integrate import simpson
+
         dense = np.linspace(self.omega_table[0], self.omega_table[-1], 4001)
         g = self.amplitude(dense)
         return float(simpson(np.abs(g) ** 2, x=dense))
@@ -165,7 +167,7 @@ class WaveguideCoupling:
         lo = self.omega_match * 1.0e-2
         hi = 2.0 * self.omega_match - lo
         dense = np.linspace(lo, hi, 200001)
-        g2 = np.abs(self.amplitude(dense)) ** 2
+        g2 = abs(complex(self.g0)) ** 2 * self.envelope(dense) ** 2  # |e^{ix}| = 1
         return float(np.trapezoid(g2, dense))
 
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import OracleMismatchError, PhysicsGuardError
 from .estate import LadderState, pinem_ladder, propagate
@@ -100,30 +100,34 @@ class TruncatedSpace:
         return cls(ladder_cutoff + n_max * h_max + margin, tuple(modes))
 
 
-def _electron_lowering(electron_dim: int, n: int) -> sp.spmatrix:
-    """B_n: |j> -> |j - n> on the truncated ladder (row j-n, column j)."""
-    return sp.diags(np.ones(electron_dim - n), offsets=n, format="csr")
+@lru_cache(maxsize=8)
+def _raising_operators(
+    electron_dim: int, harmonics: tuple[int, ...], photon_dims: tuple[int, ...]
+) -> tuple[sp.csr_matrix, ...]:
+    """B_h (x) a_i+ for each mode i of harmonic h, shared by every space of
+    this shape (callers must not modify them).  B_h maps |j> to |j - h> and
+    a_i+ maps |n> to sqrt(n+1)|n+1>, so the operator is the single diagonal
+    col - row = h * stride_electron - stride_i, with entry sqrt(n) at every
+    row whose Fock index n of mode i is at least 1."""
+    dim = electron_dim * math.prod(photon_dims)
+    ops = []
+    for i, (h, n_dim) in enumerate(zip(harmonics, photon_dims)):
+        stride = math.prod(photon_dims[i + 1 :])
+        offset = h * (dim // electron_dim) - stride
+        row = np.arange(dim - offset)
+        n = row // stride % n_dim
+        keep = n > 0
+        data = np.sqrt(n[keep]).astype(complex)
+        ops.append(sp.csr_matrix((data, (row[keep], row[keep] + offset)), shape=(dim, dim)))
+    return tuple(ops)
 
 
-def _fock_annihilation(dim: int) -> sp.spmatrix:
-    return sp.diags(np.sqrt(np.arange(1.0, dim)), offsets=1, format="csr")
-
-
-def build_generator(space: TruncatedSpace) -> sp.spmatrix:
-    """Anti-Hermitian interaction generator G on the product space."""
-    gen = None
-    for i, mode in enumerate(space.modes):
-        lower = _electron_lowering(space.electron_dim, mode.harmonic)
-        ops_up = [lower]
-        for k, dim in enumerate(space.photon_dims):
-            ops_up.append(
-                _fock_annihilation(dim).T if k == i else sp.identity(dim, format="csr")
-            )
-        up = ops_up[0]
-        for op in ops_up[1:]:
-            up = sp.kron(up, op, format="csr")
-        term = mode.g * up - np.conj(mode.g) * up.conj().T
-        gen = term if gen is None else gen + term
+def build_generator(space: TruncatedSpace) -> sp.csr_matrix:
+    """Anti-Hermitian interaction generator G on the product space (complex128)."""
+    ups = _raising_operators(
+        space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims
+    )
+    gen = sum(m.g * up - np.conj(m.g) * up.conj().T for m, up in zip(space.modes, ups))
     return gen.tocsr()
 
 
@@ -144,6 +148,14 @@ def initial_vector(space: TruncatedSpace, electron_coefficients: np.ndarray) -> 
         vac[0] = 1.0
         vec = np.kron(vec, vac)
     return vec
+
+
+def expm_multiply(gen: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """exp(gen) v; scipy.sparse.linalg is imported on first call, so runs that
+    never evolve a state do not pay for loading it."""
+    from scipy.sparse.linalg import expm_multiply as _expm_multiply
+
+    return _expm_multiply(gen, v)
 
 
 def evolve(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarray:

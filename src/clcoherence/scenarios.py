@@ -391,16 +391,17 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     tfield = time_domain_field(field, t=t_grid)
 
     e = tfield.values
-    _write_csv(
-        out_dir / "field_time.csv",
-        {
-            "t_fs": t_grid,
-            "e_real": e.real,
-            "e_imag": e.imag,
-            "envelope": np.abs(e),
-            "intensity": np.abs(e) ** 2,
-        },
-    )
+    with np.errstate(over="ignore"):  # an |E|^2 beyond float range is inf, named by the guard
+        _write_csv(
+            out_dir / "field_time.csv",
+            {
+                "t_fs": t_grid,
+                "e_real": e.real,
+                "e_imag": e.imag,
+                "envelope": np.abs(e),
+                "intensity": np.abs(e) ** 2,
+            },
+        )
     outputs = ["field_time.csv"]
     ratio = tfield.fwhm_envelope / tfield.fwhm_intensity  # NaN when a width is NaN
     summary = {

@@ -508,13 +508,14 @@ def pair_correlation(
 def _fwhm(x: np.ndarray, y: np.ndarray) -> float:
     """Full width at half maximum of the main lobe, linear interpolation.
 
-    Returns nan when the curve never drops below half maximum inside the grid.
+    Returns nan when the peak is not finite or the curve never drops below
+    half maximum inside the grid.
     """
     i0 = int(np.argmax(y))
     half = y[i0] / 2.0
     below_left = np.nonzero(y[: i0 + 1] < half)[0]
     below_right = np.nonzero(y[i0:] < half)[0]
-    if below_left.size == 0 or below_right.size == 0:
+    if not np.isfinite(half) or below_left.size == 0 or below_right.size == 0:
         return float("nan")
     il = below_left[-1]
     x_left = x[il] + (x[il + 1] - x[il]) * (half - y[il]) / (y[il + 1] - y[il])
@@ -571,9 +572,10 @@ def time_domain_field(
     conv = fft_convolve(x, np.exp(0.5j * theta * r * r))[n - 1 : n - 1 + m]
     out = (dw / TWO_PI) * np.exp(-1j * (w_c * t + 0.5 * theta * q * q)) * conv
     env = np.abs(out)
-    return TimeDomainField(
-        t=t,
-        values=out,
-        fwhm_envelope=_fwhm(t, env),
-        fwhm_intensity=_fwhm(t, env**2),
-    )
+    with np.errstate(over="ignore"):  # an |E|^2 beyond float range is inf, its width nan
+        return TimeDomainField(
+            t=t,
+            values=out,
+            fwhm_envelope=_fwhm(t, env),
+            fwhm_intensity=_fwhm(t, env**2),
+        )

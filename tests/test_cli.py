@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,18 @@ class TestExitCodes:
         assert "field_time.csv" in err and "intensity" in err
         assert not (out / "field_time.csv").exists()
 
+    def test_overflowing_field_warns_nothing_before_exit_3(self, tmp_path, capsys):
+        # the overflow of |E|^2 is reported by the exit-3 message alone
+        payload = json.loads((CONFIGS / "pulse_shape.json").read_text())
+        payload["coupling"]["g0"] = 1e160
+        cfg = write_config(tmp_path, "pulse_shape.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pulse-shape", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert "intensity" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
     def test_single_shot_is_config_error(self, tmp_path, capsys):
         cfg = detect_config(tmp_path, shots=1)
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -522,17 +535,27 @@ class TestShippedConfigs:
 
 
 def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal costs ~0.7 s to import; the FFT kernels use scipy.fft only,
-    # so loading the CLI must not pull it in.
+    # scipy.signal costs ~0.7 s to import; the FFT kernels use scipy.fft only.
+    # The others load only for a tabulated coupling (integrate, interpolate,
+    # and optimize through it) or an oracle run (sparse.linalg, linalg), so
+    # loading the CLI must pull in none of them.
+    heavy = [
+        "scipy.signal",
+        "scipy.integrate",
+        "scipy.interpolate",
+        "scipy.optimize",
+        "scipy.sparse.linalg",
+        "scipy.linalg",
+    ]
     src = str(Path(clcoherence.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, clcoherence.cli; print('scipy.signal' in sys.modules)"
+    probe = f"import sys, clcoherence.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_csv_writer_round_trips_every_column(tmp_path):

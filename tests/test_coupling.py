@@ -169,6 +169,16 @@ class TestWaveguideCoupling:
         p = eels_probability(self._coupler(1e5))
         assert 0.0 < p < abs(0.1) ** 2 * 2 * W0  # bounded by flat-band value
 
+    @pytest.mark.parametrize("length_nm", [1e4, 1e5, 1e6])
+    def test_eels_probability_matches_complex_amplitude_integral(self, length_nm):
+        # |g|^2 = |g0|^2 sinc^2 needs no complex exponential; the trapezoid of
+        # |amplitude|^2 on the same grid is the reference.
+        m = WaveguideCoupling.default_for_beam(BEAM, 0.3 - 0.4j, length_nm)
+        lo = 1e-2 * W0
+        dense = np.linspace(lo, 2.0 * W0 - lo, 200001)
+        ref = np.trapezoid(np.abs(m.amplitude(dense)) ** 2, dense)
+        assert eels_probability(m) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             self._coupler(-1.0)

@@ -5,6 +5,7 @@ The oracle builds the interaction generator explicitly on (electron ladder) x
 analytic ladder/coupling formulas it certifies.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -271,6 +272,54 @@ def _kron_annihilation(space: TruncatedSpace, index: int) -> sp.csr_matrix:
         op = sp.diags(np.sqrt(np.arange(1.0, dim)), offsets=1) if k == index else sp.identity(dim)
         out = sp.kron(out, op, format="csr")
     return out
+
+
+def _kron_generator(space: TruncatedSpace) -> sp.csr_matrix:
+    """Reference G = sum_modes g U - conj(g) U^H with each raising operator
+    U = B_h (x) I (x) ... (x) a+ (x) ... (x) I built as a Kronecker chain."""
+    gen = None
+    for i, mode in enumerate(space.modes):
+        h = mode.harmonic
+        up = sp.diags(np.ones(space.electron_dim - h), offsets=h, format="csr")
+        for k, dim in enumerate(space.photon_dims):
+            op = sp.diags(np.sqrt(np.arange(1.0, dim)), offsets=-1) if k == i else sp.identity(dim)
+            up = sp.kron(up, op, format="csr")
+        term = mode.g * up - np.conj(mode.g) * up.conj().T
+        gen = term if gen is None else gen + term
+    return gen.tocsr()
+
+
+class TestGeneratorAgainstKron:
+    """The diagonal-index generator equals the Kronecker chain exactly."""
+
+    @staticmethod
+    def assert_exact(space):
+        gen = build_generator(space)
+        assert gen.dtype == np.complex128
+        assert abs(gen - _kron_generator(space)).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            (OracleMode(1, 0.3, photon_cutoff=4),),
+            (OracleMode(1, 0.12 + 0.09j, photon_cutoff=5), OracleMode(2, -0.06 + 0.08j, photon_cutoff=3)),
+            (OracleMode(1, -0.2 + 0.05j, photon_cutoff=3), OracleMode(3, 0.07 - 0.15j, photon_cutoff=6)),
+        ],
+        ids=["one-mode", "harmonics-1-2", "harmonics-1-3"],
+    )
+    def test_small_spaces(self, modes):
+        self.assert_exact(TruncatedSpace(12, modes))
+
+    def test_every_validation_matrix_space(self):
+        # Same shape, three couplings: the shape-keyed cache must not keep g.
+        for b, d, g, harmonics in itertools.product(
+            BETA_GRID, DISTANCE_GRID, COUPLING_GRID, MODE_SETS
+        ):
+            state = pinem_ladder(b, BEAM)
+            if d:
+                state = propagate(state, d * BEAM.talbot_distance, mode="quadratic")
+            modes = tuple(OracleMode(n, g) for n in harmonics)
+            self.assert_exact(TruncatedSpace.for_ladder(state.cutoff, modes))
 
 
 class TestSlicedAnnihilationAgainstKron:
