@@ -17,9 +17,12 @@ The two-mode spaces are far too large for dense matrix exponentials, so
 exp(G)v is computed by scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 2011), which picks its Taylor degree and scaling
 from an a-priori error bound; tests cross-check it against a dense expm on
-small spaces.  A mode's annihilation operator is applied by shifting the
-mode's Fock axis of the state tensor, sqrt(n+1) v[..., n+1, ...] ->
-out[..., n, ...], rather than by building the Kronecker-product operator.
+small spaces.  G conserves K = j + sum_modes n * (photons in the mode), so
+only the K-sectors the initial ladder occupies (|K| <= its cutoff) are
+evolved: the other amplitudes stay exactly 0, as on the whole space.  A
+mode's annihilation operator is applied by shifting the mode's Fock axis of
+the state tensor, sqrt(n+1) v[..., n+1, ...] -> out[..., n, ...], rather
+than by building the Kronecker-product operator.
 """
 from __future__ import annotations
 
@@ -100,12 +103,10 @@ class TruncatedSpace:
         return cls(ladder_cutoff + n_max * h_max + margin, tuple(modes))
 
 
-@lru_cache(maxsize=8)
 def _raising_operators(
     electron_dim: int, harmonics: tuple[int, ...], photon_dims: tuple[int, ...]
 ) -> tuple[sp.csr_matrix, ...]:
-    """B_h (x) a_i+ for each mode i of harmonic h, shared by every space of
-    this shape (callers must not modify them).  B_h maps |j> to |j - h> and
+    """B_h (x) a_i+ for each mode i of harmonic h.  B_h maps |j> to |j - h> and
     a_i+ maps |n> to sqrt(n+1)|n+1>, so the operator is the single diagonal
     col - row = h * stride_electron - stride_i, with entry sqrt(n) at every
     row whose Fock index n of mode i is at least 1."""
@@ -122,13 +123,28 @@ def _raising_operators(
     return tuple(ops)
 
 
+@lru_cache(maxsize=8)
+def _reachable_operators(electron_dim: int, harmonics: tuple, photon_dims: tuple, cutoff: int):
+    """Flat indices of the states with |K| <= cutoff, K = j + sum_i h_i n_i, and
+    the raising operators restricted to them, shared by every space of this
+    shape (callers must not modify them).  G conserves K."""
+    k = np.arange(electron_dim) - (electron_dim - 1) // 2
+    for h, n_dim in zip(harmonics, photon_dims):
+        k = np.add.outer(k, h * np.arange(n_dim))
+    idx = np.flatnonzero(np.abs(k) <= cutoff)
+    ups = _raising_operators(electron_dim, harmonics, photon_dims)
+    return idx, tuple(up[idx][:, idx] for up in ups)
+
+
+def _generator(modes: tuple[OracleMode, ...], ups) -> sp.csr_matrix:
+    return sum(m.g * up - np.conj(m.g) * up.conj().T for m, up in zip(modes, ups)).tocsr()
+
+
 def build_generator(space: TruncatedSpace) -> sp.csr_matrix:
     """Anti-Hermitian interaction generator G on the product space (complex128)."""
-    ups = _raising_operators(
-        space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims
-    )
-    gen = sum(m.g * up - np.conj(m.g) * up.conj().T for m, up in zip(space.modes, ups))
-    return gen.tocsr()
+    harmonics = tuple(m.harmonic for m in space.modes)
+    ups = _raising_operators(space.electron_dim, harmonics, space.photon_dims)
+    return _generator(space.modes, ups)
 
 
 def initial_vector(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarray:
@@ -165,9 +181,11 @@ def evolve(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarr
     truncation boundary (top Fock level, ladder edge) holds more than 1e-8
     population -- enlarge the space rather than trust the result.
     """
-    gen = build_generator(space)
     v0 = initial_vector(space, electron_coefficients)
-    v = expm_multiply(gen, v0)
+    shape = (space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims)
+    idx, ups = _reachable_operators(*shape, (np.size(electron_coefficients) - 1) // 2)
+    v = np.zeros_like(v0)
+    v[idx] = expm_multiply(_generator(space.modes, ups), v0[idx])
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise PhysicsGuardError(f"evolved norm {norm!r} deviates from 1 beyond {_NORM_TOL:g}")

@@ -132,6 +132,14 @@ def _band_spectrum(cfg: ScenarioConfig, lo: float, hi: float, max_omega: float, 
     return spectrum
 
 
+def _band_field(model, spectrum, lo: float, hi: float):
+    """<a> on the band, which must not be identically zero: it has no shape or width."""
+    field = mean_field(model, spectrum, band=(lo, hi))
+    if not np.any(field.a_mean):
+        raise PhysicsGuardError(f"<a> is identically zero in the band [{lo:g}, {hi:g}] rad/fs")
+    return field
+
+
 def build_coupling(cfg: ScenarioConfig, length_um: float | None = None):
     c, w0 = cfg.coupling, cfg.beam.omega0
     if isinstance(c, FlatBand):
@@ -301,7 +309,7 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     per_length = []
     for length_um in lengths_um:
         model = build_coupling(cfg, length_um=length_um)
-        field = mean_field(model, spectrum, band=(lo, hi))
+        field = _band_field(model, spectrum, lo, hi)
         wsel = field.omega_grid
         intensity = np.abs(field.a_mean) ** 2
         envelope_vals = model.envelope(wsel)
@@ -385,7 +393,7 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     model = build_coupling(cfg)
     w0 = cfg.beam.omega0
     spectrum = _band_spectrum(cfg, 0.5 * w0, 1.5 * w0, 1.5 * w0, "envelope")
-    field = mean_field(model, spectrum, band=(0.5 * w0, 1.5 * w0))
+    field = _band_field(model, spectrum, 0.5 * w0, 1.5 * w0)
     fwhm = cfg.envelope.fwhm_fs or 8.0 * cfg.beam.optical_period
     t_grid = np.linspace(-8.0 * fwhm, 8.0 * fwhm, 4097)
     tfield = time_domain_field(field, t=t_grid)
@@ -535,11 +543,14 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     )
     outputs = ["oracle_check.csv"]
     docs = [r.doc_fundamental for r in rows]
+    guards = [c for r in rows for c in r.checks if c.name in ("norm", "truncation_leakage")]
+    guards.sort(key=lambda c: c.error)  # the largest error of each name is written last
     summary = {
         "rows": len(rows),
         "passed": sum(1 for r in rows if r.passed),
         "max_abs_error": max(r.max_error for r in rows),
         "doc_fundamental_range": max(docs) - min(docs),
+        "guards": {c.name: {"error": c.error, "tolerance": c.tolerance} for c in guards},
     }
     for r in rows:
         log.info(

@@ -569,10 +569,11 @@ def time_domain_field(
     theta = dw * dt
     x = field.a_mean * np.exp(-1j * p * (dw * t_c + 0.5 * theta * p))
     r = np.arange(1 - n, m) - 0.5 * (m - n)  # every q - p, in convolution order
-    conv = fft_convolve(x, np.exp(0.5j * theta * r * r))[n - 1 : n - 1 + m]
-    out = (dw / TWO_PI) * np.exp(-1j * (w_c * t + 0.5 * theta * q * q)) * conv
-    env = np.abs(out)
-    with np.errstate(over="ignore"):  # an |E|^2 beyond float range is inf, its width nan
+    # a field beyond float range turns inf or nan here, its widths nan: the guards name it
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = fft_convolve(x, np.exp(0.5j * theta * r * r))[n - 1 : n - 1 + m]
+        out = (dw / TWO_PI) * np.exp(-1j * (w_c * t + 0.5 * theta * q * q)) * conv
+        env = np.abs(out)
         return TimeDomainField(
             t=t,
             values=out,

@@ -327,6 +327,36 @@ class TestExitCodes:
         assert "intensity" in capsys.readouterr().err
         assert [str(w.message) for w in caught] == []
 
+    def test_field_beyond_float_range_warns_nothing_before_exit_3(self, tmp_path, capsys):
+        # at g0 = 1e308 the chirp-z convolution itself overflows to inf and nan
+        payload = json.loads((CONFIGS / "pulse_shape.json").read_text())
+        payload["coupling"]["g0"] = 1e308
+        cfg = write_config(tmp_path, "pulse_shape.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pulse-shape", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert "e_real e_imag envelope intensity" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "scenario, name, band",
+        [
+            ("pulse-shape", "pulse_shape.json", "[1.17728, 3.53185]"),
+            ("waveguide", "waveguide.json", "[2.29456, 2.41456]"),
+        ],
+    )
+    def test_zero_coupling_names_the_empty_band(self, scenario, name, band, tmp_path, capsys):
+        payload = json.loads((CONFIGS / name).read_text())
+        payload["coupling"]["g0"] = 0.0
+        cfg = write_config(tmp_path, name, payload)
+        out = tmp_path / "o"
+        assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"<a> is identically zero in the band {band} rad/fs" in err
+        assert "NaN" not in err
+        assert not (out / "summary.json").exists()
+
     def test_single_shot_is_config_error(self, tmp_path, capsys):
         cfg = detect_config(tmp_path, shots=1)
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -383,6 +413,22 @@ class TestReproducibility:
         assert main(["oracle-check", "--config", manifest, "--out", str(out2), "--quiet"]) == 0
         for name in ("oracle_check.csv", "summary.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_oracle_check_summary_records_guard_margins(self, tmp_path, monkeypatch):
+        from clcoherence import scenarios
+
+        rows = []
+        matrix = scenarios.run_test_matrix
+        monkeypatch.setattr(scenarios, "run_test_matrix", lambda beam: rows.extend(matrix(beam)) or rows)
+        cfg = write_config(tmp_path, "oracle.json", {"beam": dict(BEAM_SECTION)})
+        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        guards = strict_json((tmp_path / "o" / "summary.json").read_text())["guards"]
+        assert len(rows) == 54
+        for name, tolerance in (("norm", 1e-10), ("truncation_leakage", 1e-8)):
+            worst = max(c.error for r in rows for c in r.checks if c.name == name)
+            assert guards[name] == {"error": worst, "tolerance": tolerance}
+            assert 0.0 <= worst <= tolerance
+        assert set(guards) == {"norm", "truncation_leakage"}
 
     def test_manifest_scenario_mismatch_rejected(self, tmp_path):
         out = tmp_path / "ds"

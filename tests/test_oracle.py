@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from clcoherence import (
     BeamParameters,
@@ -320,6 +321,87 @@ class TestGeneratorAgainstKron:
                 state = propagate(state, d * BEAM.talbot_distance, mode="quadratic")
             modes = tuple(OracleMode(n, g) for n in harmonics)
             self.assert_exact(TruncatedSpace.for_ladder(state.cutoff, modes))
+
+
+def _matrix_spaces():
+    """(space, ladder coefficients) for each of the 54 validation-matrix rows."""
+    for b, d, g, harmonics in itertools.product(BETA_GRID, DISTANCE_GRID, COUPLING_GRID, MODE_SETS):
+        state = pinem_ladder(b, BEAM)
+        if d:
+            state = propagate(state, d * BEAM.talbot_distance, mode="quadratic")
+        modes = tuple(OracleMode(n, g) for n in harmonics)
+        yield TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients
+
+
+def _other_spaces():
+    """Complex unequal couplings with unequal cutoffs, harmonics (1, 3), harmonic 2 alone."""
+    coefficients = propagate(
+        pinem_ladder(0.5, BEAM), 0.1 * BEAM.talbot_distance, mode="quadratic"
+    ).coefficients
+    for modes in (
+        (OracleMode(1, 0.12 + 0.09j, photon_cutoff=5), OracleMode(2, -0.06 + 0.08j, photon_cutoff=4)),
+        (OracleMode(1, -0.1 + 0.05j, photon_cutoff=5), OracleMode(3, 0.05 - 0.07j, photon_cutoff=4)),
+        (OracleMode(2, 0.2 - 0.1j, photon_cutoff=8),),
+    ):
+        yield TruncatedSpace(40, modes), coefficients
+
+
+def _reached(space, coefficients):
+    shape = (space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims)
+    return oracle._reachable_operators(*shape, (coefficients.size - 1) // 2)[0]
+
+
+class TestReachableSubspace:
+    """evolve works on the K-sectors the ladder occupies; the full-space
+    exp(G) v0 is the reference and must come out bit for bit."""
+
+    @staticmethod
+    def assert_matches_full_space(space, coefficients):
+        full = scipy_expm_multiply(build_generator(space), initial_vector(space, coefficients))
+        assert evolve(space, coefficients).tobytes() == full.tobytes()
+
+    @staticmethod
+    def assert_closed(space, coefficients):
+        reached = _reached(space, coefficients)
+        unreached = np.setdiff1d(np.arange(space.dimension), reached)
+        assert 0 < reached.size < space.dimension
+        assert set(np.flatnonzero(initial_vector(space, coefficients))) <= set(reached)
+        gen = build_generator(space)
+        assert gen[unreached][:, reached].count_nonzero() == 0
+
+    def test_every_validation_matrix_space_is_bit_identical(self):
+        for space, coefficients in _matrix_spaces():
+            self.assert_matches_full_space(space, coefficients)
+
+    def test_other_spaces_are_bit_identical(self):
+        for space, coefficients in _other_spaces():
+            self.assert_matches_full_space(space, coefficients)
+
+    def test_generator_never_leaves_the_reached_states(self):
+        for space, coefficients in itertools.chain(_matrix_spaces(), _other_spaces()):
+            self.assert_closed(space, coefficients)
+
+    def test_reached_states_are_the_ladder_k_sectors(self):
+        # |K| <= J with K = j + sum_i h_i n_i, J the ladder cutoff: 43% of the matrix
+        total = reached = 0
+        for space, coefficients in _matrix_spaces():
+            grids = np.meshgrid(
+                np.arange(-space.electron_halfwidth, space.electron_halfwidth + 1),
+                *(np.arange(d) for d in space.photon_dims),
+                indexing="ij",
+            )
+            k = grids[0] + sum(m.harmonic * n for m, n in zip(space.modes, grids[1:]))
+            expected = np.flatnonzero(np.abs(k) <= (coefficients.size - 1) // 2)
+            np.testing.assert_array_equal(_reached(space, coefficients), expected)
+            total += space.dimension
+            reached += expected.size
+        assert (total, reached) == (487890, 209952)
+
+    @pytest.mark.parametrize("size", [6, 23], ids=["even-length", "oversized"])
+    def test_evolve_rejects_bad_coefficients(self, size):
+        space = TruncatedSpace(5, (OracleMode(1, 0.1, photon_cutoff=2),))
+        with pytest.raises(ValueError):
+            evolve(space, np.ones(size, dtype=complex) / np.sqrt(size))
 
 
 class TestSlicedAnnihilationAgainstKron:
