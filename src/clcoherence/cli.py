@@ -3,6 +3,10 @@
     clcoherence <scenario> --config cfg.json [--out DIR] [--seed N]
                 [--gnuplot-stub] [--quiet]
 
+--seed and --gnuplot-stub are written into the resolved config (its
+detection.seed, when the scenario has one, and output.gnuplot), so the
+manifest records them and a rerun from it repeats the run.
+
 Exit codes: 0 success, 2 configuration error, 3 physics guard tripped,
 4 oracle mismatch.
 """
@@ -14,7 +18,7 @@ import sys
 
 from .config import SCENARIOS, ScenarioConfig
 from .errors import ConfigError, OracleMismatchError, PhysicsGuardError
-from .scenarios import RunOptions, run_scenario
+from .scenarios import run_scenario
 
 log = logging.getLogger("clcoherence")
 
@@ -34,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON config file (or a manifest.json from a previous run)",
     )
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the shot-sampling seed")
+    parser.add_argument("--seed", type=int, default=None, help="set detection.seed (detect only)")
     parser.add_argument(
         "--gnuplot-stub",
         action="store_true",
@@ -53,9 +57,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = ScenarioConfig.from_file(args.scenario, args.config)
-        gnuplot = args.gnuplot_stub or cfg.output.gnuplot
-        options = RunOptions(seed_override=args.seed, gnuplot=gnuplot)
-        result = run_scenario(cfg, args.out or cfg.output.directory, options)
+        if args.seed is not None or args.gnuplot_stub:
+            mapping = cfg.to_mapping()
+            if args.seed is not None and "detection" in mapping:
+                mapping["detection"]["seed"] = args.seed
+            mapping["output"]["gnuplot"] |= args.gnuplot_stub
+            cfg = ScenarioConfig.from_mapping(args.scenario, mapping)
+        result = run_scenario(cfg, args.out or cfg.output.directory)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -115,12 +115,14 @@ def _real(low=None, high=None, *, strict=False):
 _REAL, _POSITIVE, _NONNEGATIVE = _real(), _real(0.0, strict=True), _real(0.0)
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, maximum: int | None = None):
     def read(value, path):
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(path, "must be an integer")
         if value < minimum:
             _fail(path, f"must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            _fail(path, f"must be <= {maximum}")
         return value
 
     return read
@@ -308,7 +310,7 @@ class Detection:
     splitter: BeamSplitter = _key(_splitter, default_factory=BeamSplitter.heterodyne)
     qe: tuple[float, float] = _key(_list(_real(0.0, 1.0), 2), (1.0, 1.0))
     shots: int | None = _key(_integer(2), None)  # required by the detect scenario
-    seed: int | None = _key(_integer(0), None)
+    seed: int | None = _key(_integer(0, 2**128 - 1), None)  # a Philox key is 128 bits
     phase_sweep_points: int = _key(_integer(0), 0)
 
 

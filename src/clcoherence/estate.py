@@ -145,25 +145,27 @@ def pinem_ladder(beta: complex, beam: BeamParameters, cutoff: int | None = None)
     return LadderState(c, beam)
 
 
-def propagate(state: LadderState, distance: float, mode: str = "exact") -> LadderState:
-    """Propagate a ladder state by `distance` nm.
+def propagation_phase(beam: BeamParameters, j: np.ndarray, distance, mode: str) -> np.ndarray:
+    """Free-space phase factor of ladder levels j over a distance d nm, or an
+    array of them: the result has shape j.shape + np.shape(d).
 
-    mode="exact" applies e^{i k_j d} with the exact relativistic k_j;
-    mode="quadratic" applies e^{-2 pi i j^2 d / z_T}, the pure Talbot phase
+    mode="exact" gives e^{i k_j d} with the exact relativistic k_j;
+    mode="quadratic" gives e^{-2 pi i j^2 d / z_T}, the pure Talbot phase
     (the j-independent and j-linear parts, a global phase and a rigid time
     shift, are dropped).
     """
+    if mode == "exact":
+        return np.exp(np.multiply.outer(1j * wavenumber(beam, j), distance))
+    if mode == "quadratic":
+        return np.exp(np.multiply.outer(-2j * np.pi * j**2, distance) / beam.talbot_distance)
+    raise ValueError(f"unknown propagation mode {mode!r}")
+
+
+def propagate(state: LadderState, distance: float, mode: str = "exact") -> LadderState:
+    """Propagate a ladder state by `distance` nm with `propagation_phase`."""
     if distance < 0.0:
         raise ValueError("distance must be non-negative (nm)")
-    j = state.level_indices
-    if mode == "exact":
-        k = wavenumber(state.beam, j)
-        phase = np.exp(1j * k * distance)
-    elif mode == "quadratic":
-        z_t = state.beam.talbot_distance
-        phase = np.exp(-2j * np.pi * (j.astype(float) ** 2) * distance / z_t)
-    else:
-        raise ValueError(f"unknown propagation mode {mode!r}")
+    phase = propagation_phase(state.beam, state.level_indices, distance, mode)
     return replace(
         state,
         coefficients=state.coefficients * phase,

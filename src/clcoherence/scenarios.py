@@ -1,11 +1,15 @@
 """Scenario runners behind the CLI: compute, write CSV/JSON artifacts, manifest.
 
-The runners read the typed fields of a resolved `ScenarioConfig` only: its
-defaults and conversions were all settled at load.  Every run writes
-`summary.json` plus scenario-specific CSVs into the output directory, and a
+A runner reads the typed fields of a resolved `ScenarioConfig` only: its
+defaults and conversions, and any CLI flag, were all settled at load.  It
+hands each CSV to `write(name, columns)` and returns its summary and the body
+of its gnuplot script.  `run_scenario` owns every artifact: the CSVs (written
+as they are handed over, so a later guard leaves them on disk),
+`plot_<scenario>.gp` when output.gnuplot is set, `summary.json`, and a
 `manifest.json` that embeds the resolved config (`to_mapping()`), its sha256,
-the effective seed, derived beam constants, and the list of outputs.  Feeding
-a manifest back through --config reproduces the run byte-for-byte.
+the seed (detection.seed, or null), derived beam constants, and the list of
+outputs.  Feeding a manifest back through --config reproduces the run
+byte-for-byte.
 """
 from __future__ import annotations
 
@@ -55,12 +59,6 @@ log = logging.getLogger("clcoherence")
 
 NM_PER_MM = 1.0e6
 NM_PER_UM = 1.0e3
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    seed_override: int | None = None
-    gnuplot: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,14 @@ def _band_spectrum(cfg: ScenarioConfig, lo: float, hi: float, max_omega: float, 
 
 
 def _band_field(model, spectrum, lo: float, hi: float):
-    """<a> on the band, which must not be identically zero: it has no shape or width."""
+    """<a> on the band.  Where |<a>|^2 is identically zero, as it is when a subnormal
+    <a> underflows, the field has no shape or width."""
     field = mean_field(model, spectrum, band=(lo, hi))
-    if not np.any(field.a_mean):
-        raise PhysicsGuardError(f"<a> is identically zero in the band [{lo:g}, {hi:g}] rad/fs")
+    if not np.any(np.abs(field.a_mean) ** 2):
+        raise PhysicsGuardError(
+            f"<a> is identically zero in the band [{lo:g}, {hi:g}] rad/fs, "
+            "or so small that |<a>|^2 underflows"
+        )
     return field
 
 
@@ -173,7 +175,7 @@ def build_coupling(cfg: ScenarioConfig, length_um: float | None = None):
 # ----------------------------------------------------------------- scenarios
 
 
-def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
+def _run_doc_map(cfg: ScenarioConfig, write):
     scan, mode = cfg.scan, cfg.propagation.mode
     optimum = optimal_bunching_distance(
         cfg.modulation.beta,
@@ -192,16 +194,15 @@ def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     matrix = doc_map(state, distances, n_max=min(scan.n_harmonics, 2 * state.cutoff), mode=mode)
 
     d_mm = distances / NM_PER_MM
-    _write_csv(
-        out_dir / "doc_map.csv",
+    write(
+        "doc_map.csv",
         {
             "omega_over_omega0": np.repeat(np.arange(matrix.shape[0]), distances.size),
             "d_mm": np.tile(d_mm, matrix.shape[0]),
             "doc": matrix.ravel(),
         },
     )
-    _write_csv(out_dir / "width.csv", {"d_mm": d_mm, "width": optimum.coarse_widths})
-    outputs = ["doc_map.csv", "width.csv"]
+    write("width.csv", {"d_mm": d_mm, "width": optimum.coarse_widths})
     summary = {
         "optimal_distance_mm": optimum.distance / NM_PER_MM,
         "optimal_distance_nm": optimum.distance,
@@ -221,17 +222,13 @@ def _run_doc_map(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     log.info(
         "doc-map: d_opt = %.4f mm, width = %d", summary["optimal_distance_mm"], optimum.width
     )
-    if options.gnuplot:
-        (out_dir / "plot_doc_map.gp").write_text(
-            "set datafile separator ','\n"
-            "set xlabel 'd (mm)'\nset ylabel 'harmonic n'\nset cblabel 'DOC'\n"
-            "plot 'doc_map.csv' using 2:1:3 every ::1 with points palette pt 5 notitle\n"
-        )
-        outputs.append("plot_doc_map.gp")
-    return outputs, summary
+    return summary, (
+        "set xlabel 'd (mm)'\nset ylabel 'harmonic n'\nset cblabel 'DOC'\n"
+        "plot 'doc_map.csv' using 2:1:3 every ::1 with points palette pt 5 notitle\n"
+    )
 
 
-def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
+def _run_doc_slice(cfg: ScenarioConfig, write):
     # the independent route: FFT of the sampled density, checked against the ladder
     state = build_state(cfg)
     env = cfg.envelope
@@ -244,8 +241,8 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     f_fft = spectrum.value_at(n * w0)
     f_all = ladder_spectrum(state).values  # harmonics -2J..2J
     f_lad = f_all[n + 2 * state.cutoff]
-    _write_csv(
-        out_dir / "harmonics.csv",
+    write(
+        "harmonics.csv",
         {
             "omega_over_omega0": n,
             "f_fft_real": f_fft.real,
@@ -261,8 +258,8 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     idx = np.nonzero(np.abs(grid) <= n_keep * w0 * (1.0 + 1.0e-12))[0]
     idx = idx[:: max(1, int(np.ceil(idx.size / 50000)))]
     f = spectrum.values[idx]
-    _write_csv(
-        out_dir / "spectrum.csv",
+    write(
+        "spectrum.csv",
         {
             "omega_over_omega0": grid[idx] / w0,
             "f_real": f.real,
@@ -270,7 +267,6 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "doc": np.abs(f) ** 2,
         },
     )
-    outputs = ["harmonics.csv", "spectrum.csv"]
 
     doc_by_n = np.abs(f_all[2 * state.cutoff :]) ** 2
     summary = {
@@ -287,17 +283,13 @@ def _run_doc_slice(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         summary["width_at_1pct"],
         summary["max_fft_ladder_mismatch"],
     )
-    if options.gnuplot:
-        (out_dir / "plot_doc_slice.gp").write_text(
-            "set datafile separator ','\n"
-            "set xlabel 'omega/omega0'\nset ylabel 'DOC'\nset logscale y\n"
-            "plot 'spectrum.csv' using 1:4 every ::1 with lines notitle\n"
-        )
-        outputs.append("plot_doc_slice.gp")
-    return outputs, summary
+    return summary, (
+        "set xlabel 'omega/omega0'\nset ylabel 'DOC'\nset logscale y\n"
+        "plot 'spectrum.csv' using 1:4 every ::1 with lines notitle\n"
+    )
 
 
-def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
+def _run_waveguide(cfg: ScenarioConfig, write):
     w0 = cfg.beam.omega0
     lo, hi = w0 - 0.06, w0 + 0.06  # rad/fs band around the fundamental; resolves all lines
     spectrum = _band_spectrum(cfg, lo, hi, hi, "envelope")
@@ -305,7 +297,6 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     lengths_um = cfg.coupling.lengths_um or (cfg.coupling.length_um,)
     t_grid = np.linspace(-2560.0, 2560.0, 8193)
 
-    outputs = []
     per_length = []
     for length_um in lengths_um:
         model = build_coupling(cfg, length_um=length_um)
@@ -324,11 +315,10 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         tfield = time_domain_field(field, t=t_grid)
 
         tag = f"{length_um:g}um"
-        spec_name = f"spectrum_{tag}.csv"
         sel = slice(None, None, max(1, wsel.size // 4000))
         g = model.amplitude(wsel[sel])
-        _write_csv(
-            out_dir / spec_name,
+        write(
+            f"spectrum_{tag}.csv",
             {
                 "omega_rad_per_fs": wsel[sel],
                 "g_real": g.real,
@@ -337,13 +327,11 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
                 "a_abs2": intensity[sel],
             },
         )
-        time_name = f"field_{tag}.csv"
         e = tfield.values[::2]
-        _write_csv(
-            out_dir / time_name,
+        write(
+            f"field_{tag}.csv",
             {"t_fs": t_grid[::2], "e_real": e.real, "e_imag": e.imag, "intensity": np.abs(e) ** 2},
         )
-        outputs.extend([spec_name, time_name])
         per_length.append(
             {
                 "length_um": float(length_um),
@@ -374,22 +362,18 @@ def _run_waveguide(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         [f"{x:.4g}" for x in fwhms],
         lengths_um,
     )
-    if options.gnuplot:
-        (out_dir / "plot_waveguide.gp").write_text(
-            "set datafile separator ','\n"
-            "set xlabel 't (fs)'\nset ylabel 'intensity'\n"
-            "plot "
-            + ", ".join(
-                f"'field_{length_um:g}um.csv' using 1:4 every ::1 with lines title '{length_um:g} um'"
-                for length_um in lengths_um
-            )
-            + "\n"
+    return summary, (
+        "set xlabel 't (fs)'\nset ylabel 'intensity'\n"
+        "plot "
+        + ", ".join(
+            f"'field_{length_um:g}um.csv' using 1:4 every ::1 with lines title '{length_um:g} um'"
+            for length_um in lengths_um
         )
-        outputs.append("plot_waveguide.gp")
-    return outputs, summary
+        + "\n"
+    )
 
 
-def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
+def _run_pulse_shape(cfg: ScenarioConfig, write):
     model = build_coupling(cfg)
     w0 = cfg.beam.omega0
     spectrum = _band_spectrum(cfg, 0.5 * w0, 1.5 * w0, 1.5 * w0, "envelope")
@@ -399,18 +383,16 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     tfield = time_domain_field(field, t=t_grid)
 
     e = tfield.values
-    with np.errstate(over="ignore"):  # an |E|^2 beyond float range is inf, named by the guard
-        _write_csv(
-            out_dir / "field_time.csv",
-            {
-                "t_fs": t_grid,
-                "e_real": e.real,
-                "e_imag": e.imag,
-                "envelope": np.abs(e),
-                "intensity": np.abs(e) ** 2,
-            },
-        )
-    outputs = ["field_time.csv"]
+    write(
+        "field_time.csv",
+        {
+            "t_fs": t_grid,
+            "e_real": e.real,
+            "e_imag": e.imag,
+            "envelope": np.abs(e),
+            "intensity": np.abs(e) ** 2,
+        },
+    )
     ratio = tfield.fwhm_envelope / tfield.fwhm_intensity  # NaN when a width is NaN
     summary = {
         "envelope_fwhm_fs": cfg.envelope.fwhm_fs,
@@ -423,17 +405,13 @@ def _run_pulse_shape(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         tfield.fwhm_envelope,
         tfield.fwhm_intensity,
     )
-    if options.gnuplot:
-        (out_dir / "plot_pulse_shape.gp").write_text(
-            "set datafile separator ','\n"
-            "set xlabel 't (fs)'\nset ylabel '|E|^2'\n"
-            "plot 'field_time.csv' using 1:5 every ::1 with lines notitle\n"
-        )
-        outputs.append("plot_pulse_shape.gp")
-    return outputs, summary
+    return summary, (
+        "set xlabel 't (fs)'\nset ylabel '|E|^2'\n"
+        "plot 'field_time.csv' using 1:5 every ::1 with lines notitle\n"
+    )
 
 
-def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
+def _run_detect(cfg: ScenarioConfig, write):
     model = build_coupling(cfg)
     det = cfg.detection
     w0 = cfg.beam.omega0
@@ -453,7 +431,6 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
     )
     splitter = det.splitter
     qe1, qe2 = det.qe
-    seed = options.seed_override if options.seed_override is not None else det.seed
 
     mu1, mu2 = detector_means(splitter, reference, field, qe1, qe2)
     ensemble = sample_shots(
@@ -461,28 +438,26 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         reference,
         field,
         n_shots=det.shots,
-        seed=seed,
+        seed=det.seed,
         qe1=qe1,
         qe2=qe2,
     )
     report = snr_estimate(ensemble)
     noise = noise_floor_terms(splitter, reference, model, spectrum)
 
-    _write_csv(
-        out_dir / "shots.csv",
+    write(
+        "shots.csv",
         {
             "shot_index": np.arange(ensemble.n_shots),
             "i1": ensemble.counts1,
             "i2": ensemble.counts2,
         },
     )
-    outputs = ["shots.csv"]
 
     if det.phase_sweep_points:
         phases = np.linspace(0.0, TWO_PI, det.phase_sweep_points, endpoint=False)
         signal = [balanced_signal(splitter, reference.with_phase(p), field) for p in phases]
-        _write_csv(out_dir / "phase_sweep.csv", {"phase_rad": phases, "signal": signal})
-        outputs.append("phase_sweep.csv")
+        write("phase_sweep.csv", {"phase_rad": phases, "signal": signal})
 
     summary = {
         "mu1": mu1,
@@ -494,7 +469,7 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         "snr": report.snr,
         "snr_per_shot": report.snr_per_shot,
         "n_shots": ensemble.n_shots,
-        "seed": int(seed),
+        "seed": det.seed,
         "config_sha256": cfg.sha256(),
         "noise_floor": {
             "variance_total": noise.variance_total,
@@ -516,20 +491,16 @@ def _run_detect(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
         report.snr_per_shot,
         ensemble.n_shots,
     )
-    if options.gnuplot:
-        (out_dir / "plot_detect.gp").write_text(
-            "set datafile separator ','\n"
-            "set xlabel 'shot'\nset ylabel 'I1 - I2'\n"
-            "plot 'shots.csv' using 1:($2-$3) every ::1 with points pt 7 ps 0.3 notitle\n"
-        )
-        outputs.append("plot_detect.gp")
-    return outputs, summary
+    return summary, (
+        "set xlabel 'shot'\nset ylabel 'I1 - I2'\n"
+        "plot 'shots.csv' using 1:($2-$3) every ::1 with points pt 7 ps 0.3 notitle\n"
+    )
 
 
-def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
+def _run_oracle_check(cfg: ScenarioConfig, write):
     rows = run_test_matrix(cfg.beam)
-    _write_csv(
-        out_dir / "oracle_check.csv",
+    write(
+        "oracle_check.csv",
         {
             "beta_abs": [r.beta_abs for r in rows],
             "d_over_zt": [r.d_over_zt for r in rows],
@@ -541,7 +512,6 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "passed": [r.passed for r in rows],
         },
     )
-    outputs = ["oracle_check.csv"]
     docs = [r.doc_fundamental for r in rows]
     guards = [c for r in rows for c in r.checks if c.name in ("norm", "truncation_leakage")]
     guards.sort(key=lambda c: c.error)  # the largest error of each name is written last
@@ -564,10 +534,10 @@ def _run_oracle_check(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "ok" if r.passed else "FAIL",
         )
     require_all_passed(rows)
-    return outputs, summary
+    return summary, None
 
 
-def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
+def _run_sweep(cfg: ScenarioConfig, write):
     sweep = cfg.sweep
     param = sweep.parameter
     docs = []
@@ -589,8 +559,8 @@ def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             }
         )
     lengths = [d.size for d in docs]
-    _write_csv(
-        out_dir / "sweep.csv",
+    write(
+        "sweep.csv",
         {
             "parameter": [param] * sum(lengths),
             "value": np.repeat(sweep.values, lengths),
@@ -598,17 +568,12 @@ def _run_sweep(cfg: ScenarioConfig, out_dir: Path, options: RunOptions):
             "doc": np.concatenate(docs),
         },
     )
-    outputs = ["sweep.csv"]
     summary = {"parameter": param, "records": records}
     log.info("sweep over %s: %d values", param, len(sweep.values))
-    if options.gnuplot:
-        (out_dir / "plot_sweep.gp").write_text(
-            "set datafile separator ','\n"
-            "set xlabel 'harmonic'\nset ylabel 'DOC'\n"
-            "plot 'sweep.csv' using 3:4 every ::1 with points notitle\n"
-        )
-        outputs.append("plot_sweep.gp")
-    return outputs, summary
+    return summary, (
+        "set xlabel 'harmonic'\nset ylabel 'DOC'\n"
+        "plot 'sweep.csv' using 3:4 every ::1 with points notitle\n"
+    )
 
 
 _RUNNERS = {
@@ -622,20 +587,27 @@ _RUNNERS = {
 }
 
 
-def run_scenario(
-    cfg: ScenarioConfig, out_dir: str | Path, options: RunOptions | None = None
-) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
     """Execute a scenario and write its artifacts plus summary and manifest."""
-    options = options or RunOptions()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, summary = _RUNNERS[cfg.scenario](cfg, out_dir, options)
-    _write_json(out_dir / "summary.json", summary)
-    outputs = list(outputs) + ["summary.json"]
+    outputs = ["summary.json"]
 
-    seed = options.seed_override
-    if seed is None and cfg.detection is not None:
-        seed = cfg.detection.seed
+    def write(name: str, columns: dict) -> None:
+        _write_csv(out_dir / name, columns)
+        outputs.append(name)
+
+    # A field beyond float range turns inf or nan without a numpy warning; the
+    # CSV and summary guards name every non-finite value (exit 3).
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary, plot = _RUNNERS[cfg.scenario](cfg, write)
+    if cfg.output.gnuplot and plot is not None:
+        name = f"plot_{cfg.scenario.replace('-', '_')}.gp"
+        (out_dir / name).write_text("set datafile separator ','\n" + plot)
+        outputs.append(name)
+    _write_json(out_dir / "summary.json", summary)
+
+    seed = cfg.detection.seed if cfg.detection is not None else None
     manifest = {
         "tool": "clcoherence",
         "version": __version__,

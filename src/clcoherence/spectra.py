@@ -36,8 +36,8 @@ from .constants import TWO_PI
 from .coupling import CouplingModel, coupling_amplitude
 from .errors import GridCoverageError, PhysicsGuardError
 from .estate import EnvelopeSpec, LadderState, WavepacketDensity, auto_cutoff, pinem_ladder
-from .estate import sampling_lattice
-from .kinematics import BeamParameters, wavenumber
+from .estate import propagation_phase, sampling_lattice
+from .kinematics import BeamParameters
 
 _F0_TOL = 1.0e-8
 _HERMITIAN_TOL = 1.0e-10
@@ -291,16 +291,7 @@ def doc_map(
     d = np.asarray(distances, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("distances must be non-negative (nm)")
-    j = state.level_indices
-    if mode == "exact":
-        k = wavenumber(state.beam, j)
-        phases = np.exp(1j * np.outer(k, d))
-    elif mode == "quadratic":
-        z_t = state.beam.talbot_distance
-        phases = np.exp(-2j * np.pi * np.outer(j.astype(float) ** 2, d) / z_t)
-    else:
-        raise ValueError(f"unknown propagation mode {mode!r}")
-    amp = state.coefficients[:, None] * phases
+    amp = state.coefficients[:, None] * propagation_phase(state.beam, state.level_indices, d, mode)
     if n_max is None:
         n_max = 2 * state.cutoff
     n_max = int(min(n_max, 2 * state.cutoff))
@@ -569,14 +560,12 @@ def time_domain_field(
     theta = dw * dt
     x = field.a_mean * np.exp(-1j * p * (dw * t_c + 0.5 * theta * p))
     r = np.arange(1 - n, m) - 0.5 * (m - n)  # every q - p, in convolution order
-    # a field beyond float range turns inf or nan here, its widths nan: the guards name it
-    with np.errstate(over="ignore", invalid="ignore"):
-        conv = fft_convolve(x, np.exp(0.5j * theta * r * r))[n - 1 : n - 1 + m]
-        out = (dw / TWO_PI) * np.exp(-1j * (w_c * t + 0.5 * theta * q * q)) * conv
-        env = np.abs(out)
-        return TimeDomainField(
-            t=t,
-            values=out,
-            fwhm_envelope=_fwhm(t, env),
-            fwhm_intensity=_fwhm(t, env**2),
-        )
+    conv = fft_convolve(x, np.exp(0.5j * theta * r * r))[n - 1 : n - 1 + m]
+    out = (dw / TWO_PI) * np.exp(-1j * (w_c * t + 0.5 * theta * q * q)) * conv
+    env = np.abs(out)
+    return TimeDomainField(
+        t=t,
+        values=out,
+        fwhm_envelope=_fwhm(t, env),
+        fwhm_intensity=_fwhm(t, env**2),
+    )

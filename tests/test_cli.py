@@ -180,6 +180,22 @@ class TestSuccessPaths:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "plot_doc_slice.gp" in manifest["outputs"]
 
+    @pytest.mark.parametrize("scenario,config", SHIPPED)
+    def test_gnuplot_stub_is_listed_with_every_csv_it_plots(self, scenario, config, tmp_path):
+        out = tmp_path / "o"
+        args = ["--config", str(CONFIGS.parent / config), "--out", str(out), "--gnuplot-stub"]
+        assert main([scenario, *args, "--quiet"]) == 0
+        outputs = strict_json((out / "manifest.json").read_text())["outputs"]
+        stubs = [name for name in outputs if name.endswith(".gp")]
+        # oracle-check has nothing to plot
+        expected = [] if scenario == "oracle-check" else [f"plot_{scenario.replace('-', '_')}.gp"]
+        assert stubs == expected
+        for stub in stubs:
+            text = (out / stub).read_text()
+            assert text.startswith("set datafile separator ','\n")
+            plotted = re.findall(r"'([^']+\.csv)'", text)
+            assert plotted and set(plotted) <= set(outputs), (plotted, outputs)
+
 
 class TestExitCodes:
     def test_unparseable_json_is_config_error(self, tmp_path):
@@ -340,6 +356,37 @@ class TestExitCodes:
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
+        "scenario, name, g0, named",
+        [
+            ("waveguide", "waveguide.json", 1e160, "a_abs2"),
+            ("waveguide", "waveguide.json", 1e308, "a_abs2"),
+            ("detect", "detect.json", 1e308, "detector mean inf"),
+        ],
+    )
+    def test_overflowing_coupling_warns_nothing_before_exit_3(
+        self, scenario, name, g0, named, tmp_path, capsys
+    ):
+        payload = json.loads((CONFIGS / name).read_text())
+        payload["coupling"]["g0"] = g0
+        cfg = write_config(tmp_path, name, payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
+    def test_subnormal_coupling_names_the_underflow(self, tmp_path, capsys):
+        # <a> ~ 1e-320 is not zero, but |<a>|^2 underflows to 0: no width exists
+        payload = json.loads((CONFIGS / "pulse_shape.json").read_text())
+        payload["coupling"]["g0"] = 1e-320
+        cfg = write_config(tmp_path, "pulse_shape.json", payload)
+        assert main(["pulse-shape", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "<a> is identically zero in the band [1.17728, 3.53185] rad/fs" in err
+        assert "|<a>|^2 underflows" in err and "NaN" not in err
+
+    @pytest.mark.parametrize(
         "scenario, name, band",
         [
             ("pulse-shape", "pulse_shape.json", "[1.17728, 3.53185]"),
@@ -361,6 +408,20 @@ class TestExitCodes:
         cfg = detect_config(tmp_path, shots=1)
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "detection.shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, seed, bound",
+        [("--seed=-5", 7, ">= 0"), (f"--seed={2**128}", 7, "<= "), (None, 2**130, "<= ")],
+        ids=["flag-negative", "flag-2**128", "config-2**130"],
+    )
+    def test_seed_outside_the_philox_key_range_is_config_error(
+        self, flag, seed, bound, tmp_path, capsys
+    ):
+        args = ["--config", detect_config(tmp_path, seed=seed), "--out", str(tmp_path / "o")]
+        assert main(["detect", *args, *([flag] if flag else []), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"detection.seed: must be {bound}" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dead", ["no_light", "no_quantum_efficiency"])
     def test_zero_variance_ensemble_is_physics_guard(self, dead, tmp_path, capsys):
@@ -527,6 +588,34 @@ class TestReproducibility:
         assert main(["detect", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
         assert main(["detect", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
         assert (out1 / "shots.csv").read_bytes() == (out2 / "shots.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "scenario, flags",
+        [("detect", ["--seed", "42", "--gnuplot-stub"]), ("doc-slice", ["--gnuplot-stub"])],
+    )
+    def test_flagged_run_reruns_from_its_manifest_byte_for_byte(self, scenario, flags, tmp_path):
+        # the flags are part of the resolved config, so the manifest carries them
+        if scenario == "detect":
+            cfg = detect_config(tmp_path, shots=200)
+        else:
+            cfg = doc_slice_config(tmp_path)
+        out1, out2 = tmp_path / "flagged", tmp_path / "rerun"
+        assert main([scenario, "--config", cfg, "--out", str(out1), *flags, "--quiet"]) == 0
+        manifest = str(out1 / "manifest.json")
+        assert main([scenario, "--config", manifest, "--out", str(out2), "--quiet"]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert f"plot_{scenario.replace('-', '_')}.gp" in names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        if scenario == "detect":
+            assert strict_json((out2 / "summary.json").read_text())["seed"] == 42
+
+    def test_seed_flag_outside_detect_is_ignored(self, tmp_path):
+        out = tmp_path / "o"
+        args = ["--config", doc_slice_config(tmp_path), "--out", str(out), "--seed", "42"]
+        assert main(["doc-slice", *args, "--quiet"]) == 0
+        assert strict_json((out / "manifest.json").read_text())["seed"] is None
 
 
 class TestShippedConfigs:

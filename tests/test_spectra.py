@@ -326,6 +326,22 @@ class TestDegreeOfCoherence:
         dm = doc_map(state, np.linspace(0, 1e7, 11), n_max=3)
         np.testing.assert_allclose(dm[0], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["exact", "quadratic"])
+    def test_doc_map_matches_propagate_in_each_mode(self, mode):
+        # doc_map and propagate share one propagation phase; both modes agree
+        state = pinem_ladder(3.0 * np.exp(0.7j), BEAM)
+        distances = np.array([0.0, 0.13, 0.5, 1.37]) * BEAM.talbot_distance
+        dm = doc_map(state, distances, n_max=8, mode=mode)
+        for col, d in enumerate(distances):
+            moved = propagate(state, d, mode)
+            for n in range(9):
+                expected = abs(ladder_overlap(moved, n)) ** 2
+                assert dm[n, col] == pytest.approx(expected, abs=1e-12)
+
+    def test_doc_map_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown propagation mode 'paraxial'"):
+            doc_map(pinem_ladder(1.0, BEAM), np.array([1.0e6]), mode="paraxial")
+
 
 class TestSpectralWidth:
     def test_one_dimensional(self):
