@@ -272,28 +272,21 @@ def synthesize_density(
     dt: float | None = None,
     window: float | None = None,
 ) -> WavepacketDensity:
-    """Sample rho(t) = |f(t) sum_j c_j e^{-i j omega0 t}|^2, normalized to 1,
-    on the time lattice of `sampling_lattice` (its defaults and guards)."""
+    """Sample rho(t) = |f(t)|^2 |sum_j c_j e^{-i j omega0 t}|^2, normalized to 1, on
+    the time lattice of `sampling_lattice` (its defaults and guards).  The ladder
+    sum has period T0: one period, at times less whole periods (small phases), is
+    a (P x 2J+1) phase matrix times the coefficients, tiled before |f|^2 is applied."""
     dt_eff, samples_per_period, n_periods = sampling_lattice(
         state.beam, envelope, state.cutoff, dt, window
     )
-    n = n_periods * samples_per_period
-    t0 = -0.5 * (n_periods * state.beam.optical_period)
-    t = t0 + dt_eff * np.arange(n)
-
-    cut = state.cutoff
-    omega0 = state.beam.omega0
-    step = np.exp(-1j * omega0 * t)
-    running = np.exp(1j * cut * omega0 * t)  # e^{-i j omega0 t} at j = -cutoff
-    psi = np.zeros(n, dtype=complex)
-    for c_j in state.coefficients:
-        if c_j != 0.0:
-            psi += c_j * running
-        running *= step
-
+    t_period = state.beam.optical_period
+    t0 = -0.5 * (n_periods * t_period)
+    t_one = dt_eff * np.arange(samples_per_period) - 0.5 * (n_periods % 2) * t_period
+    phase = np.exp(np.multiply.outer(-1j * state.beam.omega0 * t_one, state.level_indices))
+    # summed elementwise: a BLAS matvec this size wakes OpenBLAS threads that then spin
+    rho = np.tile(np.abs(np.sum(phase * state.coefficients, axis=1)) ** 2, n_periods)
     if envelope.kind == "gaussian":
-        psi *= np.exp(-2.0 * math.log(2.0) * (t / envelope.fwhm) ** 2)
-
-    rho = np.abs(psi) ** 2
+        t = t0 + dt_eff * np.arange(rho.size)
+        rho *= np.exp(-4.0 * math.log(2.0) * (t / envelope.fwhm) ** 2)
     rho /= np.sum(rho) * dt_eff
-    return WavepacketDensity(rho, dt_eff, t0, envelope, omega0)
+    return WavepacketDensity(rho, dt_eff, t0, envelope, state.beam.omega0)

@@ -65,7 +65,6 @@ NM_PER_UM = 1.0e3
 class RunResult:
     out_dir: Path
     outputs: tuple[str, ...]
-    summary: dict
 
 
 def _write_csv(path: Path, columns: dict) -> None:
@@ -233,10 +232,10 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
     state = build_state(cfg)
     env = cfg.envelope
     density = synthesize_density(state, env.spec, dt=env.dt_fs, window=env.window_fs)
-    spectrum = density_spectrum(density)
     w0 = cfg.beam.omega0
-
     n_keep = min(2 * state.cutoff, 24)
+    spectrum = density_spectrum(density, n_keep * w0 * (1.0 + 1.0e-12))
+
     n = np.arange(-n_keep, n_keep + 1)
     f_fft = spectrum.value_at(n * w0)
     f_all = ladder_spectrum(state).values  # harmonics -2J..2J
@@ -254,14 +253,12 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
         },
     )
 
-    grid = spectrum.omega_grid
-    idx = np.nonzero(np.abs(grid) <= n_keep * w0 * (1.0 + 1.0e-12))[0]
-    idx = idx[:: max(1, int(np.ceil(idx.size / 50000)))]
-    f = spectrum.values[idx]
+    stride = max(1, int(np.ceil(spectrum.omega_grid.size / 50000)))
+    f = spectrum.values[::stride]
     write(
         "spectrum.csv",
         {
-            "omega_over_omega0": grid[idx] / w0,
+            "omega_over_omega0": spectrum.omega_grid[::stride] / w0,
             "f_real": f.real,
             "f_imag": f.imag,
             "doc": np.abs(f) ** 2,
@@ -590,7 +587,10 @@ _RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
     """Execute a scenario and write its artifacts plus summary and manifest."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or on its way
+        raise ConfigError(f"output directory {str(out_dir)!r}: {exc.strerror}") from exc
     outputs = ["summary.json"]
 
     def write(name: str, columns: dict) -> None:
@@ -624,4 +624,4 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
         },
     }
     _write_json(out_dir / "manifest.json", manifest)
-    return RunResult(out_dir=out_dir, outputs=tuple(sorted(outputs)), summary=summary)
+    return RunResult(out_dir=out_dir, outputs=tuple(sorted(outputs)))

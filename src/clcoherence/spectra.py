@@ -18,8 +18,9 @@ statistics follow from F evaluated at sums and differences of frequencies:
 
 Routes to F: `ladder_spectrum` on the harmonic lattice; `band_spectrum`, the
 production route, in closed form on a sampled density's lattice cut to a band;
-`density_spectrum`, the FFT of a synthesized density over its whole x8-padded
-lattice, kept as the independent cross-check (doc-slice and the tests).
+`density_spectrum`, the FFT of a synthesized density on the same x8-padded
+lattice, whole or cut to a band, kept as the independent cross-check
+(doc-slice and the tests).
 
 UNITS: rad/fs frequencies, fs times.
 """
@@ -158,8 +159,20 @@ class DensitySpectrum:
         return self.values[diff], self.values[sums]
 
 
-def density_spectrum(density: WavepacketDensity) -> DensitySpectrum:
-    """FFT of a sampled density, normalized so the omega=0 bin equals 1.
+def _fft_lattice(n_fft: int, dt: float, max_omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, omega) of the centred n_fft-point FFT lattice, k = -(n_fft//2)..(n_fft-1)//2
+    and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to |omega| <= max_omega."""
+    val = 1.0 / (n_fft * dt)
+    k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
+    k = np.arange(max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2) + 1)
+    omega = TWO_PI * (k * val)
+    keep = np.abs(omega) <= max_omega
+    return k[keep], omega[keep]
+
+
+def density_spectrum(density: WavepacketDensity, max_omega: float | None = None) -> DensitySpectrum:
+    """FFT of a density sampled on a window centred on t = 0 (else ValueError),
+    normalized to F(0) = 1, on its lattice cut to |omega| <= max_omega (None: all).
 
     Finite envelopes are zero-padded x8 so line shapes are resolved while
     harmonics of omega0 still land exactly on the padded lattice; infinite
@@ -167,14 +180,14 @@ def density_spectrum(density: WavepacketDensity) -> DensitySpectrum:
     identically by discrete orthogonality.
     """
     rho = density.samples
-    n = rho.size
-    n_fft = n if density.envelope.kind == "infinite" else _FINITE_PAD_FACTOR * n
-    # sum_m rho_m e^{+i w_k t_m} dt  ==  N*ifft at w_k = 2 pi k/(N dt), then t0 phase
-    raw = np.fft.ifft(rho, n=n_fft) * (n_fft * density.dt)
-    omega = TWO_PI * np.fft.fftfreq(n_fft, d=density.dt)
-    values = raw * np.exp(1j * omega * density.t0)
-    omega = np.fft.fftshift(omega)
-    values = np.fft.fftshift(values)
+    pad = 1 if density.envelope.kind == "infinite" else _FINITE_PAD_FACTOR
+    n_fft = pad * rho.size
+    if not abs(2.0 * density.t0 + rho.size * density.dt) <= 1.0e-12 * rho.size * density.dt:
+        raise ValueError("the density's window must be centred on t = 0 (t0 = -N dt/2)")
+    k, omega = _fft_lattice(n_fft, density.dt, math.inf if max_omega is None else max_omega)
+    # F_k = n_fft dt ifft(rho)_k e^{i w_k t0}, and w_k t0 = -pi k/pad: a table of 2 pad phases
+    phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
+    values = ifft(rho, n=n_fft)[k] * (n_fft * density.dt) * phase[k % (2 * pad)]
     return DensitySpectrum(omega, values, "sampled", density.omega0)
 
 
@@ -193,13 +206,7 @@ def band_spectrum(
         raise ValueError("max_omega must be positive (rad/fs)")
     dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff, dt, window)
     n_fft = per_period * periods * (1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR)
-    # density_spectrum's fftshifted lattice, index by index as np.fft.fftfreq forms it
-    val = 1.0 / (n_fft * dt_eff)
-    k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
-    k = np.arange(max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2) + 1)
-    omega = TWO_PI * (k * val)
-    keep = np.abs(omega) <= max_omega
-    k, omega = k[keep], omega[keep]
+    k, omega = _fft_lattice(n_fft, dt_eff, max_omega)
 
     n_max = 2 * state.cutoff
     lines = ladder_spectrum(state, n_max)  # L_n at n omega0, n = -n_max..n_max

@@ -441,6 +441,22 @@ class TestExitCodes:
             main(["doc-slice", "--config", cfg, "--threads", "2", "--quiet"])
         assert excinfo.value.code == 2
 
+    def test_out_naming_an_existing_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        args = ["--config", str(CONFIGS / "sweep.json"), "--out", str(taken), "--quiet"]
+        assert main(["sweep", *args]) == 2
+        assert f"output directory {str(taken)!r}" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+
+    def test_out_below_an_existing_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / "sub"
+        args = ["--config", str(CONFIGS / "sweep.json"), "--out", str(out), "--quiet"]
+        assert main(["sweep", *args]) == 2
+        assert f"output directory {str(out)!r}" in capsys.readouterr().err
+
 
 class TestReproducibility:
     def test_manifest_rerun_is_byte_identical(self, tmp_path):

@@ -25,6 +25,7 @@ from clcoherence import (
     propagate,
     synthesize_density,
 )
+from clcoherence.estate import sampling_lattice
 from clcoherence.spectra import ladder_overlap
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -295,6 +296,81 @@ class TestDensitySynthesis:
             EnvelopeSpec("boxcar")
         with pytest.raises(ValueError):
             EnvelopeSpec("infinite", fwhm=100.0)
+
+
+def running_phasor_density(state, envelope, dt=None, window=None):
+    """rho(t) sampled over the whole window, one full-length pass per ladder level.
+
+    The reference for `synthesize_density`: psi accumulates c_j e^{-i j omega0 t}
+    with a running phasor, is multiplied by the amplitude envelope f(t), and is
+    squared and normalized on `sampling_lattice`'s lattice.
+    """
+    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff, dt, window)
+    t = -0.5 * (periods * state.beam.optical_period) + dt_eff * np.arange(periods * per_period)
+    omega0 = state.beam.omega0
+    step = np.exp(-1j * omega0 * t)
+    running = np.exp(1j * state.cutoff * omega0 * t)  # e^{-i j omega0 t} at j = -cutoff
+    psi = np.zeros(t.size, dtype=complex)
+    for c_j in state.coefficients:
+        psi += c_j * running
+        running *= step
+    if envelope.kind == "gaussian":
+        psi *= np.exp(-2.0 * math.log(2.0) * (t / envelope.fwhm) ** 2)
+    rho = np.abs(psi) ** 2
+    return rho / (np.sum(rho) * dt_eff)
+
+
+def _band_cases():
+    from test_spectra import BAND_ENVELOPES, BAND_STATES
+
+    return [(b, d, env) for b, d in BAND_STATES for env in BAND_ENVELOPES]
+
+
+class TestPeriodicSynthesis:
+    """One tiled period against the running-phasor loop over the whole window."""
+
+    @staticmethod
+    def assert_matches_loop(state, envelope, dt=None, window=None):
+        density = synthesize_density(state, envelope, dt=dt, window=window)
+        ref = running_phasor_density(state, envelope, dt=dt, window=window)
+        assert density.samples.shape == ref.shape
+        assert np.max(np.abs(density.samples - ref)) <= 1e-10 * np.max(ref)
+        return density
+
+    @pytest.mark.parametrize(
+        "beta_abs,distance,envelope",
+        _band_cases(),
+        ids=lambda v: f"{v.kind}-{v.fwhm}" if isinstance(v, EnvelopeSpec) else f"{v:g}",
+    )
+    def test_matches_running_phasor_loop(self, beta_abs, distance, envelope):
+        state = pinem_ladder(beta_abs, BEAM)
+        if distance:
+            state = propagate(state, distance)
+        self.assert_matches_loop(state, envelope)
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [EnvelopeSpec("infinite"), EnvelopeSpec("gaussian", fwhm=50.0)],
+        ids=["infinite", "gaussian-50"],
+    )
+    def test_odd_samples_per_period(self, envelope):
+        state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
+        density = self.assert_matches_loop(state, envelope, dt=BEAM.optical_period / 129.0)
+        assert round(BEAM.optical_period / density.dt) == 129
+
+    @pytest.mark.parametrize(
+        "envelope,window",
+        [
+            (EnvelopeSpec("infinite"), 65.0 * BEAM.optical_period),
+            (EnvelopeSpec("gaussian", fwhm=50.0), 401.0 * BEAM.optical_period),
+        ],
+        ids=["infinite-65", "gaussian-401"],
+    )
+    def test_odd_number_of_periods(self, envelope, window):
+        # t0 = -n_periods T0/2 is then a half period off the period grid
+        state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
+        density = self.assert_matches_loop(state, envelope, window=window)
+        assert density.periods_in_window % 2 == 1
 
 
 @settings(max_examples=30, deadline=None)

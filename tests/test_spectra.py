@@ -25,6 +25,7 @@ from clcoherence import (
     FlatCoupling,
     GridCoverageError,
     PhysicsGuardError,
+    WavepacketDensity,
     analytic_pinem_overlap,
     band_spectrum,
     central_moment,
@@ -43,6 +44,7 @@ from clcoherence import (
     synthesize_density,
     time_domain_field,
 )
+from clcoherence.constants import TWO_PI
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
@@ -183,6 +185,64 @@ class TestBandSpectrum:
     def test_max_omega_must_be_positive(self, max_omega):
         with pytest.raises(ValueError):
             band_spectrum(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"), max_omega)
+
+
+def exp_phase_spectrum(density):
+    """(omega, F) by the full-lattice route: np.fft.ifft, e^{i omega t0} evaluated
+    at every bin, then both arrays fftshifted."""
+    n_fft = density.samples.size * (1 if density.envelope.kind == "infinite" else 8)
+    raw = np.fft.ifft(density.samples, n=n_fft) * (n_fft * density.dt)
+    omega = TWO_PI * np.fft.fftfreq(n_fft, d=density.dt)
+    values = raw * np.exp(1j * omega * density.t0)
+    return np.fft.fftshift(omega), np.fft.fftshift(values)
+
+
+FFT_CASES = [
+    (4.0, 6.47e6, EnvelopeSpec("gaussian", fwhm=200.0)),
+    (1.0, 2.588e7, EnvelopeSpec("gaussian", fwhm=3.0)),
+    (4.0, 6.47e6, EnvelopeSpec("infinite")),
+]
+FFT_CASE_IDS = ["gaussian-200", "gaussian-3", "infinite"]
+
+
+def fft_case_density(beta_abs, distance, envelope):
+    return synthesize_density(propagate(pinem_ladder(beta_abs, BEAM), distance), envelope)
+
+
+class TestDensitySpectrumBand:
+    @pytest.mark.parametrize("case", FFT_CASES, ids=FFT_CASE_IDS)
+    def test_phase_table_matches_per_bin_exp(self, case):
+        density = fft_case_density(*case)
+        spec = density_spectrum(density)
+        omega, values = exp_phase_spectrum(density)
+        np.testing.assert_array_equal(spec.omega_grid, omega)
+        assert np.max(np.abs(spec.values - values)) <= 1e-10
+
+    @pytest.mark.parametrize("max_omega", [0.7 * W0, 2.3 * W0, 24.0 * W0 * (1.0 + 1e-12)])
+    @pytest.mark.parametrize("case", FFT_CASES, ids=FFT_CASE_IDS)
+    def test_band_is_the_whole_lattice_cut(self, case, max_omega):
+        density = fft_case_density(*case)
+        whole = density_spectrum(density)
+        band = density_spectrum(density, max_omega)
+        shared = np.abs(whole.omega_grid) <= max_omega
+        np.testing.assert_array_equal(band.omega_grid, whole.omega_grid[shared])
+        np.testing.assert_array_equal(band.values, whole.values[shared])
+        assert band.source == "sampled"
+
+    @pytest.mark.parametrize("shift", [1.0, 1.0e-6, math.nan])
+    def test_off_centre_window_is_rejected(self, shift):
+        # the t0 phase table holds only for t0 = -N dt/2
+        d = fft_case_density(*FFT_CASES[2])
+        moved = WavepacketDensity(d.samples, d.dt, d.t0 + shift * d.dt, d.envelope, d.omega0)
+        with pytest.raises(ValueError, match="centred"):
+            density_spectrum(moved)
+
+    def test_band_beyond_nyquist_is_the_whole_lattice(self):
+        density = fft_case_density(*FFT_CASES[2])
+        whole = density_spectrum(density)
+        band = density_spectrum(density, 1.0e6 * W0)
+        np.testing.assert_array_equal(band.omega_grid, whole.omega_grid)
+        np.testing.assert_array_equal(band.values, whole.values)
 
 
 class TestAnalyticOverlap:
