@@ -162,6 +162,8 @@ class DensitySpectrum:
 def _fft_lattice(n_fft: int, dt: float, max_omega: float) -> tuple[np.ndarray, np.ndarray]:
     """(k, omega) of the centred n_fft-point FFT lattice, k = -(n_fft//2)..(n_fft-1)//2
     and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to |omega| <= max_omega."""
+    if not max_omega > 0.0:
+        raise ValueError("max_omega must be positive (rad/fs)")
     val = 1.0 / (n_fft * dt)
     k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
     k = np.arange(max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2) + 1)
@@ -202,8 +204,6 @@ def band_spectrum(
     a = D^2 / (16 ln 2), each line summed only where it does not underflow to 0;
     infinite:  L_n / L_0 at the harmonics of the unpadded lattice, 0 elsewhere.
     """
-    if not max_omega > 0.0:
-        raise ValueError("max_omega must be positive (rad/fs)")
     dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff, dt, window)
     n_fft = per_period * periods * (1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR)
     k, omega = _fft_lattice(n_fft, dt_eff, max_omega)

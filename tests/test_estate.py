@@ -2,7 +2,8 @@
 
 The Bessel coefficients are validated against an independent route: direct
 numerical Fourier analysis of the time-domain phase factor over one optical
-period, which never touches ``scipy.special``.
+period, which never touches ``scipy.special``.  The tiled one-period density
+is checked against a running-phasor sum over the whole window.
 """
 
 import math

@@ -4,6 +4,8 @@ Independent cross-checks used here:
   * FFT pipeline vs direct ladder-coefficient sums vs closed Bessel-sum form,
     three separately coded routes to the same quantity;
   * the closed-form band spectrum vs the FFT pipeline on its own lattice;
+  * the FFT pipeline's phase table and band cut vs the whole-lattice route
+    with e^{i omega t0} evaluated at every bin;
   * Gaussian envelope vs the analytic Gaussian Fourier transform;
   * central moments vs direct numerical expectation integrals over the
     synthesized density.
@@ -218,7 +220,9 @@ class TestDensitySpectrumBand:
         np.testing.assert_array_equal(spec.omega_grid, omega)
         assert np.max(np.abs(spec.values - values)) <= 1e-10
 
-    @pytest.mark.parametrize("max_omega", [0.7 * W0, 2.3 * W0, 24.0 * W0 * (1.0 + 1e-12)])
+    @pytest.mark.parametrize(
+        "max_omega", [0.7 * W0, 2.3 * W0, 24.0 * W0 * (1.0 + 1e-12), 1.0e6 * W0]
+    )
     @pytest.mark.parametrize("case", FFT_CASES, ids=FFT_CASE_IDS)
     def test_band_is_the_whole_lattice_cut(self, case, max_omega):
         density = fft_case_density(*case)
@@ -237,12 +241,10 @@ class TestDensitySpectrumBand:
         with pytest.raises(ValueError, match="centred"):
             density_spectrum(moved)
 
-    def test_band_beyond_nyquist_is_the_whole_lattice(self):
-        density = fft_case_density(*FFT_CASES[2])
-        whole = density_spectrum(density)
-        band = density_spectrum(density, 1.0e6 * W0)
-        np.testing.assert_array_equal(band.omega_grid, whole.omega_grid)
-        np.testing.assert_array_equal(band.values, whole.values)
+    @pytest.mark.parametrize("max_omega", [0.0, -1.0, math.nan])
+    def test_max_omega_must_be_positive(self, max_omega):
+        with pytest.raises(ValueError, match="max_omega"):
+            density_spectrum(fft_case_density(*FFT_CASES[2]), max_omega)
 
 
 class TestAnalyticOverlap:
