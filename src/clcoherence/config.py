@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -302,6 +303,15 @@ class Reference:
     total_counts: float = _key(_NONNEGATIVE)
     center_over_omega0: float = _key(_POSITIVE, 1.0)
     phase_rad: float = _key(_REAL, 0.0)
+
+    BAND_SIGMAS: ClassVar[float] = 6.0  # detect reads the band center +/- 6 sigma
+
+    def __post_init__(self) -> None:
+        if not self.BAND_SIGMAS * self.sigma_over_omega0 < self.center_over_omega0:
+            raise ValueError(
+                f"sigma_over_omega0 must be below center_over_omega0 / {self.BAND_SIGMAS:g}: "
+                f"the band center - {self.BAND_SIGMAS:g} sigma must lie above 0"
+            )
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .coupling import CouplingModel, coupling_amplitude
 from .errors import PhysicsGuardError
@@ -220,8 +221,8 @@ def sample_shots(
     # One generator whose state is reset before each draw: a fresh Philox
     # state (empty buffer) at counter (0, 0, shot, det) draws exactly what a
     # newly built Philox(key=seed, counter=...) would.
-    bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
+    bitgen = Philox(key=seed)
+    gen = Generator(bitgen)
     state = bitgen.state
     counter = state["state"]["counter"]
     for shot in range(n_shots):

@@ -17,9 +17,11 @@ The two-mode spaces are far too large for dense matrix exponentials, so
 exp(G)v is computed by scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 2011), which picks its Taylor degree and scaling
 from an a-priori error bound; tests cross-check it against a dense expm on
-small spaces.  G conserves K = j + sum_modes n * (photons in the mode), so
-only the K-sectors the initial ladder occupies (|K| <= its cutoff) are
-evolved: the other amplitudes stay exactly 0, as on the whole space.  A
+small spaces; scipy.sparse is imported on the first evolution, not with the
+module.  G conserves K = j + sum_modes n * (photons in the mode), so only the
+K-sectors the initial ladder occupies (K = j for each nonzero c_j, the photons
+in vacuum) are evolved: the other amplitudes stay exactly 0, as on the whole
+space.  G is assembled from a sparsity pattern cached per space shape.  A
 mode's annihilation operator is applied by shifting the mode's Fock axis of
 the state tensor, sqrt(n+1) v[..., n+1, ...] -> out[..., n, ...], rather
 than by building the Kronecker-product operator.
@@ -32,7 +34,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import OracleMismatchError, PhysicsGuardError
 from .estate import LadderState, pinem_ladder, propagate
@@ -103,48 +104,57 @@ class TruncatedSpace:
         return cls(ladder_cutoff + n_max * h_max + margin, tuple(modes))
 
 
-def _raising_operators(
-    electron_dim: int, harmonics: tuple[int, ...], photon_dims: tuple[int, ...]
-) -> tuple[sp.csr_matrix, ...]:
-    """B_h (x) a_i+ for each mode i of harmonic h.  B_h maps |j> to |j - h> and
-    a_i+ maps |n> to sqrt(n+1)|n+1>, so the operator is the single diagonal
-    col - row = h * stride_electron - stride_i, with entry sqrt(n) at every
-    row whose Fock index n of mode i is at least 1."""
+@lru_cache(maxsize=8)
+def _generator_pattern(electron_dim: int, harmonics: tuple, photon_dims: tuple, sectors):
+    """CSR pattern of G on the states whose K = j + sum_i h_i n_i lies in
+    `sectors` (None: every state), shared by every space of this shape (callers
+    must not modify it).  G conserves K, so these states are closed under it.
+
+    Returns (states, indptr, indices, sqrt_n, term): G's entry e is
+    sqrt_n[e] * coef[term[e]] with coef = (g_0, -conj g_0, g_1, -conj g_1, ...).
+    Mode i's raising operator B_h (x) a_i+ maps |j, n_i - 1> to sqrt(n_i) |j - h, n_i>,
+    the single diagonal col - row = h * stride_electron - stride_i of the full space.
+    """
     dim = electron_dim * math.prod(photon_dims)
-    ops = []
+    states = np.arange(dim)
+    if sectors is not None:
+        k = np.arange(electron_dim) - (electron_dim - 1) // 2
+        for h, n_dim in zip(harmonics, photon_dims):
+            k = np.add.outer(k, h * np.arange(n_dim))
+        states = np.flatnonzero(np.isin(k, sectors))
+    local = np.zeros(dim, dtype=np.intp)
+    local[states] = np.arange(states.size)
+    rows, cols, sqrt_n, term = [], [], [], []
     for i, (h, n_dim) in enumerate(zip(harmonics, photon_dims)):
         stride = math.prod(photon_dims[i + 1 :])
         offset = h * (dim // electron_dim) - stride
-        row = np.arange(dim - offset)
-        n = row // stride % n_dim
-        keep = n > 0
-        data = np.sqrt(n[keep]).astype(complex)
-        ops.append(sp.csr_matrix((data, (row[keep], row[keep] + offset)), shape=(dim, dim)))
-    return tuple(ops)
+        n = states // stride % n_dim
+        keep = (n > 0) & (states + offset < dim)
+        r, c = local[states[keep]], local[states[keep] + offset]
+        s = np.sqrt(n[keep])
+        rows += [r, c]
+        cols += [c, r]
+        sqrt_n += [s, s]
+        term += [np.full(s.size, 2 * i), np.full(s.size, 2 * i + 1)]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=states.size))])
+    return states, indptr, cols[order], np.concatenate(sqrt_n)[order], np.concatenate(term)[order]
 
 
-@lru_cache(maxsize=8)
-def _reachable_operators(electron_dim: int, harmonics: tuple, photon_dims: tuple, cutoff: int):
-    """Flat indices of the states with |K| <= cutoff, K = j + sum_i h_i n_i, and
-    the raising operators restricted to them, shared by every space of this
-    shape (callers must not modify them).  G conserves K."""
-    k = np.arange(electron_dim) - (electron_dim - 1) // 2
-    for h, n_dim in zip(harmonics, photon_dims):
-        k = np.add.outer(k, h * np.arange(n_dim))
-    idx = np.flatnonzero(np.abs(k) <= cutoff)
-    ups = _raising_operators(electron_dim, harmonics, photon_dims)
-    return idx, tuple(up[idx][:, idx] for up in ups)
+def _generator(space: TruncatedSpace, sectors=None):
+    """(states, G on them) as a CSR matrix: see `_generator_pattern`."""
+    from scipy.sparse import csr_matrix
+
+    shape = (space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims)
+    states, indptr, indices, sqrt_n, term = _generator_pattern(*shape, sectors)
+    coef = np.array([c for m in space.modes for c in (m.g, -np.conj(m.g))], dtype=complex)
+    return states, csr_matrix((sqrt_n * coef[term], indices, indptr), shape=(states.size,) * 2)
 
 
-def _generator(modes: tuple[OracleMode, ...], ups) -> sp.csr_matrix:
-    return sum(m.g * up - np.conj(m.g) * up.conj().T for m, up in zip(modes, ups)).tocsr()
-
-
-def build_generator(space: TruncatedSpace) -> sp.csr_matrix:
-    """Anti-Hermitian interaction generator G on the product space (complex128)."""
-    harmonics = tuple(m.harmonic for m in space.modes)
-    ups = _raising_operators(space.electron_dim, harmonics, space.photon_dims)
-    return _generator(space.modes, ups)
+def build_generator(space: TruncatedSpace):
+    """Anti-Hermitian interaction generator G on the product space (complex128 CSR)."""
+    return _generator(space)[1]
 
 
 def initial_vector(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarray:
@@ -166,7 +176,7 @@ def initial_vector(space: TruncatedSpace, electron_coefficients: np.ndarray) -> 
     return vec
 
 
-def expm_multiply(gen: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+def expm_multiply(gen, v: np.ndarray) -> np.ndarray:
     """exp(gen) v; scipy.sparse.linalg is imported on first call, so runs that
     never evolve a state do not pay for loading it."""
     from scipy.sparse.linalg import expm_multiply as _expm_multiply
@@ -182,10 +192,11 @@ def evolve(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarr
     population -- enlarge the space rather than trust the result.
     """
     v0 = initial_vector(space, electron_coefficients)
-    shape = (space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims)
-    idx, ups = _reachable_operators(*shape, (np.size(electron_coefficients) - 1) // 2)
+    c = np.asarray(electron_coefficients)
+    occupied = np.flatnonzero(c) - (c.size - 1) // 2  # K = j of every nonzero c_j
+    states, gen = _generator(space, tuple(occupied.tolist()))
     v = np.zeros_like(v0)
-    v[idx] = expm_multiply(_generator(space.modes, ups), v0[idx])
+    v[states] = expm_multiply(gen, v0[states])
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise PhysicsGuardError(f"evolved norm {norm!r} deviates from 1 beyond {_NORM_TOL:g}")
@@ -257,17 +268,26 @@ def oracle_mean_n(space: TruncatedSpace, vec: np.ndarray, index: int) -> float:
     return float(np.real(np.vdot(w, w)))
 
 
+def _central_moments(space: TruncatedSpace, vec, index: int, a_vec, mean: complex, orders) -> dict:
+    """{order: <(a - mean)^order>} for each order in `orders`, read off one chain
+    u_k = (a - mean) u_{k-1}, u_0 = vec, whose first step reuses a_vec = a vec."""
+    out = {}
+    u = vec
+    for order in range(1, max(orders, default=0) + 1):
+        u = (a_vec if order == 1 else _annihilate(space, u, index)) - mean * u
+        if order in orders:
+            out[order] = complex(np.vdot(vec, u))
+    return out
+
+
 def oracle_central_moment(
     space: TruncatedSpace, vec: np.ndarray, index: int, order: int
 ) -> complex:
     """<(a - <a>)^order> by repeated operator application."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    mean = oracle_mean_a(space, vec, index)
-    u = vec
-    for _ in range(order):
-        u = _annihilate(space, u, index) - mean * u
-    return complex(np.vdot(vec, u))
+    a_vec = _annihilate(space, vec, index)
+    return _central_moments(space, vec, index, a_vec, complex(np.vdot(vec, a_vec)), (order,))[order]
 
 
 def oracle_pair_correlation(
@@ -276,6 +296,10 @@ def oracle_pair_correlation(
     """(<a+_i a_k>, <a_i a_k>) for two modes."""
     a_vec = _annihilate(space, vec, index_a)
     b_vec = _annihilate(space, vec, index_b)
+    return _pair_terms(space, vec, index_a, a_vec, b_vec)
+
+
+def _pair_terms(space: TruncatedSpace, vec, index_a: int, a_vec, b_vec) -> tuple[complex, complex]:
     normal = complex(np.vdot(a_vec, b_vec))
     anomalous = complex(np.vdot(vec, _annihilate(space, b_vec, index_a)))
     return normal, anomalous
@@ -295,21 +319,25 @@ class OracleObservables:
 
 
 def observables(space: TruncatedSpace, vec: np.ndarray, moment_orders=(2, 3)) -> OracleObservables:
+    """Every observable of `vec`, applying each mode's annihilation chain once:
+    a v gives <a> and <n>, the central moments continue from it, and the pair
+    terms reuse it (7 annihilations for two modes and orders 2, 3)."""
+    a_vecs = [_annihilate(space, vec, i) for i in range(len(space.modes))]
     mean_a = {}
     mean_n = {}
     moments = {}
-    for i, mode in enumerate(space.modes):
-        mean_a[mode.harmonic] = oracle_mean_a(space, vec, i)
-        mean_n[mode.harmonic] = oracle_mean_n(space, vec, i)
-        moments[mode.harmonic] = {
-            order: oracle_central_moment(space, vec, i, order) for order in moment_orders
-        }
+    for i, (mode, a_vec) in enumerate(zip(space.modes, a_vecs)):
+        mean_a[mode.harmonic] = complex(np.vdot(vec, a_vec))
+        mean_n[mode.harmonic] = float(np.real(np.vdot(a_vec, a_vec)))
+        moments[mode.harmonic] = _central_moments(
+            space, vec, i, a_vec, mean_a[mode.harmonic], moment_orders
+        )
     pairs = {}
     for i, mode_i in enumerate(space.modes):
         for k, mode_k in enumerate(space.modes):
             if i < k:
-                pairs[(mode_i.harmonic, mode_k.harmonic)] = oracle_pair_correlation(
-                    space, vec, i, k
+                pairs[(mode_i.harmonic, mode_k.harmonic)] = _pair_terms(
+                    space, vec, i, a_vecs[i], a_vecs[k]
                 )
     return OracleObservables(
         mean_a=mean_a,

@@ -415,7 +415,8 @@ def _run_detect(cfg: ScenarioConfig, write):
 
     center = det.reference.center_over_omega0 * w0
     sigma = det.reference.sigma_over_omega0 * w0
-    lo, hi = center - 6.0 * sigma, center + 6.0 * sigma
+    half = det.reference.BAND_SIGMAS * sigma
+    lo, hi = center - half, center + half
     # the noise floor reads F at every sum frequency of the band, up to 2 hi
     spectrum = _band_spectrum(cfg, lo, hi, 2.0 * hi, "detection.reference")
     field = mean_field(model, spectrum, band=(lo, hi))

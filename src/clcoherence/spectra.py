@@ -30,8 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.special import jv
+from numpy.fft import fft, ifft, rfft
 
 from .constants import TWO_PI
 from .coupling import CouplingModel, coupling_amplitude
@@ -59,10 +58,23 @@ def _require_uniform(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be uniform and ascending")
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth length >= n (n >= 1), the complex-FFT length
+    scipy.fft.next_fast_len picks."""
+    while True:
+        r = n
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
 def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two complex 1-D sequences by zero-padded FFT."""
     n = a.size + b.size - 1
-    n_fft = next_fast_len(n)
+    n_fft = _next_fast_len(n)
     return ifft(fft(a, n_fft) * fft(b, n_fft))[:n]
 
 
@@ -187,9 +199,11 @@ def density_spectrum(density: WavepacketDensity, max_omega: float | None = None)
     if not abs(2.0 * density.t0 + rho.size * density.dt) <= 1.0e-12 * rho.size * density.dt:
         raise ValueError("the density's window must be centred on t = 0 (t0 = -N dt/2)")
     k, omega = _fft_lattice(n_fft, density.dt, math.inf if max_omega is None else max_omega)
-    # F_k = n_fft dt ifft(rho)_k e^{i w_k t0}, and w_k t0 = -pi k/pad: a table of 2 pad phases
+    # F_k = n_fft dt ifft(rho)_k e^{i w_k t0}, and w_k t0 = -pi k/pad: a table of 2 pad phases.
+    # rho is real: ifft(rho)_k = conj(rfft(rho)_k) / n_fft for k >= 0, its conjugate at -k.
+    r = rfft(rho, n=n_fft)[np.abs(k)]
     phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
-    values = ifft(rho, n=n_fft)[k] * (n_fft * density.dt) * phase[k % (2 * pad)]
+    values = np.where(k >= 0, np.conj(r), r) / n_fft * (n_fft * density.dt) * phase[k % (2 * pad)]
     return DensitySpectrum(omega, values, "sampled", density.omega0)
 
 
@@ -261,6 +275,8 @@ def analytic_pinem_overlap(
     e^{-4 pi i l n x} with x = d/z_T.  Independent of the ladder/FFT pipelines;
     used to cross-validate them.
     """
+    from scipy.special import jv  # imported here: loading the package must not load it
+
     beta = complex(beta)
     absb = abs(beta)
     n = int(harmonic)

@@ -296,6 +296,14 @@ class TestExitCodes:
         assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "envelope: dt=1 fs exceeds T0/64" in capsys.readouterr().err
 
+    def test_detect_band_reaching_zero_frequency_is_config_error(self, tmp_path, capsys):
+        # center - 6 sigma = 1 - 87.6 < 0: the band would start below omega = 0
+        payload = json.loads((CONFIGS / "detect.json").read_text())
+        payload["detection"]["reference"]["sigma_over_omega0"] = 14.6
+        cfg = write_config(tmp_path, "detect.json", payload)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "detection.reference: sigma_over_omega0 must be below" in capsys.readouterr().err
+
     @pytest.mark.parametrize("center", [1.0, 1.00001])
     def test_detect_band_of_fewer_than_two_lattice_points_is_config_error(
         self, center, tmp_path, capsys
@@ -685,28 +693,50 @@ class TestShippedConfigs:
             assert len(cfg.sha256()) == 64
 
 
+def _probe(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this package."""
+    src = str(Path(clcoherence.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal costs ~0.7 s to import; the FFT kernels use scipy.fft only.
-    # The others load only for a tabulated coupling (integrate, interpolate,
-    # and optimize through it) or an oracle run (sparse.linalg, linalg), so
-    # loading the CLI must pull in none of them.
+    # Loading the CLI imports numpy and the bare scipy package only: any scipy
+    # subpackage costs ~0.3 s (its array-API shim).  The ladder is numpy's FFT of
+    # its Jacobi-Anger series and the spectra use numpy.fft; special loads for
+    # the closed Bessel-sum cross-check, sparse for an oracle run, integrate and
+    # interpolate (and optimize through it) for a tabulated coupling.
     heavy = [
         "scipy.signal",
+        "scipy.special",
+        "scipy.fft",
+        "scipy.sparse",
         "scipy.integrate",
         "scipy.interpolate",
         "scipy.optimize",
         "scipy.sparse.linalg",
         "scipy.linalg",
     ]
-    src = str(Path(clcoherence.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = f"import sys, clcoherence.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    assert _probe(probe) == "[]"
+
+
+def test_oracle_check_loads_scipy_sparse(tmp_path):
+    # the oracle pays for its own import of scipy.sparse, on its first evolution
+    cfg = write_config(tmp_path, "oracle.json", {"beam": dict(BEAM_SECTION)})
+    argv = ["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+    probe = (
+        "import sys, clcoherence.cli\n"
+        "before = 'scipy.sparse' in sys.modules\n"
+        f"code = clcoherence.cli.main({argv!r})\n"
+        "print(before, code, 'scipy.sparse' in sys.modules)"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert _probe(probe).splitlines()[-1] == "False 0 True"
 
 
 def test_csv_writer_round_trips_every_column(tmp_path):

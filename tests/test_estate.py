@@ -26,7 +26,7 @@ from clcoherence import (
     propagate,
     synthesize_density,
 )
-from clcoherence.estate import sampling_lattice
+from clcoherence.estate import bessel_ladder, sampling_lattice
 from clcoherence.spectra import ladder_overlap
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -107,6 +107,30 @@ class TestPinemLadder:
             pinem_ladder(4.0, BEAM, cutoff=5)
         # Error reports how much norm is missing.
         assert "norm" in str(excinfo.value).lower()
+
+    def test_truncation_error_reports_the_bessel_norm_outside_the_cutoff(self):
+        from scipy.special import jv
+
+        discarded = 1.0 - np.sum(jv(np.arange(-5, 6), 8.0) ** 2)
+        with pytest.raises(TruncationError, match=f"discarded norm {discarded:.3e}"):
+            pinem_ladder(4.0, BEAM, cutoff=5)
+
+
+class TestBesselLadder:
+    """The Jacobi-Anger FFT against scipy.special.jv, up to |beta| = 1000."""
+
+    @pytest.mark.parametrize("beta_abs", [0.5, 4.0, 30.0, 100.0, 1000.0])
+    def test_matches_jv(self, beta_abs):
+        from scipy.special import jv
+
+        cutoff = auto_cutoff(beta_abs)
+        j = np.arange(-cutoff, cutoff + 1)
+        got = bessel_ladder(2.0 * beta_abs, cutoff)
+        # measured: 5.6e-17 at |beta| = 0.5, 1.9e-16 at 4, 3.1e-14 at 1000
+        assert np.max(np.abs(got - jv(j, 2.0 * beta_abs))) <= 1e-13
+
+    def test_zero_argument_is_the_unit_vector(self):
+        np.testing.assert_array_equal(bessel_ladder(0.0, 3), [0, 0, 0, 1, 0, 0, 0])
 
     def test_generous_explicit_cutoff_allowed(self):
         state = pinem_ladder(1.0, BEAM, cutoff=40)

@@ -346,9 +346,14 @@ def _other_spaces():
         yield TruncatedSpace(40, modes), coefficients
 
 
+def _occupied_sectors(coefficients):
+    """K = j of every nonzero ladder amplitude c_j (the photons start in vacuum)."""
+    return tuple((np.flatnonzero(coefficients) - (coefficients.size - 1) // 2).tolist())
+
+
 def _reached(space, coefficients):
     shape = (space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims)
-    return oracle._reachable_operators(*shape, (coefficients.size - 1) // 2)[0]
+    return oracle._generator_pattern(*shape, _occupied_sectors(coefficients))[0]
 
 
 class TestReachableSubspace:
@@ -382,7 +387,8 @@ class TestReachableSubspace:
             self.assert_closed(space, coefficients)
 
     def test_reached_states_are_the_ladder_k_sectors(self):
-        # |K| <= J with K = j + sum_i h_i n_i, J the ladder cutoff: 43% of the matrix
+        # K = j + sum_i h_i n_i in the sectors of the nonzero c_j: every |K| <= J
+        # for |beta| > 0, K = 0 alone for beta = 0: 30% of the matrix
         total = reached = 0
         for space, coefficients in _matrix_spaces():
             grids = np.meshgrid(
@@ -391,11 +397,11 @@ class TestReachableSubspace:
                 indexing="ij",
             )
             k = grids[0] + sum(m.harmonic * n for m, n in zip(space.modes, grids[1:]))
-            expected = np.flatnonzero(np.abs(k) <= (coefficients.size - 1) // 2)
+            expected = np.flatnonzero(np.isin(k, _occupied_sectors(coefficients)))
             np.testing.assert_array_equal(_reached(space, coefficients), expected)
             total += space.dimension
             reached += expected.size
-        assert (total, reached) == (487890, 209952)
+        assert (total, reached) == (487890, 144882)
 
     @pytest.mark.parametrize("size", [6, 23], ids=["even-length", "oversized"])
     def test_evolve_rejects_bad_coefficients(self, size):
@@ -470,7 +476,24 @@ class TestValidationMatrix:
         assert bad_check.name in str(excinfo.value)
 
 
+def _bits(z) -> tuple[str, str]:
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
 class TestObservablesHelper:
+    def test_shared_chain_matches_the_standalone_routes_bit_for_bit(self, strong_two_mode):
+        _, space, v = strong_two_mode
+        obs = observables(space, v, moment_orders=(1, 2, 3, 4))
+        for i, mode in enumerate(space.modes):
+            n = mode.harmonic
+            assert _bits(obs.mean_a[n]) == _bits(oracle_mean_a(space, v, i))
+            assert obs.mean_n[n].hex() == oracle_mean_n(space, v, i).hex()
+            for order, value in obs.central_moments[n].items():
+                assert _bits(value) == _bits(oracle_central_moment(space, v, i, order))
+        normal, anomalous = oracle_pair_correlation(space, v, 0, 1)
+        h = tuple(m.harmonic for m in space.modes)
+        assert tuple(map(_bits, obs.pair_correlations[h])) == (_bits(normal), _bits(anomalous))
+
     def test_keys_by_harmonic(self):
         state = pinem_ladder(0.5, BEAM)
         modes = (OracleMode(1, 0.1, photon_cutoff=4), OracleMode(2, 0.1, photon_cutoff=4))

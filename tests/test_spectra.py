@@ -12,6 +12,7 @@ Independent cross-checks used here:
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,10 +47,14 @@ from clcoherence import (
     synthesize_density,
     time_domain_field,
 )
+from clcoherence.config import ScenarioConfig
 from clcoherence.constants import TWO_PI
+from clcoherence.scenarios import build_state
+from clcoherence.spectra import _fft_lattice, _next_fast_len
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fft_spectrum(beta, distance_nm=0.0, mode="exact", envelope=EnvelopeSpec("infinite")):
@@ -245,6 +250,36 @@ class TestDensitySpectrumBand:
     def test_max_omega_must_be_positive(self, max_omega):
         with pytest.raises(ValueError, match="max_omega"):
             density_spectrum(fft_case_density(*FFT_CASES[2]), max_omega)
+
+
+class TestNumpyFFTAgainstScipy:
+    """The numpy.fft routes give scipy.fft's lengths and bits."""
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        for n in [*range(1, 5001), 65537, 10**6 + 1]:
+            assert _next_fast_len(n) == next_fast_len(n), n
+
+    @pytest.mark.parametrize("name", ["doc_slice", "doc_slice_infinite"])
+    def test_rfft_band_is_scipy_ifft_bit_for_bit(self, name):
+        # the shipped doc-slice densities through the scipy.fft.ifft route
+        from scipy.fft import ifft
+
+        cfg = ScenarioConfig.from_file("doc-slice", CONFIGS / f"{name}.json")
+        state = build_state(cfg)
+        env = cfg.envelope
+        density = synthesize_density(state, env.spec, env.dt_fs, env.window_fs)
+        max_omega = min(2 * state.cutoff, 24) * cfg.beam.omega0 * (1.0 + 1e-12)
+        spec = density_spectrum(density, max_omega)
+
+        pad = 1 if density.envelope.kind == "infinite" else 8
+        n_fft = pad * density.samples.size
+        k, omega = _fft_lattice(n_fft, density.dt, max_omega)
+        phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
+        ref = ifft(density.samples, n=n_fft)[k] * (n_fft * density.dt) * phase[k % (2 * pad)]
+        assert spec.omega_grid.tobytes() == omega.tobytes()
+        assert spec.values.tobytes() == ref.tobytes()
 
 
 class TestAnalyticOverlap:
