@@ -37,6 +37,7 @@ from .detection import BeamSplitter
 from .errors import ConfigError
 from .estate import EnvelopeSpec, auto_cutoff, sampling_lattice
 from .kinematics import BeamParameters
+from .spectra import LATTICE_SPAN_LIMIT, lattice_span
 
 SCENARIOS = (
     "doc-map",
@@ -57,6 +58,9 @@ _REQUIRED = {
     "oracle-check": (),
     "sweep": ("beam", "modulation", "sweep"),
 }
+
+# doc-slice compares F(n omega0) from the FFT with the ladder for |n| up to this
+DOC_SLICE_HARMONICS = 24
 
 # Optional sections a scenario reads, and what stands in for an absent one.
 # Every scenario also reads "output".
@@ -405,6 +409,28 @@ class ScenarioConfig:
     detection: Detection | None = None
     sweep: Sweep | None = None
 
+    @property
+    def band(self) -> tuple[float, float]:
+        """(lo, hi) in rad/fs: the band a waveguide, pulse-shape or detect run reads."""
+        w0 = self.beam.omega0
+        if self.scenario == "waveguide":
+            return w0 - 0.06, w0 + 0.06  # around the fundamental; resolves all lines
+        if self.scenario == "pulse-shape":
+            return 0.5 * w0, 1.5 * w0
+        ref = self.detection.reference
+        center, half = ref.center_over_omega0 * w0, ref.BAND_SIGMAS * (ref.sigma_over_omega0 * w0)
+        return center - half, center + half
+
+    @property
+    def lattice_top(self) -> float:
+        """|omega| (rad/fs) up to which a run with an envelope reads its spectral lattice
+        (doc-slice: at most; it keeps min(2J, DOC_SLICE_HARMONICS) harmonics)."""
+        if self.scenario == "doc-slice":
+            return DOC_SLICE_HARMONICS * self.beam.omega0
+        hi = self.band[1]
+        # detect's noise floor reads F at every sum frequency of its band
+        return 2.0 * hi if self.scenario == "detect" else hi
+
     @classmethod
     def from_mapping(
         cls, scenario: str, data: dict, base_dir: Path | None = None
@@ -440,14 +466,25 @@ class ScenarioConfig:
             )
         if scenario == "detect" and None in (used["detection"].shots, used["detection"].seed):
             raise ConfigError("detection: scenario 'detect' requires shots and seed")
-        env, mod = used.get("envelope"), used.get("modulation")
+        cfg = cls(scenario=scenario, **used)
+        env, mod = cfg.envelope, cfg.modulation
         if env is not None:  # dt_fs and window_fs against this beam, by the run's own checks
             cutoff = mod.cutoff if mod.cutoff is not None else auto_cutoff(mod.beta_abs)
             try:
-                sampling_lattice(used["beam"], env.spec, cutoff, env.dt_fs, env.window_fs)
+                _, _, periods = sampling_lattice(
+                    cfg.beam, env.spec, cutoff, env.dt_fs, env.window_fs
+                )
             except ValueError as exc:
                 raise ConfigError(f"envelope: {exc}") from None
-        return cls(scenario=scenario, **used)
+            span = lattice_span(cfg.beam.omega0, env.spec, periods, cfg.lattice_top)
+            if not span <= LATTICE_SPAN_LIMIT:
+                raise ConfigError(
+                    f"envelope: the spectral lattice reaches |omega| = {cfg.lattice_top:g} rad/fs "
+                    f"in {span:.3g} steps over {periods} optical periods, more than the "
+                    f"{LATTICE_SPAN_LIMIT:g} that float64 keeps uniform; shorten "
+                    "envelope.fwhm_fs or envelope.window_fs, or lengthen beam.wavelength_nm"
+                )
+        return cfg
 
     @classmethod
     def from_file(cls, scenario: str, path: str | Path) -> "ScenarioConfig":

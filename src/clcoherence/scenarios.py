@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import FlatBand, GaussianBand, ScenarioConfig, Tabulated
+from .config import DOC_SLICE_HARMONICS, FlatBand, GaussianBand, ScenarioConfig, Tabulated
 from .constants import TWO_PI
 from .coupling import (
     FlatCoupling,
@@ -115,11 +115,11 @@ def build_state(cfg: ScenarioConfig) -> LadderState:
     return state
 
 
-def _band_spectrum(cfg: ScenarioConfig, lo: float, hi: float, max_omega: float, what: str):
-    """F on the sampled lattice of a run up to |omega| = max_omega; the band
-    lo <= omega <= hi that the run reads must hold 2 or more lattice points."""
-    env = cfg.envelope
-    spectrum = band_spectrum(build_state(cfg), env.spec, max_omega, env.dt_fs, env.window_fs)
+def _band_spectrum(cfg: ScenarioConfig, what: str):
+    """F on the sampled lattice of a run up to |omega| = cfg.lattice_top; the band
+    lo <= omega <= hi that the run reads (cfg.band) must hold 2 or more lattice points."""
+    env, (lo, hi) = cfg.envelope, cfg.band
+    spectrum = band_spectrum(build_state(cfg), env.spec, cfg.lattice_top, env.dt_fs, env.window_fs)
     w = spectrum.omega_grid
     if np.count_nonzero((w > 0.0) & (w >= lo) & (w <= hi)) < 2:
         raise ConfigError(
@@ -233,7 +233,7 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
     env = cfg.envelope
     density = synthesize_density(state, env.spec, dt=env.dt_fs, window=env.window_fs)
     w0 = cfg.beam.omega0
-    n_keep = min(2 * state.cutoff, 24)
+    n_keep = min(2 * state.cutoff, DOC_SLICE_HARMONICS)
     spectrum = density_spectrum(density, n_keep * w0 * (1.0 + 1.0e-12))
 
     n = np.arange(-n_keep, n_keep + 1)
@@ -287,9 +287,8 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
 
 
 def _run_waveguide(cfg: ScenarioConfig, write):
-    w0 = cfg.beam.omega0
-    lo, hi = w0 - 0.06, w0 + 0.06  # rad/fs band around the fundamental; resolves all lines
-    spectrum = _band_spectrum(cfg, lo, hi, hi, "envelope")
+    lo, hi = cfg.band
+    spectrum = _band_spectrum(cfg, "envelope")
 
     lengths_um = cfg.coupling.lengths_um or (cfg.coupling.length_um,)
     t_grid = np.linspace(-2560.0, 2560.0, 8193)
@@ -372,9 +371,8 @@ def _run_waveguide(cfg: ScenarioConfig, write):
 
 def _run_pulse_shape(cfg: ScenarioConfig, write):
     model = build_coupling(cfg)
-    w0 = cfg.beam.omega0
-    spectrum = _band_spectrum(cfg, 0.5 * w0, 1.5 * w0, 1.5 * w0, "envelope")
-    field = _band_field(model, spectrum, 0.5 * w0, 1.5 * w0)
+    spectrum = _band_spectrum(cfg, "envelope")
+    field = _band_field(model, spectrum, *cfg.band)
     fwhm = cfg.envelope.fwhm_fs or 8.0 * cfg.beam.optical_period
     t_grid = np.linspace(-8.0 * fwhm, 8.0 * fwhm, 4097)
     tfield = time_domain_field(field, t=t_grid)
@@ -413,17 +411,12 @@ def _run_detect(cfg: ScenarioConfig, write):
     det = cfg.detection
     w0 = cfg.beam.omega0
 
-    center = det.reference.center_over_omega0 * w0
-    sigma = det.reference.sigma_over_omega0 * w0
-    half = det.reference.BAND_SIGMAS * sigma
-    lo, hi = center - half, center + half
-    # the noise floor reads F at every sum frequency of the band, up to 2 hi
-    spectrum = _band_spectrum(cfg, lo, hi, 2.0 * hi, "detection.reference")
-    field = mean_field(model, spectrum, band=(lo, hi))
+    spectrum = _band_spectrum(cfg, "detection.reference")
+    field = mean_field(model, spectrum, band=cfg.band)
     reference = ReferencePulse.gaussian(
         field.omega_grid,
-        center=center,
-        sigma=sigma,
+        center=det.reference.center_over_omega0 * w0,
+        sigma=det.reference.sigma_over_omega0 * w0,
         total_counts=det.reference.total_counts,
         phase=det.reference.phase_rad,
     )

@@ -46,6 +46,10 @@ _GRID_SNAP_TOL = 1.0e-6  # in units of one grid step
 
 _FINITE_PAD_FACTOR = 8
 _UNIFORM_TOL = 1.0e-9  # relative spread of grid steps
+# omega_k = 2 pi (k * val) is rounded twice, so two steps of a lattice reaching
+# |omega| = W differ by up to 8 * 2**-53 * W: a lattice of at most this many
+# steps up to W keeps them uniform within _UNIFORM_TOL.
+LATTICE_SPAN_LIMIT = 1.0e6
 
 
 def _require_uniform(x: np.ndarray, what: str) -> None:
@@ -182,6 +186,13 @@ def _fft_lattice(n_fft: int, dt: float, max_omega: float) -> tuple[np.ndarray, n
     omega = TWO_PI * (k * val)
     keep = np.abs(omega) <= max_omega
     return k[keep], omega[keep]
+
+
+def lattice_span(omega0: float, envelope: EnvelopeSpec, periods: int, max_omega: float) -> float:
+    """|omega_max| / step of the lattice density_spectrum and band_spectrum build
+    over `periods` optical periods, cut to |omega| <= max_omega (below Nyquist)."""
+    pad = 1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR
+    return max_omega * pad * periods / omega0
 
 
 def density_spectrum(density: WavepacketDensity, max_omega: float | None = None) -> DensitySpectrum:

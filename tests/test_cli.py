@@ -296,6 +296,37 @@ class TestExitCodes:
         assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "envelope: dt=1 fs exceeds T0/64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, name, edit",
+        [
+            ("waveguide", "waveguide.json", {"envelope": {"fwhm_fs": 121755.0}}),
+            ("pulse-shape", "pulse_shape.json", {"beam": {"wavelength_nm": 1.2}}),
+            (
+                "pulse-shape",
+                "pulse_shape.json",
+                {"beam": {"wavelength_nm": 1.2}, "coupling": {"band_over_omega0": [0.5, 24.5]}},
+            ),
+        ],
+        ids=["long-pulse-waveguide", "x-ray-pulse-shape", "x-ray-pulse-shape-wide-band"],
+    )
+    def test_lattice_too_long_to_stay_uniform_is_config_error(
+        self, scenario, name, edit, tmp_path, capsys
+    ):
+        # 6.0e6 and 9.6e6 steps up to the top of the lattice: the rounding of
+        # omega_k would spread them beyond the spectra module's 1e-9 uniformity check
+        payload = json.loads((CONFIGS / name).read_text())
+        for section, values in edit.items():
+            payload[section].update(values)
+        cfg = write_config(tmp_path, name, payload)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the X-ray beam's recoil note
+            assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "more than the 1e+06 that float64 keeps uniform" in err
+        assert "envelope.fwhm_fs" in err and "beam.wavelength_nm" in err
+        assert not out.exists()
+
     def test_detect_band_reaching_zero_frequency_is_config_error(self, tmp_path, capsys):
         # center - 6 sigma = 1 - 87.6 < 0: the band would start below omega = 0
         payload = json.loads((CONFIGS / "detect.json").read_text())

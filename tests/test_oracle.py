@@ -352,8 +352,7 @@ def _occupied_sectors(coefficients):
 
 
 def _reached(space, coefficients):
-    shape = (space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims)
-    return oracle._generator_pattern(*shape, _occupied_sectors(coefficients))[0]
+    return oracle._generator_pattern(*oracle._shape(space), _occupied_sectors(coefficients))[0]
 
 
 class TestReachableSubspace:
@@ -381,6 +380,13 @@ class TestReachableSubspace:
     def test_other_spaces_are_bit_identical(self):
         for space, coefficients in _other_spaces():
             self.assert_matches_full_space(space, coefficients)
+
+    def test_sector_generator_is_the_full_generator_on_the_reached_states(self):
+        for space, coefficients in _other_spaces():
+            states = _reached(space, coefficients)
+            sectors = build_generator(space, _occupied_sectors(coefficients))
+            assert sectors.shape == (states.size, states.size)
+            assert abs(sectors - build_generator(space)[states][:, states]).max() == 0.0
 
     def test_generator_never_leaves_the_reached_states(self):
         for space, coefficients in itertools.chain(_matrix_spaces(), _other_spaces()):
@@ -510,3 +516,41 @@ class TestObservablesHelper:
             OracleMode(0, 0.1)
         with pytest.raises(ValueError):
             OracleMode(1, 0.1, photon_cutoff=0)
+
+
+class TestElementwiseReductions:
+    """The oracle's inner products and norms are summed elementwise, never by
+    BLAS, whose worker threads would spin between the calls."""
+
+    def test_dot_agrees_with_vdot(self):
+        # Relative to |a| |b|, the Cauchy-Schwarz bound on |<a|b>|: for
+        # independent random vectors <a|b> itself cancels to ~sqrt(n) terms.
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 1000, 16_807):
+            for _ in range(5):
+                a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                scale = math.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
+                assert abs(oracle._dot(a, b) - np.vdot(a, b)) <= 1e-15 * scale
+                assert abs(oracle._dot(a, a) - np.vdot(a, a)) <= 1e-15 * np.vdot(a, a).real
+
+    def test_evolve_and_observables_make_no_blas_reduction(self, monkeypatch):
+        norm = np.linalg.norm
+
+        def no_vdot(*args, **kwargs):
+            raise AssertionError("numpy.vdot called")
+
+        def max_norm_only(x, ord=None, *args, **kwargs):
+            # scipy's expm_multiply takes ord=np.inf norms, a max over |x|
+            if ord is None:
+                raise AssertionError("numpy.linalg.norm called with the default order")
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np, "vdot", no_vdot)
+        monkeypatch.setattr(np.linalg, "norm", max_norm_only)
+        state = pinem_ladder(0.5, BEAM)
+        modes = (OracleMode(1, 0.3, photon_cutoff=6), OracleMode(2, 0.2, photon_cutoff=6))
+        space = TruncatedSpace.for_ladder(state.cutoff, modes)
+        obs = observables(space, evolve(space, state.coefficients))
+        assert obs.norm == pytest.approx(1.0, abs=1e-10)
+        assert obs.mean_n[1] == pytest.approx(0.09, abs=1e-6)

@@ -50,7 +50,13 @@ from clcoherence import (
 from clcoherence.config import ScenarioConfig
 from clcoherence.constants import TWO_PI
 from clcoherence.scenarios import build_state
-from clcoherence.spectra import _fft_lattice, _next_fast_len
+from clcoherence.spectra import (
+    LATTICE_SPAN_LIMIT,
+    _fft_lattice,
+    _next_fast_len,
+    _require_uniform,
+    lattice_span,
+)
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
@@ -250,6 +256,33 @@ class TestDensitySpectrumBand:
     def test_max_omega_must_be_positive(self, max_omega):
         with pytest.raises(ValueError, match="max_omega"):
             density_spectrum(fft_case_density(*FFT_CASES[2]), max_omega)
+
+
+class TestLatticeSpanLimit:
+    """A config is refused at load when its lattice needs more than
+    LATTICE_SPAN_LIMIT steps up to its top; up to that, omega_k = 2 pi (k val)
+    keeps its steps within the 1e-9 uniformity check."""
+
+    @pytest.mark.parametrize("envelope", FFT_CASES[0::2], ids=["x8 padded", "unpadded"])
+    @pytest.mark.parametrize(
+        "period_fs, per_period", [(BEAM.optical_period, 256), (1.2 / 299.792458, 300), (35.36, 509)]
+    )
+    def test_lattice_at_the_limit_is_uniform(self, envelope, period_fs, per_period):
+        envelope = envelope[2]
+        pad = 1 if envelope.kind == "infinite" else 8
+        periods = int(LATTICE_SPAN_LIMIT / (24 * pad))
+        omega0, max_omega = TWO_PI / period_fs, 24 * TWO_PI / period_fs
+        assert 0.99 * LATTICE_SPAN_LIMIT < lattice_span(omega0, envelope, periods, max_omega)
+        assert lattice_span(omega0, envelope, periods, max_omega) <= LATTICE_SPAN_LIMIT
+        _, omega = _fft_lattice(pad * per_period * periods, period_fs / per_period, max_omega)
+        _require_uniform(omega, "omega")
+
+    @pytest.mark.parametrize("case", FFT_CASES[0::2], ids=["gaussian-200", "infinite"])
+    def test_span_is_the_steps_up_to_the_top(self, case):
+        density = fft_case_density(*case)
+        spec = density_spectrum(density, 2.3001 * W0)
+        span = lattice_span(W0, density.envelope, density.periods_in_window, 2.3001 * W0)
+        assert span - 1.0 < spec.omega_grid[-1] / spec.domega <= span
 
 
 class TestNumpyFFTAgainstScipy:
