@@ -26,8 +26,8 @@ mode's annihilation operator is applied by shifting the mode's Fock axis of
 the state tensor, sqrt(n+1) v[..., n+1, ...] -> out[..., n, ...], rather
 than by building the Kronecker-product operator.
 
-Inner products and norms are reduced elementwise (`_dot`), never by
-`np.vdot` or `np.linalg.norm`: on vectors of the two-mode spaces' length
+Inner products and norms are reduced elementwise (`_dot`), never by numpy's
+`vdot` or its default 2-norm: on vectors of the two-mode spaces' length
 those hand the reduction to OpenBLAS's worker threads, which then spin
 between calls and doubled the oracle's CPU time at unchanged wall time.
 """
