@@ -62,6 +62,9 @@ _REQUIRED = {
 # doc-slice compares F(n omega0) from the FFT with the ladder for |n| up to this
 DOC_SLICE_HARMONICS = 24
 
+# detect draws and writes at most this many shots (100x the shipped 10^4)
+SHOT_LIMIT = 10**6
+
 # Optional sections a scenario reads, and what stands in for an absent one.
 # Every scenario also reads "output".
 _OPTIONAL = {
@@ -323,7 +326,7 @@ class Detection:
     reference: Reference = _key(_section(Reference))
     splitter: BeamSplitter = _key(_splitter, default_factory=BeamSplitter.heterodyne)
     qe: tuple[float, float] = _key(_list(_real(0.0, 1.0), 2), (1.0, 1.0))
-    shots: int | None = _key(_integer(2), None)  # required by the detect scenario
+    shots: int | None = _key(_integer(2, SHOT_LIMIT), None)  # required by the detect scenario
     seed: int | None = _key(_integer(0, 2**128 - 1), None)  # a Philox key is 128 bits
     phase_sweep_points: int = _key(_integer(0), 0)
 

@@ -448,6 +448,12 @@ class TestExitCodes:
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "detection.shots" in capsys.readouterr().err
 
+    def test_shots_above_the_limit_is_config_error(self, tmp_path, capsys):
+        cfg = detect_config(tmp_path, shots=10**6 + 1)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "detection.shots: must be <= 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flag, seed, bound",
         [("--seed=-5", 7, ">= 0"), (f"--seed={2**128}", 7, "<= "), (None, 2**130, "<= ")],

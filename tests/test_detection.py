@@ -28,6 +28,7 @@ from clcoherence import (
     snr_estimate,
     synthesize_density,
 )
+from clcoherence.detection import _SHOT_BLOCK
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
@@ -195,21 +196,45 @@ class TestShotSampling:
         np.testing.assert_array_equal(short.counts1, long.counts1[:30])
         np.testing.assert_array_equal(short.counts2, long.counts2[:30])
 
-    @pytest.mark.parametrize("seed, total_counts", [(3, 500.0), (2**40 + 17, 6.0)])
+    @pytest.mark.parametrize(
+        "seed, total_counts",
+        [
+            (3, 500.0),
+            (2**40 + 17, 6.0),
+            (1212, 1.2e4),  # means 6317 and 2740, the detect workload's scale
+            (2**100 + 3, 3.0e6),  # means 1.6e6 and 6.8e5; key above 2**64
+            (5, 19.08165654602937),  # mu1 = 10.0, where PTRS takes over
+            (5, 19.081656546029368),  # mu1 = 10 - 4.4e-16
+            (8, 0.0),  # the CL field alone: means of 3e-3
+        ],
+    )
     def test_stream_matches_a_fresh_generator_per_draw(self, seed, total_counts):
         # Pins the stream: shot k of detector d is the first Poisson draw of
-        # Philox(key=seed, counter=[0, 0, k, d]).  The two means cover both
-        # of numpy's Poisson algorithms (below and above a mean of 10).
+        # Philox(key=seed, counter=[0, 0, k, d]).  The means cover both of
+        # numpy's Poisson algorithms (below and above a mean of 10).
         model, spectrum, field, ref = make_setup(total_counts=total_counts)
         splitter = BeamSplitter(R=math.cos(0.7), T=np.exp(0.4j) * math.sin(0.7))
         ens = sample_shots(splitter, ref, field, n_shots=300, seed=seed, qe1=0.9, qe2=0.55)
-        means = {1: ens.config["mu1"], 2: ens.config["mu2"]}
+        means = dict(zip((1, 2), detector_means(splitter, ref, field, 0.9, 0.55)))
         for det, counts in ((1, ens.counts1), (2, ens.counts2)):
             expected = []
             for shot in range(ens.n_shots):
                 bitgen = np.random.Philox(key=seed, counter=[0, 0, shot, det])
                 expected.append(np.random.Generator(bitgen).poisson(means[det]))
             np.testing.assert_array_equal(counts, expected)
+
+    def test_stream_matches_across_a_shot_block_boundary(self):
+        _, _, field, ref = make_setup(total_counts=1.2e4)
+        s = BeamSplitter.heterodyne()
+        ens = sample_shots(s, ref, field, n_shots=_SHOT_BLOCK + 40, seed=19)
+        means = detector_means(s, ref, field)
+        edge = range(_SHOT_BLOCK - 40, _SHOT_BLOCK + 40)
+        for det, counts, mean in ((1, ens.counts1, means[0]), (2, ens.counts2, means[1])):
+            expected = [
+                np.random.Generator(np.random.Philox(key=19, counter=[0, 0, shot, det])).poisson(mean)
+                for shot in edge
+            ]
+            np.testing.assert_array_equal(counts[edge.start :], expected)
 
     def test_seed_changes_stream(self):
         model, spectrum, field, ref = make_setup(total_counts=500.0)
@@ -231,8 +256,9 @@ class TestShotSampling:
         _, _, _, ref = make_setup(total_counts=400.0)
         s = BeamSplitter.heterodyne()
         ens = sample_shots(s, ref, None, n_shots=2000, seed=5, qe1=0.5, qe2=1.0)
-        assert ens.config["mu1"] == pytest.approx(100.0, rel=1e-12)
-        assert ens.config["mu2"] == pytest.approx(200.0, rel=1e-12)
+        mu1, mu2 = detector_means(s, ref, None, qe1=0.5, qe2=1.0)
+        assert mu1 == pytest.approx(100.0, rel=1e-12)
+        assert mu2 == pytest.approx(200.0, rel=1e-12)
         assert np.mean(ens.counts1) == pytest.approx(100.0, rel=0.05)
 
     def test_overflow_guard(self):
@@ -250,7 +276,7 @@ class TestShotSampling:
         _, _, _, ref = make_setup(total_counts=100.0)
         ens = sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=16, seed=1)
         assert ens.n_shots == 16
-        assert ens.shots.shape == (16, 2)
+        assert np.column_stack([ens.counts1, ens.counts2]).shape == (16, 2)
         assert ens.counts1.dtype == np.int64
 
 
