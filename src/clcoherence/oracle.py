@@ -18,9 +18,10 @@ exp(G)v is computed by scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 2011), which picks its Taylor degree and scaling
 from an a-priori error bound; tests cross-check it against a dense expm on
 small spaces; scipy.sparse is imported when the test matrix starts (or by
-the first standalone generator build or evolution), not with the module.  G conserves K = j + sum_modes n * (photons in the mode), so only the
-K-sectors the initial ladder occupies (K = j for each nonzero c_j, the photons
-in vacuum) are evolved: the other amplitudes stay exactly 0, as on the whole
+the first standalone generator build or evolution), not with the module.
+G conserves K = j + sum_modes n * (photons in the mode), so only the K-sectors
+the initial ladder occupies (K = j for each nonzero c_j, the photons in
+vacuum) are evolved: the other amplitudes stay exactly 0, as on the whole
 space.  G is assembled from a sparsity pattern cached per space shape.  A
 mode's annihilation operator is applied by shifting the mode's Fock axis of
 the state tensor, sqrt(n+1) v[..., n+1, ...] -> out[..., n, ...], rather
