@@ -221,11 +221,12 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, m * x
 
 
-def _philox_doubles(seed: int, block: int, shots: np.ndarray, det: int) -> np.ndarray:
-    """The four doubles of Philox block (block, 0, shot, det) under key `seed`:
-    a (4, shots.size) array, each word w given as (w >> 11) * 2**-53."""
+def _philox_doubles(seed: int, shots: np.ndarray, det: int) -> np.ndarray:
+    """The four doubles of Philox block (1, 0, shot, det) under key `seed`, the
+    first block a state at counter (0, 0, shot, det) returns: a (4, shots.size)
+    array, each word w given as (w >> 11) * 2**-53."""
     keys = [seed & _WORD, seed >> 64]
-    c0 = np.full(shots.size, block, dtype=np.uint64)
+    c0 = np.ones(shots.size, dtype=np.uint64)
     c1 = np.zeros(shots.size, dtype=np.uint64)
     c2 = shots
     c3 = np.full(shots.size, det, dtype=np.uint64)
@@ -279,35 +280,12 @@ def _poisson_ptrs(mean: float, doubles: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _poisson_multiplication(mean: float, seed: int, shots: np.ndarray, det: int) -> np.ndarray:
-    """numpy's multiplication method (0 < mean < 10): the count of uniforms
-    whose running product stays above exp(-mean), over successive blocks."""
-    limit = math.exp(-mean)
-    counts = np.empty(shots.size, dtype=np.int64)
-    active = np.arange(shots.size)
-    product = np.ones(shots.size)
-    count = np.zeros(shots.size, dtype=np.int64)
-    block = 1
-    while active.size:
-        live = np.ones(active.size, dtype=bool)
-        for u in _philox_doubles(seed, block, shots[active], det):
-            product *= u
-            live &= product > limit
-            count += live
-        counts[active[~live]] = count[~live]
-        active, product, count = active[live], product[live], count[live]
-        block += 1
-    return counts
-
-
 def _poisson_shots(mean: float, seed: int, shots: np.ndarray, det: int) -> np.ndarray:
     """First Poisson(mean) draw of each shot's fresh Philox state, -1 where the
-    arrays leave it to numpy's own draw."""
-    if mean == 0.0:
-        return np.zeros(shots.size, dtype=np.int64)
+    arrays leave it to numpy's own draw (every shot of a mean below 10)."""
     if mean < 10.0:
-        return _poisson_multiplication(mean, seed, shots, det)
-    return _poisson_ptrs(mean, _philox_doubles(seed, 1, shots, det))
+        return np.full(shots.size, -1, dtype=np.int64)
+    return _poisson_ptrs(mean, _philox_doubles(seed, shots, det))
 
 
 def sample_shots(
@@ -327,12 +305,12 @@ def sample_shots(
     reproducible independently of the others and the two detector streams
     never overlap.  Quantum efficiency thins the Poisson mean.
 
-    The draws are computed whole-array, `_SHOT_BLOCK` shots at a time: the
-    Philox blocks in numpy integer arithmetic, then numpy's own Poisson
-    algorithms on them (the multiplication method below a mean of 10, the
-    first two PTRS rounds from 10 up; a mean of 0 gives 0).  A shot those
-    arrays cannot decide exactly (a squeeze test within rounding of its
-    bound, a count below 6, a third PTRS round) gets the scalar draw itself.
+    For a mean of 10 or more the draws are computed whole-array,
+    `_SHOT_BLOCK` shots at a time: the Philox blocks in numpy integer
+    arithmetic, then the first two rounds of numpy's own PTRS sampler on
+    them.  A shot those arrays cannot decide exactly (a squeeze test within
+    rounding of its bound, a count below 6, a third PTRS round), and every
+    shot of a mean below 10, gets the scalar draw itself.
     The stream is the one a per-draw loop gives, bit for bit; if a numpy
     release changes its Poisson algorithm,
     `test_stream_matches_a_fresh_generator_per_draw` is the arbiter.
@@ -344,6 +322,7 @@ def sample_shots(
         raise PhysicsGuardError(
             f"detector mean {max(mu1, mu2):.3e} exceeds {_MEAN_OVERFLOW:g} counts"
         )
+    seed = int(seed)  # the key words are split with Python integers
     counts = np.empty((2, n_shots), dtype=np.int64)
     # One generator whose state is reset before each scalar draw: a fresh
     # Philox state (empty buffer) at counter (0, 0, shot, det) draws exactly
@@ -361,7 +340,7 @@ def sample_shots(
                 bitgen.state = state
                 drawn[i] = gen.poisson(mean)
             out[start : start + shots.size] = drawn
-    return ShotEnsemble(counts[0], counts[1], int(seed))
+    return ShotEnsemble(counts[0], counts[1], seed)
 
 
 @dataclass(frozen=True)

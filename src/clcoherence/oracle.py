@@ -17,11 +17,10 @@ The two-mode spaces are far too large for dense matrix exponentials, so
 exp(G)v is computed by scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 2011), which picks its Taylor degree and scaling
 from an a-priori error bound; tests cross-check it against a dense expm on
-small spaces; scipy.sparse is imported when the test matrix starts (or by
-the first standalone generator build or evolution), not with the module.
-G conserves K = j + sum_modes n * (photons in the mode), so only the K-sectors
-the initial ladder occupies (K = j for each nonzero c_j, the photons in
-vacuum) are evolved: the other amplitudes stay exactly 0, as on the whole
+small spaces; scipy.sparse is imported on the first evolution, not with the
+module.  G conserves K = j + sum_modes n * (photons in the mode), so only the
+K-sectors the initial ladder occupies (K = j for each nonzero c_j, the photons
+in vacuum) are evolved: the other amplitudes stay exactly 0, as on the whole
 space.  G is assembled from a sparsity pattern cached per space shape.  A
 mode's annihilation operator is applied by shifting the mode's Fock axis of
 the state tensor, sqrt(n+1) v[..., n+1, ...] -> out[..., n, ...], rather
@@ -463,10 +462,6 @@ MODE_SETS = ((1,), (1, 2))
 
 def run_test_matrix(beam: BeamParameters | None = None) -> list[OracleCheckRow]:
     """The full validation matrix: |beta| x d/z_T x g x mode sets (54 rows)."""
-    # Load scipy.sparse here, once, so no generator build or evolution in the
-    # matrix is charged with the import.
-    import scipy.sparse.linalg  # noqa: F401
-
     if beam is None:
         beam = BeamParameters.from_wavelength(200.0e3, 800.0)
     return [

@@ -206,6 +206,7 @@ class TestShotSampling:
             (5, 19.08165654602937),  # mu1 = 10.0, where PTRS takes over
             (5, 19.081656546029368),  # mu1 = 10 - 4.4e-16
             (8, 0.0),  # the CL field alone: means of 3e-3
+            (np.int64(7), 1.2e4),  # a numpy integer seed, as rng.integers gives
         ],
     )
     def test_stream_matches_a_fresh_generator_per_draw(self, seed, total_counts):
