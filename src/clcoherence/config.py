@@ -65,6 +65,10 @@ DOC_SLICE_HARMONICS = 24
 # detect draws and writes at most this many shots (100x the shipped 10^4)
 SHOT_LIMIT = 10**6
 
+# doc-map's coarse scan holds at most this many complex amplitudes, distances x
+# ladder levels (~90x the shipped 2,001 x 57)
+SCAN_LIMIT = 10**7
+
 # Optional sections a scenario reads, and what stands in for an absent one.
 # Every scenario also reads "output".
 _OPTIONAL = {
@@ -470,6 +474,16 @@ class ScenarioConfig:
         if scenario == "detect" and None in (used["detection"].shots, used["detection"].seed):
             raise ConfigError("detection: scenario 'detect' requires shots and seed")
         cfg = cls(scenario=scenario, **used)
+        if scenario == "doc-map":
+            scan = cfg.scan
+            distances = math.ceil((scan.d_max_mm - scan.d_min_mm) / scan.coarse_step_mm + 0.5)
+            levels = 2 * auto_cutoff(cfg.modulation.beta_abs) + 1
+            if not distances * levels <= SCAN_LIMIT:
+                raise ConfigError(
+                    f"scan: {distances} distances x {levels} ladder levels exceed the "
+                    f"{SCAN_LIMIT:g} amplitudes doc-map holds; raise scan.coarse_step_mm "
+                    "or narrow scan.d_min_mm .. scan.d_max_mm"
+                )
         env, mod = cfg.envelope, cfg.modulation
         if env is not None:  # dt_fs and window_fs against this beam, by the run's own checks
             cutoff = mod.cutoff if mod.cutoff is not None else auto_cutoff(mod.beta_abs)

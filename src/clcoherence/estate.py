@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import fft
 
-from .constants import ELECTRON_REST_EV, TWO_PI
+from .constants import TWO_PI
 from .errors import AliasingError, PhysicsGuardError, TruncationError
 from .kinematics import BeamParameters, wavenumber
 
@@ -87,33 +87,6 @@ class LadderState:
     def level_indices(self) -> np.ndarray:
         j = self.cutoff
         return np.arange(-j, j + 1)
-
-    def coefficient(self, j: int) -> complex:
-        if abs(j) > self.cutoff:
-            return 0.0 + 0.0j
-        return complex(self.coefficients[j + self.cutoff])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beam": {
-                "kinetic_energy_ev": self.beam.kinetic_energy,
-                "photon_energy_ev": self.beam.photon_energy,
-                "rest_energy_ev": self.beam.rest_energy,
-            },
-            "propagated_distance_nm": self.propagated_distance,
-            "coefficients_real": self.coefficients.real.tolist(),
-            "coefficients_imag": self.coefficients.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "LadderState":
-        beam = BeamParameters(
-            kinetic_energy=payload["beam"]["kinetic_energy_ev"],
-            photon_energy=payload["beam"]["photon_energy_ev"],
-            rest_energy=payload["beam"].get("rest_energy_ev", ELECTRON_REST_EV),
-        )
-        c = np.asarray(payload["coefficients_real"]) + 1j * np.asarray(payload["coefficients_imag"])
-        return cls(c, beam, payload.get("propagated_distance_nm", 0.0))
 
 
 def bessel_ladder(x: float, half_width: int) -> np.ndarray:
@@ -227,10 +200,6 @@ class WavepacketDensity:
         total = float(np.sum(rho) * self.dt)
         if not abs(total - 1.0) <= 1.0e-8:
             raise PhysicsGuardError(f"density integral {total!r} deviates from 1")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
 
     @property
     def periods_in_window(self) -> int:

@@ -14,22 +14,39 @@ the ladder-overlap predictions (mean field g F, invariant mean photon number
 routes.
 
 The two-mode spaces are far too large for dense matrix exponentials, so
-exp(G)v is computed by scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 2011), which picks its Taylor degree and scaling
-from an a-priori error bound; tests cross-check it against a dense expm on
-small spaces; scipy.sparse is imported on the first evolution, not with the
-module.  G conserves K = j + sum_modes n * (photons in the mode), so only the
+exp(G)v is summed as a Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys.
+81, 3967, 1984).  With G = iH, H Hermitian, the Jacobi-Anger expansion
+e^{i rho x} = J_0(rho) + 2 sum_k i^k J_k(rho) T_k(x) on |x| <= 1 gives
+
+    exp(G) v = J_0(rho) v + 2 sum_{k>=1} J_k(rho) psi_k,
+    psi_0 = v,  psi_1 = G v / rho,  psi_{k+1} = (2 G / rho) psi_k + psi_{k-1},
+
+where psi_k = i^k T_k(H / rho) v, so every coefficient is real and the
+recurrence runs on G itself.  rho must bound the spectrum of H: it is the
+Gershgorin bound sum_i |g_i| (sqrt(N_i - 1) + sqrt(N_i)) for photon cutoffs
+N_i, which depends on the space alone, so a K-sector and the whole space sum
+the same terms.  The term count K is fixed beforehand from |J_k(rho)| <=
+(rho/2)^k / k!: the discarded tail lies below the unit round-off, so there is
+no convergence test to fail and no tolerance to set.  The J_k(rho) come from
+`estate.bessel_ladder`; a non-finite coupling is refused before the series
+starts.  Tests cross-check the series against scipy's expm_multiply and a
+dense expm, the only routes that use scipy (through `build_generator`).
+
+G conserves K = j + sum_modes n * (photons in the mode), so only the
 K-sectors the initial ladder occupies (K = j for each nonzero c_j, the photons
 in vacuum) are evolved: the other amplitudes stay exactly 0, as on the whole
-space.  G is assembled from a sparsity pattern cached per space shape.  A
-mode's annihilation operator is applied by shifting the mode's Fock axis of
-the state tensor, sqrt(n+1) v[..., n+1, ...] -> out[..., n, ...], rather
-than by building the Kronecker-product operator.
+space.  G is kept as a pattern cached per space shape: padded rows of fixed
+width (two slots per mode), stored slot-major so that a matvec is one gather,
+one product and a sum over the slots.  A mode's annihilation operator is
+applied by shifting the mode's Fock axis of the state tensor,
+sqrt(n+1) v[..., n+1, ...] -> out[..., n, ...], rather than by building the
+Kronecker-product operator.
 
-Inner products and norms are reduced elementwise (`_dot`), never by numpy's
-`vdot` or its default 2-norm: on vectors of the two-mode spaces' length
-those hand the reduction to OpenBLAS's worker threads, which then spin
-between calls and doubled the oracle's CPU time at unchanged wall time.
+`evolve` and `observables` make no BLAS call: no `@`, no `vdot`, no default
+2-norm.  The matvec, inner products and norms are reduced elementwise (see
+`_dot`).  On vectors of the two-mode spaces' length a BLAS call hands the
+work to OpenBLAS's worker threads, which then spin between calls: they
+doubled the oracle's CPU time at unchanged wall time.
 """
 from __future__ import annotations
 
@@ -41,7 +58,7 @@ from itertools import product
 import numpy as np
 
 from .errors import OracleMismatchError, PhysicsGuardError
-from .estate import LadderState, pinem_ladder, propagate
+from .estate import LadderState, bessel_ladder, pinem_ladder, propagate
 from .kinematics import BeamParameters
 from .spectra import ladder_overlap
 
@@ -111,14 +128,19 @@ class TruncatedSpace:
 
 @lru_cache(maxsize=8)
 def _generator_pattern(electron_dim: int, harmonics: tuple, photon_dims: tuple, sectors):
-    """CSR pattern of G on the states whose K = j + sum_i h_i n_i lies in
-    `sectors` (None: every state), shared by every space of this shape (callers
-    must not modify it).  G conserves K, so these states are closed under it.
+    """Pattern of G on the states whose K = j + sum_i h_i n_i lies in `sectors`
+    (None: every state), as fixed-width padded rows shared by every space of this
+    shape (callers must not modify it).  G conserves K, so these states are
+    closed under it.
 
-    Returns (states, indptr, indices, sqrt_n, term): G's entry e is
-    sqrt_n[e] * coef[term[e]] with coef = (g_0, -conj g_0, g_1, -conj g_1, ...).
-    Mode i's raising operator B_h (x) a_i+ maps |j, n_i - 1> to sqrt(n_i) |j - h, n_i>,
-    the single diagonal col - row = h * stride_electron - stride_i of the full space.
+    Returns (states, cols, sqrt_n, term), cols and sqrt_n slot-major: row r
+    holds G[r, cols[s, r]] = sqrt_n[s, r] * coef[term[s]] in slot s, with coef =
+    (g_0, -conj g_0, g_1, -conj g_1, ...).  Each mode gives every row two slots,
+    the diagonals col - row = +-(h * stride_electron - stride_i) of the full
+    space: a photon created (the raising operator B_h (x) a_i+ maps
+    |j + h, n_i - 1> to sqrt(n_i) |j, n_i>) and one absorbed.  The slots run in
+    ascending column order; one whose neighbour lies outside the space is
+    padding, sqrt_n = 0 at the row's own column.
     """
     dim = electron_dim * math.prod(photon_dims)
     states = np.arange(dim)
@@ -129,36 +151,61 @@ def _generator_pattern(electron_dim: int, harmonics: tuple, photon_dims: tuple, 
         states = np.flatnonzero(np.isin(k, sectors))
     local = np.zeros(dim, dtype=np.intp)
     local[states] = np.arange(states.size)
-    rows, cols, sqrt_n, term = [], [], [], []
+    electron = states // (dim // electron_dim)
+    slots = []
     for i, (h, n_dim) in enumerate(zip(harmonics, photon_dims)):
         stride = math.prod(photon_dims[i + 1 :])
         offset = h * (dim // electron_dim) - stride
         n = states // stride % n_dim
-        keep = (n > 0) & (states + offset < dim)
-        r, c = local[states[keep]], local[states[keep] + offset]
-        s = np.sqrt(n[keep])
-        rows += [r, c]
-        cols += [c, r]
-        sqrt_n += [s, s]
-        term += [np.full(s.size, 2 * i), np.full(s.size, 2 * i + 1)]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=states.size))])
-    return states, indptr, cols[order], np.concatenate(sqrt_n)[order], np.concatenate(term)[order]
+        slots.append((-offset, 2 * i + 1, (n < n_dim - 1) & (electron >= h), np.sqrt(n + 1)))
+        slots.append((offset, 2 * i, (n > 0) & (electron + h < electron_dim), np.sqrt(n)))
+    slots.sort(key=lambda slot: slot[0])
+    cols = np.stack([local[np.where(ok, states + d, states)] for d, _, ok, _ in slots])
+    sqrt_n = np.stack([np.where(ok, s, 0.0) for _, _, ok, s in slots])
+    return states, cols, sqrt_n, np.array([t for _, t, _, _ in slots])
 
 
 def _shape(space: TruncatedSpace) -> tuple:
     return space.electron_dim, tuple(m.harmonic for m in space.modes), space.photon_dims
 
 
+def _coefficients(space: TruncatedSpace) -> np.ndarray:
+    return np.array([c for m in space.modes for c in (m.g, -np.conj(m.g))], dtype=complex)
+
+
 def build_generator(space: TruncatedSpace, sectors=None):
     """Anti-Hermitian interaction generator G (complex128 CSR) on the states of
-    `sectors` (None: the whole product space), in `_generator_pattern` order."""
+    `sectors` (None: the whole product space), in `_generator_pattern` order.
+    The cross-check route: `evolve` never builds it."""
     from scipy.sparse import csr_matrix
 
-    states, indptr, indices, sqrt_n, term = _generator_pattern(*_shape(space), sectors)
-    coef = np.array([c for m in space.modes for c in (m.g, -np.conj(m.g))], dtype=complex)
-    return csr_matrix((sqrt_n * coef[term], indices, indptr), shape=(states.size,) * 2)
+    states, cols, sqrt_n, term = _generator_pattern(*_shape(space), sectors)
+    values = (sqrt_n * _coefficients(space)[term, None]).T
+    keep = sqrt_n.T > 0.0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return csr_matrix((values[keep], cols.T[keep], indptr), shape=(states.size,) * 2)
+
+
+def _spectral_bound(space: TruncatedSpace) -> float:
+    """Gershgorin bound rho >= ||G||: a state's row holds |g_i| sqrt(n_i + 1) and
+    |g_i| sqrt(n_i) per mode, largest at n_i = N_i - 1 for cutoff N_i."""
+    return sum(
+        abs(m.g) * (math.sqrt(m.photon_cutoff - 1) + math.sqrt(m.photon_cutoff))
+        for m in space.modes
+    )
+
+
+def _series_terms(rho: float) -> int:
+    """Chebyshev terms K after J_0 that leave a tail below the unit round-off:
+    the smallest K with m = K + 1 >= rho and 4 (rho/2)^m / m! <= 2^-53.  From
+    m >= rho on the bound |J_k(rho)| <= (rho/2)^k / k! at least halves per term,
+    so the discarded 2 sum_{k>K} |J_k(rho)| is at most 4 (rho/2)^m / m!."""
+    if rho == 0.0:
+        return 0
+    m = max(1, math.ceil(rho))
+    while m * math.log(rho / 2.0) - math.lgamma(m + 1) > math.log(2.0**-55):
+        m += 1
+    return m - 1
 
 
 def initial_vector(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarray:
@@ -180,12 +227,27 @@ def initial_vector(space: TruncatedSpace, electron_coefficients: np.ndarray) -> 
     return vec
 
 
-def expm_multiply(gen, v: np.ndarray) -> np.ndarray:
-    """exp(gen) v; scipy.sparse.linalg is imported on first call, so runs that
-    never evolve a state do not pay for loading it."""
-    from scipy.sparse.linalg import expm_multiply as _expm_multiply
+def apply_unitary(space: TruncatedSpace, v: np.ndarray, sectors=None) -> np.ndarray:
+    """exp(G) v on the states of `sectors` (None: the whole space), `v` in
+    `_generator_pattern` order, by the Chebyshev series of the module docstring.
 
-    return _expm_multiply(gen, v)
+    Raises PhysicsGuardError for a non-finite coupling, before the series starts.
+    """
+    rho = _spectral_bound(space)
+    if not math.isfinite(rho):
+        raise PhysicsGuardError(f"oracle coupling bound {rho!r} is not finite")
+    _, cols, sqrt_n, term = _generator_pattern(*_shape(space), sectors)
+    terms = _series_terms(rho)
+    bessel = bessel_ladder(rho, terms)[terms:]  # J_0 .. J_K
+    out = bessel[0] * v
+    if terms:
+        values = sqrt_n * (_coefficients(space)[term, None] * (2.0 / rho))  # 2 G / rho
+        previous, current = v, 0.5 * np.sum(values * v[cols], axis=0)
+        out += 2.0 * bessel[1] * current
+        for k in range(2, terms + 1):
+            previous, current = current, np.sum(values * current[cols], axis=0) + previous
+            out += 2.0 * bessel[k] * current
+    return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -196,9 +258,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> complex:
 def evolve(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarray:
     """Apply the interaction unitary to (ladder state) x (vacuum modes).
 
-    Raises PhysicsGuardError when unitarity drifts beyond 1e-10 or when any
-    truncation boundary (top Fock level, ladder edge) holds more than 1e-8
-    population -- enlarge the space rather than trust the result.
+    Raises PhysicsGuardError for a non-finite coupling, when unitarity drifts
+    beyond 1e-10 or when any truncation boundary (top Fock level, ladder edge)
+    holds more than 1e-8 population -- enlarge the space rather than trust the
+    result.
     """
     v0 = initial_vector(space, electron_coefficients)
     c = np.asarray(electron_coefficients)
@@ -206,7 +269,7 @@ def evolve(space: TruncatedSpace, electron_coefficients: np.ndarray) -> np.ndarr
     sectors = tuple(occupied.tolist())
     states = _generator_pattern(*_shape(space), sectors)[0]
     v = np.zeros_like(v0)
-    v[states] = expm_multiply(build_generator(space, sectors), v0[states])
+    v[states] = apply_unitary(space, v0[states], sectors)
     norm = math.sqrt(_dot(v, v).real)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise PhysicsGuardError(f"evolved norm {norm!r} deviates from 1 beyond {_NORM_TOL:g}")

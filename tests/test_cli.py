@@ -454,6 +454,18 @@ class TestExitCodes:
         assert "detection.shots: must be <= 1000000" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_doc_map_scan_above_the_limit_is_config_error(self, tmp_path, capsys):
+        # 1,538,463 distances x 57 levels: a 1.31 GiB complex array at the parent
+        payload = json.loads((CONFIGS / "doc_map.json").read_text())
+        payload["scan"]["coarse_step_mm"] = 1.3e-5
+        cfg = write_config(tmp_path, "doc_map.json", payload)
+        assert main(["doc-map", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "1538463 distances x 57 ladder levels" in err
+        for key in ("scan.coarse_step_mm", "scan.d_min_mm", "scan.d_max_mm"):
+            assert key in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flag, seed, bound",
         [("--seed=-5", 7, ">= 0"), (f"--seed={2**128}", 7, "<= "), (None, 2**130, "<= ")],
@@ -746,8 +758,8 @@ def test_cli_import_does_not_load_scipy_signal():
     # Loading the CLI imports numpy and the bare scipy package only: any scipy
     # subpackage costs ~0.3 s (its array-API shim).  The ladder is numpy's FFT of
     # its Jacobi-Anger series and the spectra use numpy.fft; special loads for
-    # the closed Bessel-sum cross-check, sparse for an oracle run, integrate and
-    # interpolate (and optimize through it) for a tabulated coupling.
+    # the closed Bessel-sum cross-check, integrate and interpolate (and
+    # optimize through it) for a tabulated coupling.
     heavy = [
         "scipy.signal",
         "scipy.special",
@@ -763,17 +775,18 @@ def test_cli_import_does_not_load_scipy_signal():
     assert _probe(probe) == "[]"
 
 
-def test_oracle_check_loads_scipy_sparse(tmp_path):
-    # the oracle pays for its own import of scipy.sparse, on its first evolution
+def test_oracle_check_loads_no_scipy_linear_algebra(tmp_path):
+    # the oracle sums its Chebyshev series in numpy: scipy.sparse and scipy.linalg
+    # serve only the tests' cross-checks
     cfg = write_config(tmp_path, "oracle.json", {"beam": dict(BEAM_SECTION)})
     argv = ["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+    heavy = ["scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"]
     probe = (
         "import sys, clcoherence.cli\n"
-        "before = 'scipy.sparse' in sys.modules\n"
         f"code = clcoherence.cli.main({argv!r})\n"
-        "print(before, code, 'scipy.sparse' in sys.modules)"
+        f"print(code, [m for m in {heavy!r} if m in sys.modules])"
     )
-    assert _probe(probe).splitlines()[-1] == "False 0 True"
+    assert _probe(probe).splitlines()[-1] == "0 []"
 
 
 def test_csv_writer_round_trips_every_column(tmp_path):

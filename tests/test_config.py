@@ -157,3 +157,13 @@ def test_non_finite_complex_pair_is_config_error(section, key, pair):
         data["coupling"][key] = pair
     with pytest.raises(ConfigError, match=f"{key}\\["):
         ScenarioConfig.from_mapping("detect", data)
+
+
+def test_doc_map_scan_limit_counts_distances_times_ladder_levels():
+    # |beta| = 4 gives 57 levels: 175,438 distances hold 9,999,966 amplitudes
+    payload = json.loads((CONFIGS / "doc_map.json").read_text())
+    payload["scan"]["coarse_step_mm"] = 20.0 / 175437
+    ScenarioConfig.from_mapping("doc-map", payload)
+    payload["scan"]["coarse_step_mm"] = 20.0 / 175438
+    with pytest.raises(ConfigError, match="175439 distances x 57 ladder levels"):
+        ScenarioConfig.from_mapping("doc-map", payload)

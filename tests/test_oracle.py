@@ -2,7 +2,8 @@
 
 The oracle builds the interaction generator explicitly on (electron ladder) x
 (photon Fock spaces) and exponentiates it, sharing no code path with the
-analytic ladder/coupling formulas it certifies.
+analytic ladder/coupling formulas it certifies.  Its Chebyshev series is
+cross-checked here against scipy's expm_multiply and a dense expm.
 """
 
 import itertools
@@ -106,9 +107,8 @@ class TestEvolution:
         assert np.linalg.norm(fast - dense) < 1e-10
 
     def test_bit_identical_under_global_random_seeds(self):
-        # expm_multiply estimates operator norms with a randomized onenormest
-        # when ||G||_1 is large; the largest (and strongest-coupled) space of
-        # the validation matrix must not depend on the global numpy stream.
+        # The largest (and strongest-coupled) space of the validation matrix
+        # must not depend on the global numpy stream.
         state = propagate(
             pinem_ladder(max(BETA_GRID), BEAM),
             max(DISTANCE_GRID) * BEAM.talbot_distance,
@@ -128,7 +128,9 @@ class TestEvolution:
         assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_norm_guard_rejects_nan_vector(self, monkeypatch):
-        monkeypatch.setattr(oracle, "expm_multiply", lambda gen, v: np.full_like(v, np.nan))
+        monkeypatch.setattr(
+            oracle, "apply_unitary", lambda space, v, sectors=None: np.full_like(v, np.nan)
+        )
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
         with pytest.raises(PhysicsGuardError, match="norm"):
@@ -136,7 +138,7 @@ class TestEvolution:
 
     def test_leakage_guard_rejects_nan_leakage(self, monkeypatch):
         # A NaN behind a finite entry: Python's max() would return the 0.0.
-        monkeypatch.setattr(oracle, "expm_multiply", lambda gen, v: v)
+        monkeypatch.setattr(oracle, "apply_unitary", lambda space, v, sectors=None: v)
         monkeypatch.setattr(
             oracle, "truncation_leakage", lambda space, v: {"electron_low": 0.0, "top": np.nan}
         )
@@ -144,6 +146,23 @@ class TestEvolution:
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
         with pytest.raises(PhysicsGuardError, match="truncation"):
             evolve(space, state.coefficients)
+
+    @pytest.mark.parametrize(
+        "g", [math.nan, math.inf, complex(0.1, math.nan)], ids=["nan", "inf", "nan-imag"]
+    )
+    def test_non_finite_coupling_is_a_physics_guard(self, g):
+        state = pinem_ladder(0.5, BEAM)
+        space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1), OracleMode(2, g)))
+        with pytest.raises(PhysicsGuardError, match="not finite"):
+            evolve(space, state.coefficients)
+
+    def test_zero_coupling_returns_the_initial_vector(self):
+        state = propagate(pinem_ladder(0.5, BEAM), 0.1 * BEAM.talbot_distance, mode="quadratic")
+        modes = (OracleMode(1, 0.0), OracleMode(2, 0.0))
+        space = TruncatedSpace.for_ladder(state.cutoff, modes)
+        v0 = initial_vector(space, state.coefficients)
+        np.testing.assert_array_equal(evolve(space, state.coefficients), v0)
+        np.testing.assert_array_equal(oracle.apply_unitary(space, v0), v0)
 
     def test_norm_preserved(self):
         state = pinem_ladder(1.0, BEAM)
@@ -356,12 +375,12 @@ def _reached(space, coefficients):
 
 
 class TestReachableSubspace:
-    """evolve works on the K-sectors the ladder occupies; the full-space
-    exp(G) v0 is the reference and must come out bit for bit."""
+    """evolve works on the K-sectors the ladder occupies; the same series on
+    the whole space's generator is the reference and must come out bit for bit."""
 
     @staticmethod
     def assert_matches_full_space(space, coefficients):
-        full = scipy_expm_multiply(build_generator(space), initial_vector(space, coefficients))
+        full = oracle.apply_unitary(space, initial_vector(space, coefficients))
         assert evolve(space, coefficients).tobytes() == full.tobytes()
 
     @staticmethod
@@ -414,6 +433,53 @@ class TestReachableSubspace:
         space = TruncatedSpace(5, (OracleMode(1, 0.1, photon_cutoff=2),))
         with pytest.raises(ValueError):
             evolve(space, np.ones(size, dtype=complex) / np.sqrt(size))
+
+
+class TestAgainstScipyExpmMultiply:
+    """The Chebyshev series against scipy's expm_multiply (Al-Mohy & Higham)
+    on the whole space's CSR generator."""
+
+    TOL = 1e-14
+
+    @staticmethod
+    def worst(spaces):
+        worst = 0.0
+        for space, coefficients in spaces:
+            reference = scipy_expm_multiply(
+                build_generator(space), initial_vector(space, coefficients)
+            )
+            worst = max(worst, np.max(np.abs(evolve(space, coefficients) - reference)))
+        return worst
+
+    def test_every_validation_matrix_space(self):
+        assert self.worst(_matrix_spaces()) <= self.TOL
+
+    def test_other_spaces(self):
+        assert self.worst(_other_spaces()) <= self.TOL
+
+
+class TestChebyshevSeries:
+    def test_spectral_bound_is_the_largest_gershgorin_row_sum(self):
+        for space, _ in _other_spaces():
+            gen = build_generator(space)
+            rows = np.asarray(abs(gen).sum(axis=1)).ravel()
+            assert rows.max() == pytest.approx(oracle._spectral_bound(space), rel=1e-14)
+
+    @pytest.mark.parametrize("rho", [1e-9, 0.3, 1.0, 10.85, 100.0, 2000.0])
+    def test_discarded_tail_is_below_the_unit_round_off(self, rho):
+        # sum the bound (rho/2)^k / k! over the discarded terms in log space
+        terms = oracle._series_terms(rho)
+        assert terms + 1 >= rho
+        tail = 2.0 * sum(
+            math.exp(k * math.log(rho / 2.0) - math.lgamma(k + 1))
+            for k in range(terms + 1, terms + 200)
+        )
+        assert tail <= 2.0**-53
+        shorter = math.exp(terms * math.log(rho / 2.0) - math.lgamma(terms + 1))
+        assert terms == math.ceil(rho) - 1 or 4.0 * shorter > 2.0**-53
+
+    def test_zero_bound_takes_no_terms(self):
+        assert oracle._series_terms(0.0) == 0
 
 
 class TestSlicedAnnihilationAgainstKron:
@@ -535,19 +601,14 @@ class TestElementwiseReductions:
                 assert abs(oracle._dot(a, a) - np.vdot(a, a)) <= 1e-15 * np.vdot(a, a).real
 
     def test_evolve_and_observables_make_no_blas_reduction(self, monkeypatch):
-        norm = np.linalg.norm
-
         def no_vdot(*args, **kwargs):
             raise AssertionError("numpy.vdot called")
 
-        def max_norm_only(x, ord=None, *args, **kwargs):
-            # scipy's expm_multiply takes ord=np.inf norms, a max over |x|
-            if ord is None:
-                raise AssertionError("numpy.linalg.norm called with the default order")
-            return norm(x, ord, *args, **kwargs)
+        def no_norm(*args, **kwargs):
+            raise AssertionError("numpy.linalg.norm called")
 
         monkeypatch.setattr(np, "vdot", no_vdot)
-        monkeypatch.setattr(np.linalg, "norm", max_norm_only)
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
         state = pinem_ladder(0.5, BEAM)
         modes = (OracleMode(1, 0.3, photon_cutoff=6), OracleMode(2, 0.2, photon_cutoff=6))
         space = TruncatedSpace.for_ladder(state.cutoff, modes)

@@ -537,7 +537,7 @@ class TestCentralMoments:
         # <(b - F)^N> = integral rho(t) (e^{i w t} - F)^N dt, evaluated by
         # direct Riemann sum on the synthesized density: an independent route
         # that bypasses the binomial expansion entirely.
-        t = density.times
+        t = density.t0 + density.dt * np.arange(density.samples.size)
         b = np.exp(1j * omega * t)
         return np.sum(density.samples * (b - f_omega) ** order) * density.dt
 
