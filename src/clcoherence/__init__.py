@@ -57,7 +57,6 @@ from .coupling import (
     TabulatedCoupling,
     WaveguideCoupling,
     coupling_amplitude,
-    eels_probability,
 )
 from .detection import (
     BeamSplitter,

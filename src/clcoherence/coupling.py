@@ -180,8 +180,3 @@ def coupling_amplitude(model: CouplingModel, omega):
     if np.any(w <= 0.0):
         raise ValueError("coupling amplitudes are defined for omega > 0 only")
     return model.amplitude(omega)
-
-
-def eels_probability(model: CouplingModel) -> float:
-    """Total electron-energy-loss probability integral |g|^2 d omega."""
-    return model.eels_probability()

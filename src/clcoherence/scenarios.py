@@ -17,6 +17,7 @@ import json
 import logging
 import platform
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,9 @@ log = logging.getLogger("clcoherence")
 
 NM_PER_MM = 1.0e6
 NM_PER_UM = 1.0e3
+# CSV rows formatted per `%` call: bounds the cells held as Python objects
+# (~100 B a row) without giving up the one C-level call per block.
+_CSV_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -71,15 +75,23 @@ def _write_csv(path: Path, columns: dict) -> None:
     """One CSV file: the header is the keys of `columns`, row i holds element i
     of each equal-length 1-D column.  Floats are written as their repr, bools
     as 1/0; nothing is quoted, since no column holds a separator.  A non-finite
-    float raises PhysicsGuardError before the file is opened."""
+    float raises PhysicsGuardError before the file is opened.  The rows go out
+    `_CSV_BLOCK` at a time, each block formatted by one `%` call ("%s" of a
+    float is its repr)."""
     cols = {name: np.asarray(col) for name, col in columns.items()}
+    if any(c.ndim != 1 for c in cols.values()) or len({c.size for c in cols.values()}) > 1:
+        raise ValueError(f"{path.name}: columns must be 1-D arrays of equal length")
     bad = [name for name, c in cols.items() if c.dtype.kind == "f" and not np.isfinite(c).all()]
     if bad:
         raise PhysicsGuardError(f"{path.name} would hold non-finite numbers in: {' '.join(bad)}")
-    cells = [map(str, (c.astype(int) if c.dtype == bool else c).tolist()) for c in cols.values()]
+    data = [c.astype(int) if c.dtype == bool else c for c in cols.values()]
+    rows = data[0].size if data else 0
+    row_fmt = ",".join(["%s"] * len(data)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
+        for start in range(0, rows, _CSV_BLOCK):
+            block = [c[start : start + _CSV_BLOCK].tolist() for c in data]
+            fh.write(row_fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -187,11 +199,7 @@ def _run_doc_map(cfg: ScenarioConfig, write):
         n_scan=scan.n_harmonics,
         mode=mode,
     )
-    # the ladder at the modulation plane; doc_map propagates it to each distance
-    state = pinem_ladder(cfg.modulation.beta, cfg.beam)
-    distances = optimum.coarse_distances
-    matrix = doc_map(state, distances, n_max=min(scan.n_harmonics, 2 * state.cutoff), mode=mode)
-
+    distances, matrix = optimum.coarse_distances, optimum.coarse_doc
     d_mm = distances / NM_PER_MM
     write(
         "doc_map.csv",
@@ -202,6 +210,9 @@ def _run_doc_map(cfg: ScenarioConfig, write):
         },
     )
     write("width.csv", {"d_mm": d_mm, "width": optimum.coarse_widths})
+    # the ladder at the modulation plane; doc_map propagates it to the optimum
+    state = pinem_ladder(cfg.modulation.beta, cfg.beam)
+    at_optimum = doc_map(state, np.array([optimum.distance]), n_max=8, mode=mode)[:, 0]
     summary = {
         "optimal_distance_mm": optimum.distance / NM_PER_MM,
         "optimal_distance_nm": optimum.distance,
@@ -209,14 +220,7 @@ def _run_doc_map(cfg: ScenarioConfig, write):
         "tiebreak_sum_sqrt_doc": optimum.tiebreak_value,
         "threshold": scan.threshold,
         "propagation_mode": mode,
-        "sqrt_doc_at_optimum": {
-            str(n): float(
-                np.sqrt(
-                    doc_map(state, np.array([optimum.distance]), n_max=8, mode=mode)[n, 0]
-                )
-            )
-            for n in range(1, 7)
-        },
+        "sqrt_doc_at_optimum": {str(n): float(np.sqrt(at_optimum[n])) for n in range(1, 7)},
     }
     log.info(
         "doc-map: d_opt = %.4f mm, width = %d", summary["optimal_distance_mm"], optimum.width

@@ -50,6 +50,9 @@ _UNIFORM_TOL = 1.0e-9  # relative spread of grid steps
 # |omega| = W differ by up to 8 * 2**-53 * W: a lattice of at most this many
 # steps up to W keeps them uniform within _UNIFORM_TOL.
 LATTICE_SPAN_LIMIT = 1.0e6
+# Distances per doc_map block: bounds its amplitudes and per-harmonic products
+# (~50 B per level and distance) instead of holding them for the whole scan.
+_DOC_MAP_BLOCK = 256
 
 
 def _require_uniform(x: np.ndarray, what: str) -> None:
@@ -320,22 +323,31 @@ def doc_map(
     """DOC(n omega0; d) for harmonics n = 0..n_max over extra distances d (nm).
 
     Returns an (n_max+1, len(distances)) array; row n is harmonic n.  Distances
-    are measured from the state's current plane.
+    are measured from the state's current plane.  The amplitudes and products
+    are built for about `_DOC_MAP_BLOCK` distances at a time.
     """
     d = np.asarray(distances, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("distances must be non-negative (nm)")
-    amp = state.coefficients[:, None] * propagation_phase(state.beam, state.level_indices, d, mode)
     if n_max is None:
         n_max = 2 * state.cutoff
     n_max = int(min(n_max, 2 * state.cutoff))
     out = np.empty((n_max + 1, d.size))
-    for n in range(n_max + 1):
-        if n == 0:
-            b = np.sum(np.conj(amp) * amp, axis=0)
-        else:
-            b = np.sum(np.conj(amp[:-n]) * amp[n:], axis=0)
-        out[n] = np.abs(b) ** 2
+    c = state.coefficients[:, None]
+    start = 0
+    # ceil(n/B) near-equal blocks: none is one distance wide unless d is, since
+    # numpy sums a one-column block's level axis pairwise rather than row by row
+    # and the last bit of its DOC would then depend on the blocking.
+    for block in np.array_split(d, max(1, -(-d.size // _DOC_MAP_BLOCK))):
+        amp = c * propagation_phase(state.beam, state.level_indices, block, mode)
+        cols = slice(start, start + block.size)
+        for n in range(n_max + 1):
+            if n == 0:
+                b = np.sum(np.conj(amp) * amp, axis=0)
+            else:
+                b = np.sum(np.conj(amp[:-n]) * amp[n:], axis=0)
+            out[n, cols] = np.abs(b) ** 2
+        start += block.size
     return out
 
 
@@ -361,6 +373,7 @@ class BunchingOptimum:
     tiebreak_value: float
     coarse_distances: np.ndarray
     coarse_widths: np.ndarray
+    coarse_doc: np.ndarray  # DOC(n w0; d) for n = 0..n_scan on coarse_distances
 
 
 def optimal_bunching_distance(
@@ -427,6 +440,7 @@ def optimal_bunching_distance(
         tiebreak_value=float(np.sum(np.sqrt(col[1:]))),
         coarse_distances=d,
         coarse_widths=np.asarray(widths),
+        coarse_doc=docm,
     )
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import clcoherence
 from clcoherence import BeamParameters
 from clcoherence.cli import main
 from clcoherence.oracle import _run_single
-from clcoherence.scenarios import _write_csv
+from clcoherence.scenarios import _CSV_BLOCK, _write_csv
 
 BEAM_SECTION = {"kinetic_energy_ev": 200000.0, "wavelength_nm": 800.0}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -789,17 +790,38 @@ def test_oracle_check_loads_no_scipy_linear_algebra(tmp_path):
     assert _probe(probe).splitlines()[-1] == "0 []"
 
 
-def test_csv_writer_round_trips_every_column(tmp_path):
+@pytest.mark.parametrize("rows", [0, 200, _CSV_BLOCK, _CSV_BLOCK + 1])
+def test_csv_writer_round_trips_every_column(tmp_path, rows):
     rng = np.random.default_rng(5)
-    floats = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
-    ints = rng.integers(-(2**62), 2**62, 200)
-    flags = rng.random(200) < 0.5
-    _write_csv(tmp_path / "t.csv", {"x": floats, "n": ints, "ok": flags, "s": ["1+2"] * 200})
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    ints = rng.integers(-(2**62), 2**62, rows)
+    flags = rng.random(rows) < 0.5
+    _write_csv(tmp_path / "t.csv", {"x": floats, "n": ints, "ok": flags, "s": ["1+2"] * rows})
     lines = (tmp_path / "t.csv").read_bytes().decode().split("\r\n")
-    assert lines[0] == "x,n,ok,s" and lines[-1] == ""
+    assert lines[0] == "x,n,ok,s" and lines[-1] == "" and len(lines) == rows + 2
     rows = [line.split(",") for line in lines[1:-1]]
     assert [float(r[0]) for r in rows] == floats.tolist()
     assert [int(r[1]) for r in rows] == ints.tolist()
     assert [r[2] for r in rows] == ["1" if f else "0" for f in flags]
+    assert all(r[3] == "1+2" for r in rows)
     with pytest.raises(ValueError):
-        _write_csv(tmp_path / "u.csv", {"x": floats, "n": ints[:-1]})
+        _write_csv(tmp_path / "u.csv", {"x": floats, "n": np.append(ints, 0)})
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "v.csv", {"x": floats.reshape(-1, 1)})
+    assert not (tmp_path / "u.csv").exists() and not (tmp_path / "v.csv").exists()
+
+
+def test_csv_writer_holds_one_block_of_cells_at_a_time(tmp_path):
+    # The 600k cells as Python floats would take ~20 MB; one block of them, ~0.4 MB.
+    rng = np.random.default_rng(6)
+    columns = {name: rng.standard_normal(200_000) for name in ("a", "b", "c")}
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    lines = (tmp_path / "big.csv").read_text().splitlines()
+    assert len(lines) == 200_001
+    assert lines[-1] == ",".join(repr(float(columns[k][-1])) for k in "abc")

@@ -12,11 +12,15 @@ from clcoherence import (
     TabulatedCoupling,
     WaveguideCoupling,
     coupling_amplitude,
-    eels_probability,
 )
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
+
+
+def eels_probability(model) -> float:
+    """Total electron-energy-loss probability integral |g|^2 d omega."""
+    return model.eels_probability()
 
 
 class TestFlatCoupling:

@@ -50,7 +50,9 @@ from clcoherence import (
 from clcoherence.config import ScenarioConfig
 from clcoherence.constants import TWO_PI
 from clcoherence.scenarios import build_state
+from clcoherence.estate import propagation_phase
 from clcoherence.spectra import (
+    _DOC_MAP_BLOCK,
     LATTICE_SPAN_LIMIT,
     _fft_lattice,
     _next_fast_len,
@@ -468,6 +470,24 @@ class TestDegreeOfCoherence:
                 expected = abs(ladder_overlap(moved, n)) ** 2
                 assert dm[n, col] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["exact", "quadratic"])
+    @pytest.mark.parametrize(
+        "size",
+        [1, 2, _DOC_MAP_BLOCK - 1, _DOC_MAP_BLOCK, _DOC_MAP_BLOCK + 1, 2 * _DOC_MAP_BLOCK + 1, 2001],
+    )
+    def test_doc_map_blocks_match_one_block_bit_for_bit(self, size, mode):
+        # The reference builds every distance's amplitudes in one block.  A block
+        # one distance wide sums its levels pairwise, so a split that leaves one
+        # (257 or 513 distances into blocks of 256) moves the last bit.
+        state = pinem_ladder(4.0, BEAM)
+        d = np.linspace(0.0, 2.0e7, size)
+        amp = state.coefficients[:, None] * propagation_phase(BEAM, state.level_indices, d, mode)
+        levels = amp.shape[0]
+        expected = np.array(
+            [np.abs(np.sum(np.conj(amp[: levels - n]) * amp[n:], axis=0)) ** 2 for n in range(41)]
+        )
+        np.testing.assert_array_equal(doc_map(state, d, n_max=40, mode=mode), expected)
+
     def test_doc_map_rejects_an_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown propagation mode 'paraxial'"):
             doc_map(pinem_ladder(1.0, BEAM), np.array([1.0e6]), mode="paraxial")
@@ -499,6 +519,12 @@ class TestOptimalBunchingDistance:
         # The optimum must sit inside the reported plateau of maximal width.
         top = opt.coarse_distances[opt.coarse_widths == opt.width]
         assert top.min() - 5e4 <= opt.distance <= top.max() + 5e4
+
+    def test_carries_the_coarse_doc_map(self):
+        opt = optimal_bunching_distance(4.0, BEAM, d_min=5.5e6, d_max=8.0e6, coarse_step=5.0e4)
+        expected = doc_map(pinem_ladder(4.0, BEAM), opt.coarse_distances, n_max=40)
+        np.testing.assert_array_equal(opt.coarse_doc, expected)
+        np.testing.assert_array_equal(opt.coarse_widths, spectral_width(expected))
 
 
 class TestCoherentField:
