@@ -65,6 +65,12 @@ DOC_SLICE_HARMONICS = 24
 # detect draws and writes at most this many shots (100x the shipped 10^4)
 SHOT_LIMIT = 10**6
 
+# detect's phase-sweep points, waveguide's lengths (two CSVs each) and sweep's
+# values are at most these (~4,000x, ~85x and 2,000x the shipped 24, 3 and 5)
+PHASE_SWEEP_LIMIT = 10**5
+LENGTHS_LIMIT = 256
+SWEEP_VALUES_LIMIT = 10**4
+
 # doc-map's coarse scan holds at most this many complex amplitudes, distances x
 # ladder levels (~90x the shipped 2,001 x 57)
 SCAN_LIMIT = 10**7
@@ -166,12 +172,14 @@ def _complex(value, path: str) -> complex:
     return complex(_finite(value[0], f"{path}[0]"), _finite(value[1], f"{path}[1]"))
 
 
-def _list(read, length: int | None = None):
-    """Reader of a non-empty list (of exactly `length` entries if given) -> tuple."""
+def _list(read, length: int | None = None, maximum: int | None = None):
+    """Reader of a non-empty list (of `length` entries, of at most `maximum`) -> tuple."""
 
     def read_list(value, path):
         if not isinstance(value, list) or not value or len(value) != (length or len(value)):
             _fail(path, f"must be a list of {length or 'one or more'} numbers")
+        if maximum is not None and len(value) > maximum:
+            _fail(path, f"must hold at most {maximum} numbers")
         return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(value))
 
     return read_list
@@ -290,7 +298,8 @@ class Tabulated:
 class Waveguide:
     g0: complex = _key(_complex)
     length_um: float | None = _key(_POSITIVE, None)
-    lengths_um: tuple[float, ...] | None = _key(_list(_POSITIVE), None)  # waveguide scenario only
+    # waveguide scenario only
+    lengths_um: tuple[float, ...] | None = _key(_list(_POSITIVE, maximum=LENGTHS_LIMIT), None)
     v_group_ratio: float = _key(_POSITIVE, DEFAULT_GROUP_VELOCITY_RATIO)
     gvd_fs2_nm: float = _key(_REAL, DEFAULT_GVD_FS2_NM)
     omega_match_over_omega0: float = _key(_POSITIVE, 1.0)
@@ -332,13 +341,13 @@ class Detection:
     qe: tuple[float, float] = _key(_list(_real(0.0, 1.0), 2), (1.0, 1.0))
     shots: int | None = _key(_integer(2, SHOT_LIMIT), None)  # required by the detect scenario
     seed: int | None = _key(_integer(0, 2**128 - 1), None)  # a Philox key is 128 bits
-    phase_sweep_points: int = _key(_integer(0), 0)
+    phase_sweep_points: int = _key(_integer(0, PHASE_SWEEP_LIMIT), 0)
 
 
 @dataclass(frozen=True)
 class Sweep:
     parameter: str = _key(_string("beta_abs", "distance_mm"))
-    values: tuple[float, ...] = _key(_list(_NONNEGATIVE))
+    values: tuple[float, ...] = _key(_list(_NONNEGATIVE, maximum=SWEEP_VALUES_LIMIT))
     n_harmonics: int = _key(_integer(1), 24)
 
 

@@ -51,13 +51,11 @@ class LadderState:
     """Sideband amplitudes c_j for j = -cutoff .. +cutoff.
 
     `coefficients` has odd length 2*cutoff+1 ordered by ascending j and is
-    treated as immutable.  `propagated_distance` (nm) is bookkeeping of how far
-    the state has been propagated from the modulation plane.
+    treated as immutable.
     """
 
     coefficients: np.ndarray
     beam: BeamParameters
-    propagated_distance: float = 0.0
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coefficients, dtype=complex)
@@ -76,8 +74,6 @@ class LadderState:
             raise PhysicsGuardError(
                 f"ladder state norm {norm!r} deviates from 1 by more than {_NORM_TOL:g}"
             )
-        if self.propagated_distance < 0.0:
-            raise ValueError("propagated_distance must be non-negative")
 
     @property
     def cutoff(self) -> int:
@@ -152,11 +148,7 @@ def propagate(state: LadderState, distance: float, mode: str = "exact") -> Ladde
     if distance < 0.0:
         raise ValueError("distance must be non-negative (nm)")
     phase = propagation_phase(state.beam, state.level_indices, distance, mode)
-    return replace(
-        state,
-        coefficients=state.coefficients * phase,
-        propagated_distance=state.propagated_distance + distance,
-    )
+    return replace(state, coefficients=state.coefficients * phase)
 
 
 @dataclass(frozen=True)

@@ -101,11 +101,6 @@ class BeamParameters:
         return TWO_PI / self.omega0
 
     @property
-    def total_energy(self) -> float:
-        """gamma * m * c^2 of the carrier level, eV."""
-        return self.rest_energy + self.kinetic_energy
-
-    @property
     def talbot_distance(self) -> float:
         return talbot_distance(self)
 

@@ -89,15 +89,12 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class DensitySpectrum:
     """F(omega) sampled on a uniform frequency lattice containing omega = 0.
 
-    source is "ladder" (harmonic lattice, spacing omega0), "sampled" (FFT of
-    a synthesized density) or "analytic" (closed form on that FFT's lattice).
     Values off the lattice are never interpolated; lookups snap to the nearest
     point and raise GridCoverageError beyond a 1e-6-step mismatch.
     """
 
     omega_grid: np.ndarray
     values: np.ndarray
-    source: str
     omega0: float
 
     def __post_init__(self) -> None:
@@ -218,7 +215,7 @@ def density_spectrum(density: WavepacketDensity, max_omega: float | None = None)
     r = rfft(rho, n=n_fft)[np.abs(k)]
     phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
     values = np.where(k >= 0, np.conj(r), r) / n_fft * (n_fft * density.dt) * phase[k % (2 * pad)]
-    return DensitySpectrum(omega, values, "sampled", density.omega0)
+    return DensitySpectrum(omega, values, density.omega0)
 
 
 def band_spectrum(
@@ -250,7 +247,7 @@ def band_spectrum(
             lo, hi = np.searchsorted(omega, (center - reach, center + reach))
             values[lo:hi] += line * np.exp(-a * (omega[lo:hi] - center) ** 2)
     values /= values[np.searchsorted(k, 0)]
-    return DensitySpectrum(omega, values, "analytic", state.beam.omega0)
+    return DensitySpectrum(omega, values, state.beam.omega0)
 
 
 def ladder_overlap(state: LadderState, harmonic: int) -> complex:
@@ -277,7 +274,7 @@ def ladder_spectrum(state: LadderState, n_max: int | None = None) -> DensitySpec
     vals = np.concatenate([np.conj(pos[1:][::-1]), pos])
     w0 = state.beam.omega0
     grid = np.arange(-n_max, n_max + 1) * w0
-    return DensitySpectrum(grid, vals, "ladder", w0)
+    return DensitySpectrum(grid, vals, w0)
 
 
 def analytic_pinem_overlap(
@@ -517,11 +514,10 @@ def central_moment(
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     g = complex(coupling_amplitude(model, omega))
-    f1 = spectrum.value_at(omega)
+    f = spectrum.value_at(np.arange(order + 1) * omega).tolist()  # F(k omega), k = 0..order
     total = 0.0 + 0.0j
-    for k in range(order + 1):
-        f_k = spectrum.value_at(k * omega)
-        total += math.comb(order, k) * f_k * (-f1) ** (order - k)
+    for k, f_k in enumerate(f):
+        total += math.comb(order, k) * f_k * (-f[1]) ** (order - k)
     return g**order * total
 
 

@@ -455,6 +455,31 @@ class TestExitCodes:
         assert "detection.shots: must be <= 1000000" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_phase_sweep_points_above_the_limit_is_config_error(self, tmp_path, capsys):
+        # 10^6 points: a Python loop over balanced_signal, still running at 60 s at the parent
+        cfg = detect_config(tmp_path, phase_sweep_points=10**6)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "detection.phase_sweep_points: must be <= 100000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_lengths_above_the_limit_is_config_error(self, tmp_path, capsys):
+        # 5,000 lengths: two CSVs each, still running at 60 s at the parent
+        payload = json.loads((CONFIGS / "waveguide.json").read_text())
+        payload["coupling"]["lengths_um"] = [10.0 + 0.1 * i for i in range(5000)]
+        cfg = write_config(tmp_path, "waveguide.json", payload)
+        assert main(["waveguide", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "coupling.lengths_um: must hold at most 256 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_values_above_the_limit_is_config_error(self, tmp_path, capsys):
+        # 200,000 values: still running at 60 s at the parent
+        payload = json.loads((CONFIGS / "sweep.json").read_text())
+        payload["sweep"]["values"] = [0.5 + 1e-5 * i for i in range(200_000)]
+        cfg = write_config(tmp_path, "sweep.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "sweep.values: must hold at most 10000 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_doc_map_scan_above_the_limit_is_config_error(self, tmp_path, capsys):
         # 1,538,463 distances x 57 levels: a 1.31 GiB complex array at the parent
         payload = json.loads((CONFIGS / "doc_map.json").read_text())

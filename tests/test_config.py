@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from clcoherence.config import ScenarioConfig
+from clcoherence.config import (
+    LENGTHS_LIMIT,
+    PHASE_SWEEP_LIMIT,
+    SWEEP_VALUES_LIMIT,
+    ScenarioConfig,
+)
 from clcoherence.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -167,3 +172,22 @@ def test_doc_map_scan_limit_counts_distances_times_ladder_levels():
     payload["scan"]["coarse_step_mm"] = 20.0 / 175438
     with pytest.raises(ConfigError, match="175439 distances x 57 ladder levels"):
         ScenarioConfig.from_mapping("doc-map", payload)
+
+
+@pytest.mark.parametrize(
+    "name,path,limit,entry",
+    [
+        ("detect.json", ("detection", "phase_sweep_points"), PHASE_SWEEP_LIMIT, None),
+        ("waveguide.json", ("coupling", "lengths_um"), LENGTHS_LIMIT, 10.0),
+        ("sweep.json", ("sweep", "values"), SWEEP_VALUES_LIMIT, 1.0),
+    ],
+    ids=["phase_sweep_points", "lengths_um", "sweep.values"],
+)
+def test_size_limits_admit_the_limit_and_refuse_one_more(name, path, limit, entry):
+    # a count for an integer key, a list of that many entries for a list key
+    data = json.loads((CONFIGS / name).read_text())
+    scenario = SCENARIO_BY_FILE[name]
+    at, over = (limit, limit + 1) if entry is None else ([entry] * limit, [entry] * (limit + 1))
+    ScenarioConfig.from_mapping(scenario, _replaced(data, path, at))
+    with pytest.raises(ConfigError, match=".".join(path)):
+        ScenarioConfig.from_mapping(scenario, _replaced(data, path, over))

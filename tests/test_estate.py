@@ -47,7 +47,6 @@ def to_json_dict(state: LadderState) -> dict:
             "photon_energy_ev": state.beam.photon_energy,
             "rest_energy_ev": state.beam.rest_energy,
         },
-        "propagated_distance_nm": state.propagated_distance,
         "coefficients_real": state.coefficients.real.tolist(),
         "coefficients_imag": state.coefficients.imag.tolist(),
     }
@@ -60,7 +59,7 @@ def from_json_dict(payload: dict) -> LadderState:
         rest_energy=payload["beam"].get("rest_energy_ev", ELECTRON_REST_EV),
     )
     c = np.asarray(payload["coefficients_real"]) + 1j * np.asarray(payload["coefficients_imag"])
-    return LadderState(c, beam, payload.get("propagated_distance_nm", 0.0))
+    return LadderState(c, beam)
 
 
 def fourier_coefficients_oracle(beta, j_values, samples=16384):
@@ -208,7 +207,6 @@ class TestLadderState:
         data = to_json_dict(state)
         back = from_json_dict(data)
         np.testing.assert_array_equal(back.coefficients, state.coefficients)
-        assert back.propagated_distance == state.propagated_distance
         assert back.beam.photon_energy == state.beam.photon_energy
 
 
@@ -246,8 +244,11 @@ class TestPropagation:
 
     def test_distance_accumulates(self):
         state = pinem_ladder(1.0, BEAM)
-        out = propagate(propagate(state, 1e6), 2e6)
-        assert out.propagated_distance == pytest.approx(3e6)
+        # quadratic: the exact mode's phases k_j d reach ~1e10 rad, and their
+        # round-off would swamp the comparison
+        out = propagate(propagate(state, 1e6, "quadratic"), 2e6, "quadratic")
+        expected = propagate(state, 3e6, "quadratic").coefficients
+        np.testing.assert_allclose(out.coefficients, expected, rtol=0.0, atol=1e-12)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):

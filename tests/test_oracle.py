@@ -1,11 +1,13 @@
 """Truncated-Hilbert-space oracle: exact unitary evolution cross-validation.
 
 The oracle builds the interaction generator explicitly on (electron ladder) x
-(photon Fock spaces) and exponentiates it, sharing no code path with the
-analytic ladder/coupling formulas it certifies.  Its Chebyshev series is
-cross-checked here against scipy's expm_multiply and a dense expm.
+(photon Fock spaces) and exponentiates it; that measured side shares no code
+path with the analytic ladder/coupling formulas whose predictions it checks.
+Its Chebyshev series is cross-checked here against scipy's expm_multiply and a
+dense expm.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -37,15 +39,10 @@ from clcoherence.oracle import (
     evolve_dense,
     initial_vector,
     observables,
-    oracle_central_moment,
-    oracle_mean_a,
-    oracle_mean_n,
-    oracle_pair_correlation,
-    photon_distribution,
     require_all_passed,
     truncation_leakage,
 )
-from clcoherence.spectra import ladder_overlap
+from clcoherence.spectra import CoherentField, PairCorrelation, ladder_overlap
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 
@@ -203,9 +200,9 @@ class TestSingleModeObservables:
         # while <n> = |g|^2 (spontaneous emission is state-independent).
         state = pinem_ladder(0.0, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.3),))
-        v = evolve(space, state.coefficients)
-        assert abs(oracle_mean_a(space, v, 0)) < 1e-10
-        assert oracle_mean_n(space, v, 0) == pytest.approx(0.09, abs=1e-8)
+        obs = observables(space, evolve(space, state.coefficients))
+        assert abs(obs.mean_a[1]) < 1e-10
+        assert obs.mean_n[1] == pytest.approx(0.09, abs=1e-8)
 
     def test_photon_distribution_is_poissonian(self):
         # Single dominant electron level, g = 0.5: the mode ends in a coherent
@@ -213,7 +210,7 @@ class TestSingleModeObservables:
         state = pinem_ladder(0.0, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.5),))
         v = evolve(space, state.coefficients)
-        dist = photon_distribution(space, v, 0)
+        dist = np.sum(np.abs(v.reshape(space.electron_dim, -1)) ** 2, axis=0)  # P(n)
         mean = 0.25
         expected = np.array(
             [math.exp(-mean) * mean**k / math.factorial(k) for k in range(dist.size)]
@@ -240,10 +237,10 @@ class TestSingleModeObservables:
         g = 0.8
         state = propagate(pinem_ladder(1.0, BEAM), 0.1 * BEAM.talbot_distance, mode="quadratic")
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, g),))
-        v = evolve(space, state.coefficients)
+        obs = observables(space, evolve(space, state.coefficients))
         expected = g * ladder_overlap(state, 1)
-        assert abs(oracle_mean_a(space, v, 0) - expected) < 1e-6
-        assert oracle_mean_n(space, v, 0) == pytest.approx(g * g, abs=1e-6)
+        assert abs(obs.mean_a[1] - expected) < 1e-6
+        assert obs.mean_n[1] == pytest.approx(g * g, abs=1e-6)
 
     def test_emission_probability_first_order(self):
         # Total emission probability 1 - P(0) agrees with the integrated
@@ -252,7 +249,7 @@ class TestSingleModeObservables:
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, g),))
         v = evolve(space, state.coefficients)
-        emitted = 1.0 - photon_distribution(space, v, 0)[0]
+        emitted = 1.0 - np.sum(np.abs(v.reshape(space.electron_dim, -1)[:, 0]) ** 2)
         assert abs(emitted - g * g) < 1e-5  # error is O(g^4)
 
 
@@ -267,7 +264,7 @@ def strong_two_mode():
 class TestTwoModeObservables:
     def test_cross_mode_pair_correlations(self, strong_two_mode):
         state, space, v = strong_two_mode
-        normal, anomalous = oracle_pair_correlation(space, v, 0, 1)
+        normal, anomalous = observables(space, v).pair_correlations[(1, 2)]
         g = 0.2
         assert abs(normal - g * g * ladder_overlap(state, 1)) < 1e-6
         assert abs(anomalous - g * g * ladder_overlap(state, 3)) < 1e-6
@@ -275,7 +272,8 @@ class TestTwoModeObservables:
     def test_energy_bookkeeping(self, strong_two_mode):
         state, space, v = strong_two_mode
         drop = electron_mean_level_initial(state) - electron_mean_level(space, v)
-        budget = oracle_mean_n(space, v, 0) + 2.0 * oracle_mean_n(space, v, 1)
+        mean_n = observables(space, v).mean_n
+        budget = mean_n[1] + 2.0 * mean_n[2]
         assert drop == pytest.approx(budget, abs=1e-8)
 
     def test_leakage_well_controlled(self, strong_two_mode):
@@ -489,21 +487,23 @@ class TestSlicedAnnihilationAgainstKron:
 
     def test_single_mode_observables(self, strong_two_mode):
         _, space, v = strong_two_mode
-        for i in range(len(space.modes)):
+        obs = observables(space, v, moment_orders=(1, 2, 3, 4))
+        for i, mode in enumerate(space.modes):
+            n = mode.harmonic
             a = _kron_annihilation(space, i)
             mean = np.vdot(v, a @ v)
-            assert abs(oracle_mean_a(space, v, i) - mean) <= self.TOL
-            assert abs(oracle_mean_n(space, v, i) - np.vdot(a @ v, a @ v).real) <= self.TOL
-            for order in (2, 3):
-                u = v
-                for _ in range(order):
-                    u = a @ u - mean * u
-                assert abs(oracle_central_moment(space, v, i, order) - np.vdot(v, u)) <= self.TOL
+            assert abs(obs.mean_a[n] - mean) <= self.TOL
+            assert abs(obs.mean_n[n] - np.vdot(a @ v, a @ v).real) <= self.TOL
+            assert set(obs.central_moments[n]) == {1, 2, 3, 4}
+            u = v
+            for order in (1, 2, 3, 4):
+                u = a @ u - mean * u
+                assert abs(obs.central_moments[n][order] - np.vdot(v, u)) <= self.TOL
 
     def test_pair_correlations(self, strong_two_mode):
         _, space, v = strong_two_mode
         a0, a1 = _kron_annihilation(space, 0), _kron_annihilation(space, 1)
-        normal, anomalous = oracle_pair_correlation(space, v, 0, 1)
+        normal, anomalous = observables(space, v).pair_correlations[(1, 2)]
         assert abs(normal - np.vdot(a0 @ v, a1 @ v)) <= self.TOL
         assert abs(anomalous - np.vdot(v, a0 @ (a1 @ v))) <= self.TOL
 
@@ -548,24 +548,37 @@ class TestValidationMatrix:
         assert bad_check.name in str(excinfo.value)
 
 
-def _bits(z) -> tuple[str, str]:
-    return complex(z).real.hex(), complex(z).imag.hex()
+class TestExpectedSideIsTheLibrary:
+    """Each check's expected value is the library's own prediction: perturbing
+    one prediction by 1e-3 fails exactly the checks that read it."""
+
+    CHECKS = {
+        "mean_field": ("mean_a",),
+        "mean_photon_number": ("mean_n",),
+        "central_moment": ("central_moment",),
+        "pair_correlation": ("pair_normal", "pair_anomalous"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_perturbed_prediction_fails_its_checks(self, monkeypatch, name):
+        predict = getattr(oracle, name)
+
+        def perturbed(*args, **kwargs):
+            out = predict(*args, **kwargs)
+            if isinstance(out, CoherentField):
+                return dataclasses.replace(out, a_mean=out.a_mean + 1e-3)
+            if isinstance(out, PairCorrelation):
+                return PairCorrelation(out.normal + 1e-3, out.anomalous + 1e-3)
+            return out + 1e-3
+
+        monkeypatch.setattr(oracle, name, perturbed)
+        row = oracle._run_single(1.0, 0.1, 0.3, (1, 2), BEAM)
+        failed = {c.name for c in row.checks if not c.passed}
+        reading = {c.name for c in row.checks if c.name.startswith(self.CHECKS[name])}
+        assert reading and failed == reading
 
 
 class TestObservablesHelper:
-    def test_shared_chain_matches_the_standalone_routes_bit_for_bit(self, strong_two_mode):
-        _, space, v = strong_two_mode
-        obs = observables(space, v, moment_orders=(1, 2, 3, 4))
-        for i, mode in enumerate(space.modes):
-            n = mode.harmonic
-            assert _bits(obs.mean_a[n]) == _bits(oracle_mean_a(space, v, i))
-            assert obs.mean_n[n].hex() == oracle_mean_n(space, v, i).hex()
-            for order, value in obs.central_moments[n].items():
-                assert _bits(value) == _bits(oracle_central_moment(space, v, i, order))
-        normal, anomalous = oracle_pair_correlation(space, v, 0, 1)
-        h = tuple(m.harmonic for m in space.modes)
-        assert tuple(map(_bits, obs.pair_correlations[h])) == (_bits(normal), _bits(anomalous))
-
     def test_keys_by_harmonic(self):
         state = pinem_ladder(0.5, BEAM)
         modes = (OracleMode(1, 0.1, photon_cutoff=4), OracleMode(2, 0.1, photon_cutoff=4))

@@ -135,7 +135,6 @@ def assert_band_matches_fft(state, envelope, max_omega, dt=None, window=None):
     shared = np.abs(ref.omega_grid) <= max_omega
     np.testing.assert_array_equal(band.omega_grid, ref.omega_grid[shared])
     assert np.max(np.abs(band.values - ref.values[shared])) <= 1e-8
-    assert band.source == "analytic"
     return band
 
 
@@ -244,7 +243,6 @@ class TestDensitySpectrumBand:
         shared = np.abs(whole.omega_grid) <= max_omega
         np.testing.assert_array_equal(band.omega_grid, whole.omega_grid[shared])
         np.testing.assert_array_equal(band.values, whole.values[shared])
-        assert band.source == "sampled"
 
     @pytest.mark.parametrize("shift", [1.0, 1.0e-6, math.nan])
     def test_off_centre_window_is_rejected(self, shift):
@@ -344,7 +342,7 @@ class TestDensitySpectrumValidation:
     def test_f0_must_be_one(self):
         v = np.full(9, 0.5, dtype=complex)
         with pytest.raises(PhysicsGuardError):
-            DensitySpectrum(self._grid(), v, "ladder", 1.0)
+            DensitySpectrum(self._grid(), v, 1.0)
 
     def test_hermitian_symmetry_enforced(self):
         v = np.zeros(9, dtype=complex)
@@ -352,7 +350,7 @@ class TestDensitySpectrumValidation:
         v[5] = 0.3 + 0.1j
         v[3] = 0.3 + 0.1j  # should be conj
         with pytest.raises(PhysicsGuardError):
-            DensitySpectrum(self._grid(), v, "ladder", 1.0)
+            DensitySpectrum(self._grid(), v, 1.0)
 
     def test_modulus_bound_enforced(self):
         v = np.zeros(9, dtype=complex)
@@ -360,7 +358,7 @@ class TestDensitySpectrumValidation:
         v[5] = 1.5
         v[3] = 1.5
         with pytest.raises(PhysicsGuardError):
-            DensitySpectrum(self._grid(), v, "ladder", 1.0)
+            DensitySpectrum(self._grid(), v, 1.0)
 
     def test_grid_must_be_uniform(self):
         g = self._grid().copy()
@@ -368,27 +366,27 @@ class TestDensitySpectrumValidation:
         v = np.zeros(9, dtype=complex)
         v[4] = 1.0
         with pytest.raises(ValueError):
-            DensitySpectrum(g, v, "ladder", 1.0)
+            DensitySpectrum(g, v, 1.0)
 
     def test_grid_must_contain_zero(self):
         g = self._grid() + 0.5
         v = np.zeros(9, dtype=complex)
         v[4] = 1.0
         with pytest.raises(ValueError):
-            DensitySpectrum(g, v, "ladder", 1.0)
+            DensitySpectrum(g, v, 1.0)
 
     def test_nan_at_zero_trips_f0_guard(self):
         v = np.zeros(9, dtype=complex)
         v[4] = math.nan
         with pytest.raises(PhysicsGuardError, match=r"F\(0\)"):
-            DensitySpectrum(self._grid(), v, "ladder", 1.0)
+            DensitySpectrum(self._grid(), v, 1.0)
 
     def test_nan_at_both_ends_trips_hermitian_guard(self):
         v = np.zeros(9, dtype=complex)
         v[4] = 1.0
         v[0] = v[-1] = math.nan
         with pytest.raises(PhysicsGuardError, match="Hermitian"):
-            DensitySpectrum(self._grid(), v, "ladder", 1.0)
+            DensitySpectrum(self._grid(), v, 1.0)
 
     def test_nan_without_mirror_point_trips_modulus_guard(self):
         # grid -4..5: the last point has no -omega partner to compare with
@@ -397,7 +395,7 @@ class TestDensitySpectrumValidation:
         v[4] = 1.0
         v[-1] = math.nan
         with pytest.raises(PhysicsGuardError, match=r"\|F\| exceeds"):
-            DensitySpectrum(grid, v, "ladder", 1.0)
+            DensitySpectrum(grid, v, 1.0)
 
     def test_value_at_snaps_and_guards(self):
         state = pinem_ladder(1.0, BEAM)
