@@ -6,7 +6,7 @@ every value is type- and range-checked (NaN and +/-Infinity are rejected), an
 absent optional key takes the default written on its dataclass field here,
 and the beam and the beam splitter are built as the library objects the run
 uses, so their own checks fail at load as ConfigError.  The scenario runners
-read these typed fields only.
+read these typed fields only.  The run's sizes are checked against LIMITS.
 
 `ScenarioConfig.to_mapping()` writes the resolved config back as JSON: every
 default spelled out, complex numbers as [re, im] pairs, the beam by its
@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .detection import BeamSplitter
 from .errors import ConfigError
 from .estate import EnvelopeSpec, auto_cutoff, sampling_lattice
 from .kinematics import BeamParameters
-from .spectra import LATTICE_SPAN_LIMIT, lattice_span
+from .spectra import fft_pad
 
 SCENARIOS = (
     "doc-map",
@@ -62,18 +62,37 @@ _REQUIRED = {
 # doc-slice compares F(n omega0) from the FFT with the ladder for |n| up to this
 DOC_SLICE_HARMONICS = 24
 
-# detect draws and writes at most this many shots (100x the shipped 10^4)
-SHOT_LIMIT = 10**6
 
-# detect's phase-sweep points, waveguide's lengths (two CSVs each) and sweep's
-# values are at most these (~4,000x, ~85x and 2,000x the shipped 24, 3 and 5)
-PHASE_SWEEP_LIMIT = 10**5
-LENGTHS_LIMIT = 256
-SWEEP_VALUES_LIMIT = 10**4
+class Limit(NamedTuple):
+    what: str  # what the count counts
+    limit: int
+    keys: str  # the config keys that set the count
 
-# doc-map's coarse scan holds at most this many complex amplitudes, distances x
-# ladder levels (~90x the shipped 2,001 x 57)
-SCAN_LIMIT = 10**7
+
+# Load-time size limits: from_mapping refuses a run whose count (ScenarioConfig.sizes)
+# exceeds its row's limit.  README gives each row's headroom and measured worst case.
+LIMITS = {
+    "shots": Limit("shots", 10**6, "detection.shots"),
+    "phase_sweep_points": Limit("phase-sweep points", 10**5, "detection.phase_sweep_points"),
+    "lengths": Limit("lengths", 256, "coupling.lengths_um"),  # two CSVs each
+    "sweep_values": Limit("sweep values", 10**4, "sweep.values"),
+    "scan": Limit(  # doc-map's coarse scan holds this many complex amplitudes
+        "distances x ladder levels",
+        10**7,
+        "scan.coarse_step_mm, scan.d_min_mm, scan.d_max_mm, modulation.beta_abs",
+    ),
+    # omega_k = 2 pi (k * val) is rounded twice, so two steps of a lattice reaching
+    # |omega| = W differ by up to 8 * 2**-53 * W: a lattice of at most this many
+    # steps up to W keeps them uniform within the spectra module's 1e-9 check.
+    "lattice_span": Limit(
+        "lattice steps up to the top |omega|",
+        10**6,
+        "envelope.fwhm_fs, envelope.window_fs, beam.wavelength_nm",
+    ),
+    # doc-slice's synthesized density, zero-padded for its FFT, and its phase matrix
+    "samples": Limit("samples", 2**24, "envelope.dt_fs, envelope.fwhm_fs, envelope.window_fs"),
+    "phases": Limit("phases", 2**23, "envelope.dt_fs, modulation.beta_abs, modulation.cutoff"),
+}
 
 # Optional sections a scenario reads, and what stands in for an absent one.
 # Every scenario also reads "output".
@@ -172,14 +191,12 @@ def _complex(value, path: str) -> complex:
     return complex(_finite(value[0], f"{path}[0]"), _finite(value[1], f"{path}[1]"))
 
 
-def _list(read, length: int | None = None, maximum: int | None = None):
-    """Reader of a non-empty list (of `length` entries, of at most `maximum`) -> tuple."""
+def _list(read, length: int | None = None):
+    """Reader of a non-empty list (of `length` entries) -> tuple."""
 
     def read_list(value, path):
         if not isinstance(value, list) or not value or len(value) != (length or len(value)):
             _fail(path, f"must be a list of {length or 'one or more'} numbers")
-        if maximum is not None and len(value) > maximum:
-            _fail(path, f"must hold at most {maximum} numbers")
         return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(value))
 
     return read_list
@@ -299,7 +316,7 @@ class Waveguide:
     g0: complex = _key(_complex)
     length_um: float | None = _key(_POSITIVE, None)
     # waveguide scenario only
-    lengths_um: tuple[float, ...] | None = _key(_list(_POSITIVE, maximum=LENGTHS_LIMIT), None)
+    lengths_um: tuple[float, ...] | None = _key(_list(_POSITIVE), None)
     v_group_ratio: float = _key(_POSITIVE, DEFAULT_GROUP_VELOCITY_RATIO)
     gvd_fs2_nm: float = _key(_REAL, DEFAULT_GVD_FS2_NM)
     omega_match_over_omega0: float = _key(_POSITIVE, 1.0)
@@ -339,15 +356,15 @@ class Detection:
     reference: Reference = _key(_section(Reference))
     splitter: BeamSplitter = _key(_splitter, default_factory=BeamSplitter.heterodyne)
     qe: tuple[float, float] = _key(_list(_real(0.0, 1.0), 2), (1.0, 1.0))
-    shots: int | None = _key(_integer(2, SHOT_LIMIT), None)  # required by the detect scenario
+    shots: int | None = _key(_integer(2), None)  # required by the detect scenario
     seed: int | None = _key(_integer(0, 2**128 - 1), None)  # a Philox key is 128 bits
-    phase_sweep_points: int = _key(_integer(0, PHASE_SWEEP_LIMIT), 0)
+    phase_sweep_points: int = _key(_integer(0), 0)
 
 
 @dataclass(frozen=True)
 class Sweep:
     parameter: str = _key(_string("beta_abs", "distance_mm"))
-    values: tuple[float, ...] = _key(_list(_NONNEGATIVE, maximum=SWEEP_VALUES_LIMIT))
+    values: tuple[float, ...] = _key(_list(_NONNEGATIVE))
     n_harmonics: int = _key(_integer(1), 24)
 
 
@@ -447,6 +464,33 @@ class ScenarioConfig:
         # detect's noise floor reads F at every sum frequency of its band
         return 2.0 * hi if self.scenario == "detect" else hi
 
+    def sizes(self) -> dict:
+        """The count of every LIMITS row this run has, by row name."""
+        det, mod, env, scan = self.detection, self.modulation, self.envelope, self.scan
+        sizes = {}
+        if det is not None:
+            sizes.update(shots=det.shots, phase_sweep_points=det.phase_sweep_points)
+        if getattr(self.coupling, "lengths_um", None):
+            sizes["lengths"] = len(self.coupling.lengths_um)
+        if self.sweep is not None:
+            sizes["sweep_values"] = len(self.sweep.values)
+        if self.scenario == "doc-map":
+            distances = math.ceil((scan.d_max_mm - scan.d_min_mm) / scan.coarse_step_mm + 0.5)
+            sizes["scan"] = distances * (2 * auto_cutoff(mod.beta_abs) + 1)
+        if env is not None:  # dt_fs and window_fs against this beam, by the run's own checks
+            cutoff = mod.cutoff if mod.cutoff is not None else auto_cutoff(mod.beta_abs)
+            try:
+                lattice = sampling_lattice(self.beam, env.spec, cutoff, env.dt_fs, env.window_fs)
+            except ValueError as exc:
+                raise ConfigError(f"envelope: {exc}") from None
+            _, per_period, periods = lattice
+            pad = fft_pad(env.spec)
+            sizes["lattice_span"] = int(self.lattice_top / self.beam.omega0 * pad * periods)
+            if self.scenario == "doc-slice":  # the one run that synthesizes the density
+                sizes["samples"] = per_period * periods * pad
+                sizes["phases"] = per_period * (2 * cutoff + 1)
+        return sizes
+
     @classmethod
     def from_mapping(
         cls, scenario: str, data: dict, base_dir: Path | None = None
@@ -483,33 +527,14 @@ class ScenarioConfig:
         if scenario == "detect" and None in (used["detection"].shots, used["detection"].seed):
             raise ConfigError("detection: scenario 'detect' requires shots and seed")
         cfg = cls(scenario=scenario, **used)
-        if scenario == "doc-map":
-            scan = cfg.scan
-            distances = math.ceil((scan.d_max_mm - scan.d_min_mm) / scan.coarse_step_mm + 0.5)
-            levels = 2 * auto_cutoff(cfg.modulation.beta_abs) + 1
-            if not distances * levels <= SCAN_LIMIT:
-                raise ConfigError(
-                    f"scan: {distances} distances x {levels} ladder levels exceed the "
-                    f"{SCAN_LIMIT:g} amplitudes doc-map holds; raise scan.coarse_step_mm "
-                    "or narrow scan.d_min_mm .. scan.d_max_mm"
-                )
-        env, mod = cfg.envelope, cfg.modulation
-        if env is not None:  # dt_fs and window_fs against this beam, by the run's own checks
-            cutoff = mod.cutoff if mod.cutoff is not None else auto_cutoff(mod.beta_abs)
-            try:
-                _, _, periods = sampling_lattice(
-                    cfg.beam, env.spec, cutoff, env.dt_fs, env.window_fs
-                )
-            except ValueError as exc:
-                raise ConfigError(f"envelope: {exc}") from None
-            span = lattice_span(cfg.beam.omega0, env.spec, periods, cfg.lattice_top)
-            if not span <= LATTICE_SPAN_LIMIT:
-                raise ConfigError(
-                    f"envelope: the spectral lattice reaches |omega| = {cfg.lattice_top:g} rad/fs "
-                    f"in {span:.3g} steps over {periods} optical periods, more than the "
-                    f"{LATTICE_SPAN_LIMIT:g} that float64 keeps uniform; shorten "
-                    "envelope.fwhm_fs or envelope.window_fs, or lengthen beam.wavelength_nm"
-                )
+        for name, count in cfg.sizes().items():
+            what, limit, keys = LIMITS[name]
+            if not count <= limit:
+                raise ConfigError(f"{keys}: {count} {what} exceed the limit {limit}")
+        tags = [f"{length:g}" for length in getattr(cfg.coupling, "lengths_um", None) or ()]
+        if len(set(tags)) < len(tags):  # waveguide names each length's two CSVs by its tag
+            tag = next(t for t in tags if tags.count(t) > 1)
+            raise ConfigError(f"coupling.lengths_um: two lengths would write field_{tag}um.csv")
         return cfg
 
     @classmethod

@@ -46,10 +46,6 @@ _GRID_SNAP_TOL = 1.0e-6  # in units of one grid step
 
 _FINITE_PAD_FACTOR = 8
 _UNIFORM_TOL = 1.0e-9  # relative spread of grid steps
-# omega_k = 2 pi (k * val) is rounded twice, so two steps of a lattice reaching
-# |omega| = W differ by up to 8 * 2**-53 * W: a lattice of at most this many
-# steps up to W keeps them uniform within _UNIFORM_TOL.
-LATTICE_SPAN_LIMIT = 1.0e6
 # Distances per doc_map block: bounds its amplitudes and per-harmonic products
 # (~50 B per level and distance) instead of holding them for the whole scan.
 _DOC_MAP_BLOCK = 256
@@ -188,11 +184,9 @@ def _fft_lattice(n_fft: int, dt: float, max_omega: float) -> tuple[np.ndarray, n
     return k[keep], omega[keep]
 
 
-def lattice_span(omega0: float, envelope: EnvelopeSpec, periods: int, max_omega: float) -> float:
-    """|omega_max| / step of the lattice density_spectrum and band_spectrum build
-    over `periods` optical periods, cut to |omega| <= max_omega (below Nyquist)."""
-    pad = 1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR
-    return max_omega * pad * periods / omega0
+def fft_pad(envelope: EnvelopeSpec) -> int:
+    """Zero-padding factor of the FFT lattice: x8 for a finite envelope, x1 for an infinite one."""
+    return 1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR
 
 
 def density_spectrum(density: WavepacketDensity, max_omega: float | None = None) -> DensitySpectrum:
@@ -205,7 +199,7 @@ def density_spectrum(density: WavepacketDensity, max_omega: float | None = None)
     identically by discrete orthogonality.
     """
     rho = density.samples
-    pad = 1 if density.envelope.kind == "infinite" else _FINITE_PAD_FACTOR
+    pad = fft_pad(density.envelope)
     n_fft = pad * rho.size
     if not abs(2.0 * density.t0 + rho.size * density.dt) <= 1.0e-12 * rho.size * density.dt:
         raise ValueError("the density's window must be centred on t = 0 (t0 = -N dt/2)")
@@ -230,7 +224,7 @@ def band_spectrum(
     infinite:  L_n / L_0 at the harmonics of the unpadded lattice, 0 elsewhere.
     """
     dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff, dt, window)
-    n_fft = per_period * periods * (1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR)
+    n_fft = per_period * periods * fft_pad(envelope)
     k, omega = _fft_lattice(n_fft, dt_eff, max_omega)
 
     n_max = 2 * state.cutoff

@@ -298,20 +298,21 @@ class TestExitCodes:
         assert "envelope: dt=1 fs exceeds T0/64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scenario, name, edit",
+        "scenario, name, edit, steps",
         [
-            ("waveguide", "waveguide.json", {"envelope": {"fwhm_fs": 121755.0}}),
-            ("pulse-shape", "pulse_shape.json", {"beam": {"wavelength_nm": 1.2}}),
+            ("waveguide", "waveguide.json", {"envelope": {"fwhm_fs": 121755.0}}, "5989022"),
+            ("pulse-shape", "pulse_shape.json", {"beam": {"wavelength_nm": 1.2}}, "9593364"),
             (
                 "pulse-shape",
                 "pulse_shape.json",
                 {"beam": {"wavelength_nm": 1.2}, "coupling": {"band_over_omega0": [0.5, 24.5]}},
+                "9593364",
             ),
         ],
         ids=["long-pulse-waveguide", "x-ray-pulse-shape", "x-ray-pulse-shape-wide-band"],
     )
     def test_lattice_too_long_to_stay_uniform_is_config_error(
-        self, scenario, name, edit, tmp_path, capsys
+        self, scenario, name, edit, steps, tmp_path, capsys
     ):
         # 6.0e6 and 9.6e6 steps up to the top of the lattice: the rounding of
         # omega_k would spread them beyond the spectra module's 1e-9 uniformity check
@@ -323,9 +324,39 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the X-ray beam's recoil note
             assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "more than the 1e+06 that float64 keeps uniform" in err
-        assert "envelope.fwhm_fs" in err and "beam.wavelength_nm" in err
+        assert (
+            "envelope.fwhm_fs, envelope.window_fs, beam.wavelength_nm: "
+            f"{steps} lattice steps up to the top |omega| exceed the limit 1000000"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_density_of_too_many_samples_is_config_error(self, tmp_path, capsys):
+        # 26,685 samples a period x 1,200 periods x 8: without the limit, a 1.91 GiB rfft
+        payload = json.loads((CONFIGS / "doc_slice.json").read_text())
+        payload["envelope"]["dt_fs"] = 1e-4
+        cfg = write_config(tmp_path, "doc_slice.json", payload)
+        out = tmp_path / "o"
+        assert main(["doc-slice", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert (
+            "envelope.dt_fs, envelope.fwhm_fs, envelope.window_fs: "
+            "256176000 samples exceed the limit 16777216"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phase_matrix_too_large_is_config_error(self, tmp_path, capsys):
+        # 299,833 samples a period x 515 levels: without the limit, a 2.30 GiB phase
+        # matrix; the density itself, 14.4M samples, is below its own limit
+        payload = json.loads((CONFIGS / "doc_slice.json").read_text())
+        payload["modulation"]["beta_abs"] = 100.0
+        payload["propagation"]["distance_mm"] = 0.0
+        payload["envelope"].update(fwhm_fs=1.0, dt_fs=8.9e-6)
+        cfg = write_config(tmp_path, "doc_slice.json", payload)
+        out = tmp_path / "o"
+        assert main(["doc-slice", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert (
+            "envelope.dt_fs, modulation.beta_abs, modulation.cutoff: "
+            "154413995 phases exceed the limit 8388608"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_detect_band_reaching_zero_frequency_is_config_error(self, tmp_path, capsys):
@@ -452,14 +483,18 @@ class TestExitCodes:
     def test_shots_above_the_limit_is_config_error(self, tmp_path, capsys):
         cfg = detect_config(tmp_path, shots=10**6 + 1)
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-        assert "detection.shots: must be <= 1000000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "detection.shots: 1000001 shots exceed the limit 1000000" in err
         assert not (tmp_path / "o").exists()
 
     def test_phase_sweep_points_above_the_limit_is_config_error(self, tmp_path, capsys):
         # 10^6 points: a Python loop over balanced_signal, still running at 60 s at the parent
         cfg = detect_config(tmp_path, phase_sweep_points=10**6)
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-        assert "detection.phase_sweep_points: must be <= 100000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (
+            "detection.phase_sweep_points: 1000000 phase-sweep points exceed the limit 100000"
+        ) in err
         assert not (tmp_path / "o").exists()
 
     def test_lengths_above_the_limit_is_config_error(self, tmp_path, capsys):
@@ -468,7 +503,18 @@ class TestExitCodes:
         payload["coupling"]["lengths_um"] = [10.0 + 0.1 * i for i in range(5000)]
         cfg = write_config(tmp_path, "waveguide.json", payload)
         assert main(["waveguide", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-        assert "coupling.lengths_um: must hold at most 256 numbers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "coupling.lengths_um: 5000 lengths exceed the limit 256" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_lengths_that_share_a_file_name_are_config_error(self, tmp_path, capsys):
+        # both are 100um to f"{L:g}": each CSV would be written once and listed twice
+        payload = json.loads((CONFIGS / "waveguide.json").read_text())
+        payload["coupling"]["lengths_um"] = [100.0, 100.00001]
+        cfg = write_config(tmp_path, "waveguide.json", payload)
+        assert main(["waveguide", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "coupling.lengths_um: two lengths would write field_100um.csv" in err
         assert not (tmp_path / "o").exists()
 
     def test_sweep_values_above_the_limit_is_config_error(self, tmp_path, capsys):
@@ -477,7 +523,8 @@ class TestExitCodes:
         payload["sweep"]["values"] = [0.5 + 1e-5 * i for i in range(200_000)]
         cfg = write_config(tmp_path, "sweep.json", payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-        assert "sweep.values: must hold at most 10000 numbers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sweep.values: 200000 sweep values exceed the limit 10000" in err
         assert not (tmp_path / "o").exists()
 
     def test_doc_map_scan_above_the_limit_is_config_error(self, tmp_path, capsys):
@@ -487,9 +534,10 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "doc_map.json", payload)
         assert main(["doc-map", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "1538463 distances x 57 ladder levels" in err
-        for key in ("scan.coarse_step_mm", "scan.d_min_mm", "scan.d_max_mm"):
-            assert key in err
+        assert (
+            "scan.coarse_step_mm, scan.d_min_mm, scan.d_max_mm, modulation.beta_abs: "
+            f"{1538463 * 57} distances x ladder levels exceed the limit 10000000"
+        ) in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

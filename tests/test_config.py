@@ -2,16 +2,13 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from clcoherence.config import (
-    LENGTHS_LIMIT,
-    PHASE_SWEEP_LIMIT,
-    SWEEP_VALUES_LIMIT,
-    ScenarioConfig,
-)
+from clcoherence import BeamParameters
+from clcoherence.config import LIMITS, ScenarioConfig
 from clcoherence.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -168,26 +165,83 @@ def test_doc_map_scan_limit_counts_distances_times_ladder_levels():
     # |beta| = 4 gives 57 levels: 175,438 distances hold 9,999,966 amplitudes
     payload = json.loads((CONFIGS / "doc_map.json").read_text())
     payload["scan"]["coarse_step_mm"] = 20.0 / 175437
-    ScenarioConfig.from_mapping("doc-map", payload)
+    assert ScenarioConfig.from_mapping("doc-map", payload).sizes()["scan"] == 175438 * 57
     payload["scan"]["coarse_step_mm"] = 20.0 / 175438
-    with pytest.raises(ConfigError, match="175439 distances x 57 ladder levels"):
+    with pytest.raises(ConfigError, match="10000023 distances x ladder levels exceed"):
         ScenarioConfig.from_mapping("doc-map", payload)
 
 
-@pytest.mark.parametrize(
-    "name,path,limit,entry",
-    [
-        ("detect.json", ("detection", "phase_sweep_points"), PHASE_SWEEP_LIMIT, None),
-        ("waveguide.json", ("coupling", "lengths_um"), LENGTHS_LIMIT, 10.0),
-        ("sweep.json", ("sweep", "values"), SWEEP_VALUES_LIMIT, 1.0),
-    ],
-    ids=["phase_sweep_points", "lengths_um", "sweep.values"],
-)
-def test_size_limits_admit_the_limit_and_refuse_one_more(name, path, limit, entry):
-    # a count for an integer key, a list of that many entries for a list key
-    data = json.loads((CONFIGS / name).read_text())
-    scenario = SCENARIO_BY_FILE[name]
-    at, over = (limit, limit + 1) if entry is None else ([entry] * limit, [entry] * (limit + 1))
-    ScenarioConfig.from_mapping(scenario, _replaced(data, path, at))
-    with pytest.raises(ConfigError, match=".".join(path)):
+T0 = BeamParameters.from_wavelength(200e3, 800.0).optical_period  # every shipped beam's
+# LIMITS row -> (config, fixed edits, the key that moves the count, its value at
+# the largest count the row admits and at the next count the key can give, those
+# two counts).  A row whose count moves by 1 is admitted at its limit.
+LIMIT_CASES = {
+    "shots": ("detect.json", {}, ("detection", "shots"), 10**6, 10**6 + 1, 10**6, 10**6 + 1),
+    "phase_sweep_points": (
+        "detect.json", {}, ("detection", "phase_sweep_points"), 10**5, 10**5 + 1, 10**5, 10**5 + 1
+    ),
+    # distinct lengths: lengths that share a file name are refused on their own
+    "lengths": (
+        "waveguide.json", {}, ("coupling", "lengths_um"),
+        [10.0 + i for i in range(256)], [10.0 + i for i in range(257)], 256, 257,
+    ),
+    "sweep_values": (
+        "sweep.json", {}, ("sweep", "values"), [1.0] * 10**4, [1.0] * (10**4 + 1), 10**4, 10**4 + 1
+    ),
+    # |beta| = 4: 57 ladder levels a distance
+    "scan": (
+        "doc_map.json", {}, ("scan", "coarse_step_mm"),
+        20.0 / 175437, 20.0 / 175438, 175438 * 57, 175439 * 57,
+    ),
+    # unpadded, up to 24 omega0: 24 steps a period
+    "lattice_span": (
+        "doc_slice_infinite.json", {}, ("envelope", "window_fs"),
+        41666 * T0, 41667 * T0, 41666 * 24, 41667 * 24,
+    ),
+    # 200 fs Gaussian: 1,200 periods, padded x8
+    "samples": (
+        "doc_slice.json", {}, ("envelope", "dt_fs"), T0 / 1747, T0 / 1748, 1747 * 9600, 1748 * 9600
+    ),
+    # |beta| = 100: 515 ladder levels (a 1 fs Gaussian keeps the samples small)
+    "phases": (
+        "doc_slice.json",
+        {("modulation", "beta_abs"): 100.0, ("envelope", "fwhm_fs"): 1.0},
+        ("envelope", "dt_fs"),
+        T0 / 16288, T0 / 16289, 16288 * 515, 16289 * 515,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LIMITS)
+def test_size_limits_admit_the_limit_and_refuse_one_more(name):
+    config, edits, path, at, over, count_at, count_over = LIMIT_CASES[name]
+    what, limit, keys = LIMITS[name]
+    assert count_at <= limit < count_over
+    data = json.loads((CONFIGS / config).read_text())
+    for edit_path, value in edits.items():
+        data = _replaced(data, edit_path, value)
+    scenario = SCENARIO_BY_FILE[config]
+    cfg = ScenarioConfig.from_mapping(scenario, _replaced(data, path, at))
+    assert cfg.sizes()[name] == count_at
+    with pytest.raises(ConfigError) as refused:
         ScenarioConfig.from_mapping(scenario, _replaced(data, path, over))
+    assert str(refused.value) == f"{keys}: {count_over} {what} exceed the limit {limit}"
+
+
+def test_every_limit_has_headroom_over_the_shipped_configs():
+    for name, scenario in SCENARIO_BY_FILE.items():
+        sizes = ScenarioConfig.from_file(scenario, CONFIGS / name).sizes()
+        for row, count in sizes.items():
+            assert 4 * count <= LIMITS[row].limit, (name, row)
+
+
+def test_readme_limits_table_matches_the_limits():
+    # README's rows: | `name` | count | limit | `key`, ... | headroom | worst case |
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 6 and cells[0].startswith("`"):
+            limit = int(cells[2].split()[0].replace(",", ""))
+            rows[cells[0].strip("`")] = (limit, ", ".join(re.findall(r"`([^`]+)`", cells[3])))
+    assert rows == {name: (row.limit, row.keys) for name, row in LIMITS.items()}

@@ -47,17 +47,16 @@ from clcoherence import (
     synthesize_density,
     time_domain_field,
 )
-from clcoherence.config import ScenarioConfig
+from clcoherence.config import LIMITS, ScenarioConfig
 from clcoherence.constants import TWO_PI
 from clcoherence.scenarios import build_state
 from clcoherence.estate import propagation_phase
 from clcoherence.spectra import (
     _DOC_MAP_BLOCK,
-    LATTICE_SPAN_LIMIT,
     _fft_lattice,
     _next_fast_len,
     _require_uniform,
-    lattice_span,
+    fft_pad,
 )
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -260,29 +259,41 @@ class TestDensitySpectrumBand:
 
 class TestLatticeSpanLimit:
     """A config is refused at load when its lattice needs more than
-    LATTICE_SPAN_LIMIT steps up to its top; up to that, omega_k = 2 pi (k val)
+    LIMITS["lattice_span"] steps up to its top; up to that, omega_k = 2 pi (k val)
     keeps its steps within the 1e-9 uniformity check."""
+
+    LIMIT = LIMITS["lattice_span"].limit
 
     @pytest.mark.parametrize("envelope", FFT_CASES[0::2], ids=["x8 padded", "unpadded"])
     @pytest.mark.parametrize(
         "period_fs, per_period", [(BEAM.optical_period, 256), (1.2 / 299.792458, 300), (35.36, 509)]
     )
     def test_lattice_at_the_limit_is_uniform(self, envelope, period_fs, per_period):
-        envelope = envelope[2]
-        pad = 1 if envelope.kind == "infinite" else 8
-        periods = int(LATTICE_SPAN_LIMIT / (24 * pad))
-        omega0, max_omega = TWO_PI / period_fs, 24 * TWO_PI / period_fs
-        assert 0.99 * LATTICE_SPAN_LIMIT < lattice_span(omega0, envelope, periods, max_omega)
-        assert lattice_span(omega0, envelope, periods, max_omega) <= LATTICE_SPAN_LIMIT
+        pad = fft_pad(envelope[2])
+        periods = int(self.LIMIT / (24 * pad))
+        max_omega = 24 * TWO_PI / period_fs
         _, omega = _fft_lattice(pad * per_period * periods, period_fs / per_period, max_omega)
+        assert 0.99 * self.LIMIT < omega.size // 2 <= self.LIMIT  # steps from 0 up to the top
         _require_uniform(omega, "omega")
 
-    @pytest.mark.parametrize("case", FFT_CASES[0::2], ids=["gaussian-200", "infinite"])
-    def test_span_is_the_steps_up_to_the_top(self, case):
-        density = fft_case_density(*case)
-        spec = density_spectrum(density, 2.3001 * W0)
-        span = lattice_span(W0, density.envelope, density.periods_in_window, 2.3001 * W0)
-        assert span - 1.0 < spec.omega_grid[-1] / spec.domega <= span
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [
+            ("doc-slice", "doc_slice"),
+            ("doc-slice", "doc_slice_infinite"),
+            ("waveguide", "waveguide"),
+            ("pulse-shape", "pulse_shape"),
+            ("detect", "detect"),
+        ],
+        ids=["gaussian-200", "infinite", "waveguide", "pulse-shape", "detect"],
+    )
+    def test_span_is_the_steps_up_to_the_top(self, scenario, name):
+        # a top on a lattice point (24 omega0, 1.5 omega0) may round to either side of it
+        cfg = ScenarioConfig.from_file(scenario, CONFIGS / f"{name}.json")
+        env = cfg.envelope
+        spec = band_spectrum(build_state(cfg), env.spec, cfg.lattice_top, env.dt_fs, env.window_fs)
+        steps = cfg.sizes()["lattice_span"]
+        assert round(spec.omega_grid[-1] / spec.domega) in (steps - 1, steps)
 
 
 class TestNumpyFFTAgainstScipy:
