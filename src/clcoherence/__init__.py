@@ -7,7 +7,7 @@ validated end-to-end by `oracle` (truncated-Hilbert-space evolution that uses
 none of the analytic formulas).  `cli`/`scenarios` expose reproducible runs.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .constants import C_NM_FS, ELECTRON_REST_EV, HBARC_EV_NM, HBAR_EV_FS, TWO_PI
 from .errors import (

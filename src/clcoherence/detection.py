@@ -23,7 +23,6 @@ on the shared uniform grid so that energy bookkeeping is exact in floats.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,112 +179,10 @@ class ShotEnsemble:
 
     counts1: np.ndarray
     counts2: np.ndarray
-    seed: int
 
     @property
     def n_shots(self) -> int:
         return self.counts1.size
-
-
-# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox computes it: round
-# multipliers, key bumps, and the rounds applied to one 4-word counter.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_WORD = (1 << 64) - 1
-_LOW = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-# numpy's random_loggam: Stirling-series coefficients, highest order first
-_LOGGAM_SERIES = (
-    -1.39243221690590e00, 1.796443723688307e-01, -2.955065359477124e-02,
-    6.410256410256410e-03, -1.917526917526918e-03, 8.417508417508418e-04,
-    -5.952380952380952e-04, 7.936507936507937e-04, -2.777777777777778e-03,
-    8.333333333333333e-02,
-)
-_LOG_2PI = 1.8378770664093453
-# Shots drawn per whole-array pass: bounds the temporaries (~130 B a shot).
-_SHOT_BLOCK = 1 << 16
-# Squeeze tests closer than this, relative to the size of the terms compared,
-# are left to numpy itself: the arrays take logarithms from numpy's own log,
-# numpy's C sampler from libm, and the two may differ in the last bits.
-_SQUEEZE_MARGIN = 2.0**-40
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, in 32-bit halves."""
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    x_lo, x_hi = x & _LOW, x >> _HALF
-    cross_lo, cross_hi = m_hi * x_lo, m_lo * x_hi
-    mid = ((m_lo * x_lo) >> _HALF) + (cross_lo & _LOW) + (cross_hi & _LOW)
-    hi = m_hi * x_hi + (cross_lo >> _HALF) + (cross_hi >> _HALF) + (mid >> _HALF)
-    return hi, m * x
-
-
-def _philox_doubles(seed: int, shots: np.ndarray, det: int) -> np.ndarray:
-    """The four doubles of Philox block (1, 0, shot, det) under key `seed`, the
-    first block a state at counter (0, 0, shot, det) returns: a (4, shots.size)
-    array, each word w given as (w >> 11) * 2**-53."""
-    keys = [seed & _WORD, seed >> 64]
-    c0 = np.ones(shots.size, dtype=np.uint64)
-    c1 = np.zeros(shots.size, dtype=np.uint64)
-    c2 = shots
-    c3 = np.full(shots.size, det, dtype=np.uint64)
-    for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ keys[0], lo1, hi0 ^ c3 ^ keys[1], lo0
-        keys = [(k + w) & _WORD for k, w in zip(keys, _PHILOX_W)]
-    return (np.stack([c0, c1, c2, c3]) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _loggam(x: np.ndarray) -> np.ndarray:
-    """numpy's random_loggam for x >= 7, where it sums the series directly."""
-    x2 = (1.0 / x) * (1.0 / x)
-    series = np.full(x.shape, _LOGGAM_SERIES[0])
-    for coefficient in _LOGGAM_SERIES[1:]:
-        series = series * x2 + coefficient
-    return series / x + 0.5 * _LOG_2PI + (x - 0.5) * np.log(x) - x
-
-
-def _poisson_ptrs(mean: float, doubles: np.ndarray) -> np.ndarray:
-    """numpy's PTRS sampler (Hoermann 1993, mean >= 10) for the two rejection
-    rounds one Philox block holds: (U, V) from words 0-1, then words 2-3.
-    Returns the counts, with -1 where a shot needs numpy's own draw."""
-    slam, loglam = math.sqrt(mean), math.log(mean)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    log_invalpha = math.log(1.1239 + 1.1328 / (b - 3.4))
-    vr = 0.9277 - 3.6224 / (b - 2)
-    counts = np.full(doubles.shape[1], -1, dtype=np.int64)
-    pending = np.arange(doubles.shape[1])
-    for u_word, v_word in ((0, 1), (2, 3)):
-        U = doubles[u_word, pending] - 0.5
-        V = doubles[v_word, pending]
-        us = 0.5 - np.abs(U)
-        wide = us >= 0.013  # below it numpy rejects V > us whatever k is
-        k = np.floor((2 * a / np.where(wide, us, 1.0) + b) * U + mean + 0.43)
-        accept = (us >= 0.07) & (V <= vr)
-        reject = ~accept & np.where(wide, k < 0, V > us)
-        squeeze = wide & ~accept & ~reject & (k >= 6)
-        s, ks = np.flatnonzero(squeeze), k[squeeze]
-        with np.errstate(divide="ignore"):  # V = 0 gives log 0 = -inf, as in numpy
-            lhs = np.log(V[s]) + log_invalpha - np.log(a / (us[s] * us[s]) + b)
-        lgam = _loggam(ks + 1.0)
-        rhs = -mean + ks * loglam - lgam
-        margin = _SQUEEZE_MARGIN * (mean + ks * abs(loglam) + lgam + np.abs(lhs) + 1.0)
-        accept[s] = lhs <= rhs - margin
-        reject[s] = lhs > rhs + margin
-        counts[pending[accept]] = k[accept]
-        pending = pending[reject]
-    return counts
-
-
-def _poisson_shots(mean: float, seed: int, shots: np.ndarray, det: int) -> np.ndarray:
-    """First Poisson(mean) draw of each shot's fresh Philox state, -1 where the
-    arrays leave it to numpy's own draw (every shot of a mean below 10)."""
-    if mean < 10.0:
-        return np.full(shots.size, -1, dtype=np.int64)
-    return _poisson_ptrs(mean, _philox_doubles(seed, shots, det))
 
 
 def sample_shots(
@@ -298,22 +195,15 @@ def sample_shots(
     qe1: float = 1.0,
     qe2: float = 1.0,
 ) -> ShotEnsemble:
-    """Poisson photocounts per shot from counter-based streams.
+    """Poisson photocounts per shot, one Philox stream per detector.
 
-    Shot k of detector d (1 or 2) is the first `Generator.poisson(mean)` draw
-    of a fresh `Philox(key=seed, counter=[0, 0, k, d])`, so any shot is
-    reproducible independently of the others and the two detector streams
-    never overlap.  Quantum efficiency thins the Poisson mean.
-
-    For a mean of 10 or more the draws are computed whole-array,
-    `_SHOT_BLOCK` shots at a time: the Philox blocks in numpy integer
-    arithmetic, then the first two rounds of numpy's own PTRS sampler on
-    them.  A shot those arrays cannot decide exactly (a squeeze test within
-    rounding of its bound, a count below 6, a third PTRS round), and every
-    shot of a mean below 10, gets the scalar draw itself.
-    The stream is the one a per-draw loop gives, bit for bit; if a numpy
-    release changes its Poisson algorithm,
-    `test_stream_matches_a_fresh_generator_per_draw` is the arbiter.
+    Detector d (1 or 2) draws its shots as
+    `Generator(Philox(key=seed, counter=[0, 0, 0, d])).poisson(mean, n_shots)`,
+    so a fixed seed gives the same ensemble, extending an ensemble never
+    changes the shots already drawn, and the two detector streams are
+    separate.  Quantum efficiency thins the Poisson mean.  If a numpy release
+    changes its Poisson algorithm, `test_stream_matches_numpy_poisson` is the
+    arbiter.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -322,25 +212,12 @@ def sample_shots(
         raise PhysicsGuardError(
             f"detector mean {max(mu1, mu2):.3e} exceeds {_MEAN_OVERFLOW:g} counts"
         )
-    seed = int(seed)  # the key words are split with Python integers
-    counts = np.empty((2, n_shots), dtype=np.int64)
-    # One generator whose state is reset before each scalar draw: a fresh
-    # Philox state (empty buffer) at counter (0, 0, shot, det) draws exactly
-    # what a newly built Philox(key=seed, counter=...) would.
-    bitgen = Philox(key=seed)
-    gen = Generator(bitgen)
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    for det, mean, out in ((1, mu1, counts[0]), (2, mu2, counts[1])):
-        for start in range(0, n_shots, _SHOT_BLOCK):
-            shots = np.arange(start, min(start + _SHOT_BLOCK, n_shots), dtype=np.uint64)
-            drawn = _poisson_shots(mean, seed, shots, det)
-            for i in np.flatnonzero(drawn < 0):
-                counter[2:] = shots[i], det
-                bitgen.state = state
-                drawn[i] = gen.poisson(mean)
-            out[start : start + shots.size] = drawn
-    return ShotEnsemble(counts[0], counts[1], seed)
+    seed = int(seed)
+    counts1, counts2 = (
+        Generator(Philox(key=seed, counter=[0, 0, 0, det])).poisson(mean, n_shots)
+        for det, mean in ((1, mu1), (2, mu2))
+    )
+    return ShotEnsemble(counts1, counts2)
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,12 @@ def _run_waveguide(cfg: ScenarioConfig, write):
             f"field_{tag}.csv",
             {"t_fs": t_grid[::2], "e_real": e.real, "e_imag": e.imag, "intensity": np.abs(e) ** 2},
         )
+        # the field is finite here, so a NaN width is a pulse that outruns the grid
+        if np.isnan([tfield.fwhm_envelope, tfield.fwhm_intensity]).any():
+            raise PhysicsGuardError(
+                f"the field at length {length_um:g} um does not fall to half its peak "
+                f"inside the +/-{t_grid[-1]:g} fs time grid; shorten envelope.fwhm_fs"
+            )
         per_length.append(
             {
                 "length_um": float(length_um),

@@ -475,6 +475,20 @@ class TestExitCodes:
         assert "NaN" not in err
         assert not (out / "summary.json").exists()
 
+    def test_waveguide_pulse_longer_than_the_time_grid_names_the_length(self, tmp_path, capsys):
+        payload = json.loads((CONFIGS / "waveguide.json").read_text())
+        payload["envelope"]["fwhm_fs"] = 6000.0
+        cfg = write_config(tmp_path, "waveguide.json", payload)
+        out = tmp_path / "o"
+        assert main(["waveguide", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "the field at length 10 um does not fall to half its peak inside the "
+            "+/-2560 fs time grid; shorten envelope.fwhm_fs"
+        ) in err
+        assert "NaN" not in err
+        assert not (out / "summary.json").exists()
+
     def test_single_shot_is_config_error(self, tmp_path, capsys):
         cfg = detect_config(tmp_path, shots=1)
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
