@@ -259,8 +259,13 @@ def synthesize_density(
     phase = np.exp(np.multiply.outer(-1j * state.beam.omega0 * t_one, state.level_indices))
     # summed elementwise: a BLAS matvec this size wakes OpenBLAS threads that then spin
     rho = np.tile(np.abs(np.sum(phase * state.coefficients, axis=1)) ** 2, n_periods)
-    if envelope.kind == "gaussian":
-        t = t0 + dt_eff * np.arange(rho.size)
-        rho *= np.exp(-4.0 * math.log(2.0) * (t / envelope.fwhm) ** 2)
+    if envelope.kind == "gaussian":  # |f(t)|^2 built in one buffer, t = t0 + i dt
+        f2 = np.arange(rho.size, dtype=float)
+        f2 *= dt_eff
+        f2 += t0
+        f2 /= envelope.fwhm
+        np.square(f2, out=f2)
+        f2 *= -4.0 * math.log(2.0)
+        rho *= np.exp(f2, out=f2)
     rho /= np.sum(rho) * dt_eff
     return WavepacketDensity(rho, dt_eff, t0, envelope, state.beam.omega0)

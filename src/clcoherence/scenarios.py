@@ -7,9 +7,10 @@ of its gnuplot script.  `run_scenario` owns every artifact: the CSVs (written
 as they are handed over, so a later guard leaves them on disk),
 `plot_<scenario>.gp` when output.gnuplot is set, `summary.json`, and a
 `manifest.json` that embeds the resolved config (`to_mapping()`), its sha256,
-the seed (detection.seed, or null), derived beam constants, and the list of
-outputs.  Feeding a manifest back through --config reproduces the run
-byte-for-byte.
+the seed (detection.seed, or null), derived beam constants, the list of
+outputs, and the library versions with numpy's SIMD dispatch targets.  Feeding
+a manifest back through --config reproduces the run byte-for-byte on a host
+with the same SIMD dispatch.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ from .spectra import (
     band_spectrum,
     density_spectrum,
     doc_map,
+    fft_pad,
     ladder_spectrum,
     mean_field,
     optimal_bunching_distance,
@@ -63,6 +65,8 @@ NM_PER_UM = 1.0e3
 # CSV rows formatted per `%` call: bounds the cells held as Python objects
 # (~100 B a row) without giving up the one C-level call per block.
 _CSV_BLOCK = 1 << 12
+# doc-slice's spectrum.csv holds at most this many lattice points
+_SPECTRUM_ROWS = 50000
 
 
 @dataclass(frozen=True)
@@ -231,6 +235,14 @@ def _run_doc_map(cfg: ScenarioConfig, write):
     )
 
 
+def _spectrum_step(n_fft: int, span: int) -> int:
+    """Smallest divisor s of the padded length n_fft that keeps at most
+    _SPECTRUM_ROWS of the lattice points k = -span..span on k = 0 (mod s)."""
+    return next(
+        s for s in range(1, n_fft + 1) if n_fft % s == 0 and 2 * (span // s) < _SPECTRUM_ROWS
+    )
+
+
 def _run_doc_slice(cfg: ScenarioConfig, write):
     # the independent route: FFT of the sampled density, checked against the ladder
     state = build_state(cfg)
@@ -238,10 +250,14 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
     density = synthesize_density(state, env.spec, dt=env.dt_fs, window=env.window_fs)
     w0 = cfg.beam.omega0
     n_keep = min(2 * state.cutoff, DOC_SLICE_HARMONICS)
-    spectrum = density_spectrum(density, n_keep * w0 * (1.0 + 1.0e-12))
+    top = n_keep * w0 * (1.0 + 1.0e-12)
+    # harmonics sit on k = 0 (mod periods x pad): one period of the density, summed over periods
+    pad = fft_pad(env.spec)
+    per_harmonic = density.periods_in_window * pad
+    harmonics = density_spectrum(density, top, step=per_harmonic)
 
     n = np.arange(-n_keep, n_keep + 1)
-    f_fft = spectrum.value_at(n * w0)
+    f_fft = harmonics.value_at(n * w0)
     f_all = ladder_spectrum(state).values  # harmonics -2J..2J
     f_lad = f_all[n + 2 * state.cutoff]
     write(
@@ -257,12 +273,13 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
         },
     )
 
-    stride = max(1, int(np.ceil(spectrum.omega_grid.size / 50000)))
-    f = spectrum.values[::stride]
+    step = _spectrum_step(pad * density.samples.size, n_keep * per_harmonic)
+    spectrum = density_spectrum(density, top, step=step)
+    f = spectrum.values
     write(
         "spectrum.csv",
         {
-            "omega_over_omega0": spectrum.omega_grid[::stride] / w0,
+            "omega_over_omega0": spectrum.omega_grid / w0,
             "f_real": f.real,
             "f_imag": f.imag,
             "doc": np.abs(f) ** 2,
@@ -625,6 +642,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            # the dispatch targets that set the last bits of float reductions
+            "simd": np.show_config(mode="dicts")["SIMD Extensions"],
         },
     }
     _write_json(out_dir / "manifest.json", manifest)

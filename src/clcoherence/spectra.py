@@ -20,7 +20,11 @@ Routes to F: `ladder_spectrum` on the harmonic lattice; `band_spectrum`, the
 production route, in closed form on a sampled density's lattice cut to a band;
 `density_spectrum`, the FFT of a synthesized density on the same x8-padded
 lattice, whole or cut to a band, kept as the independent cross-check
-(doc-slice and the tests).
+(doc-slice and the tests).  Asked for every s-th bin only, it transforms the
+padded density summed modulo n/s, n/s points instead of n: sampling the DFT
+in frequency aliases the sequence in time (Oppenheim & Schafer,
+Discrete-Time Signal Processing, sec. 8.4).  doc-slice reads its harmonics
+from one period of samples, summed over the periods.
 
 UNITS: rad/fs frequencies, fs times.
 """
@@ -171,14 +175,18 @@ class DensitySpectrum:
         return self.values[diff], self.values[sums]
 
 
-def _fft_lattice(n_fft: int, dt: float, max_omega: float) -> tuple[np.ndarray, np.ndarray]:
+def _fft_lattice(
+    n_fft: int, dt: float, max_omega: float, step: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """(k, omega) of the centred n_fft-point FFT lattice, k = -(n_fft//2)..(n_fft-1)//2
-    and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to |omega| <= max_omega."""
+    and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to |omega| <= max_omega and
+    to the bins k = 0 (mod step)."""
     if not max_omega > 0.0:
         raise ValueError("max_omega must be positive (rad/fs)")
     val = 1.0 / (n_fft * dt)
     k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
-    k = np.arange(max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2) + 1)
+    lo, hi = max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2)
+    k = step * np.arange(-(-lo // step), hi // step + 1)
     omega = TWO_PI * (k * val)
     keep = np.abs(omega) <= max_omega
     return k[keep], omega[keep]
@@ -189,24 +197,38 @@ def fft_pad(envelope: EnvelopeSpec) -> int:
     return 1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR
 
 
-def density_spectrum(density: WavepacketDensity, max_omega: float | None = None) -> DensitySpectrum:
+def density_spectrum(
+    density: WavepacketDensity, max_omega: float | None = None, step: int = 1
+) -> DensitySpectrum:
     """FFT of a density sampled on a window centred on t = 0 (else ValueError),
-    normalized to F(0) = 1, on its lattice cut to |omega| <= max_omega (None: all).
+    normalized to F(0) = 1, on its lattice cut to |omega| <= max_omega (None: all)
+    and to every step-th bin, k = 0 (mod step).
 
     Finite envelopes are zero-padded x8 so line shapes are resolved while
     harmonics of omega0 still land exactly on the padded lattice; infinite
     envelopes are transformed unpadded, making every off-harmonic bin vanish
-    identically by discrete orthogonality.
+    identically by discrete orthogonality.  `step` must divide the padded
+    length n (else ValueError): bin step*j of the n-point DFT is bin j of the
+    (n/step)-point DFT of the padded density summed modulo n/step, so only that
+    fold is transformed.
     """
     rho = density.samples
     pad = fft_pad(density.envelope)
     n_fft = pad * rho.size
+    if not (1 <= step <= n_fft and n_fft % step == 0):
+        raise ValueError(f"step {step!r} must divide the padded length {n_fft}")
     if not abs(2.0 * density.t0 + rho.size * density.dt) <= 1.0e-12 * rho.size * density.dt:
         raise ValueError("the density's window must be centred on t = 0 (t0 = -N dt/2)")
-    k, omega = _fft_lattice(n_fft, density.dt, math.inf if max_omega is None else max_omega)
+    m = n_fft // step
+    k, omega = _fft_lattice(n_fft, density.dt, math.inf if max_omega is None else max_omega, step)
+    if m < rho.size:  # fold the density, whose zero padding adds nothing to the sums
+        whole, rest = divmod(rho.size, m)
+        folded = rho[: whole * m].reshape(whole, m).sum(axis=0)
+        folded[:rest] += rho[whole * m :]
+        rho = folded
     # F_k = n_fft dt ifft(rho)_k e^{i w_k t0}, and w_k t0 = -pi k/pad: a table of 2 pad phases.
     # rho is real: ifft(rho)_k = conj(rfft(rho)_k) / n_fft for k >= 0, its conjugate at -k.
-    r = rfft(rho, n=n_fft)[np.abs(k)]
+    r = rfft(rho, n=m)[np.abs(k) // step]
     phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
     values = np.where(k >= 0, np.conj(r), r) / n_fft * (n_fft * density.dt) * phase[k % (2 * pad)]
     return DensitySpectrum(omega, values, density.omega0)

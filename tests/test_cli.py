@@ -603,6 +603,65 @@ class TestExitCodes:
         assert f"output directory {str(out)!r}" in capsys.readouterr().err
 
 
+class TestDocSliceTransformLengths:
+    """doc-slice transforms the padded density folded to the lattice points it
+    reads: every s-th point for spectrum.csv, one period for the harmonics."""
+
+    @staticmethod
+    def run_recording_lengths(tmp_path, monkeypatch, **envelope):
+        import clcoherence.spectra as spectra
+
+        lengths = []
+        rfft = spectra.rfft
+
+        def recording_rfft(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "rfft", recording_rfft)
+        payload = json.loads((CONFIGS / "doc_slice.json").read_text())
+        payload["envelope"].update(envelope)
+        cfg = write_config(tmp_path, "doc_slice.json", payload)
+        out = tmp_path / "o"
+        assert main(["doc-slice", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+        return lengths, [row.split(",")[0] for row in rows], strict_json(
+            (out / "summary.json").read_text()
+        )
+
+    def test_shipped_config_transforms_a_tenth_of_the_padded_length(self, tmp_path, monkeypatch):
+        lengths, omega_column, summary = self.run_recording_lengths(tmp_path, monkeypatch)
+        # 307,200 samples x 8 = 2,457,600 padded; the whole-lattice rfft ran at that length
+        assert summary["samples"] * 8 == 2457600
+        assert lengths and max(lengths) <= 245760
+        assert sorted(lengths) == [256, 245760]  # one period; every 10th bin
+        # the rows and omega column of the whole-lattice run: bins k = -230400..230400
+        # in steps of 10, omega_k = 2 pi (k / (n dt)), written as repr
+        w0 = BeamParameters.from_wavelength(200e3, 800.0).omega0
+        k = np.arange(-230400, 230401)[::10]
+        omega = 2.0 * math.pi * (k * (1.0 / (2457600 * summary["dt_fs"]))) / w0
+        assert len(omega_column) == 46081
+        assert omega_column == [repr(x) for x in omega.tolist()]
+        assert summary["max_fft_ladder_mismatch"] <= 1e-14
+
+    def test_prime_period_count_transforms_a_32nd_of_the_padded_length(
+        self, tmp_path, monkeypatch
+    ):
+        # 16 x 657.57 fs holds 3,943 periods, a prime: the padded length is
+        # 2^11 x 3943 = 8,075,264, and the whole-lattice rfft took ~1.2 GB
+        lengths, omega_column, summary = self.run_recording_lengths(
+            tmp_path, monkeypatch, fwhm_fs=657.57
+        )
+        assert summary["periods_in_window"] == 3943
+        n_fft = 8 * summary["samples"]
+        assert n_fft == 2**11 * 3943
+        # 24 harmonics x 3943 periods x 8 = 757,056 bins on each side; the
+        # smallest divisor s of n_fft with 2 (757056 // s) + 1 <= 50,000 is 32
+        assert sorted(lengths) == [256, n_fft // 32]
+        assert len(omega_column) == 2 * (757056 // 32) + 1 <= 50000
+        assert summary["max_fft_ladder_mismatch"] <= 1e-14
+
+
 class TestReproducibility:
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         cfg = detect_config(tmp_path, shots=200)
@@ -651,6 +710,20 @@ class TestReproducibility:
             assert guards[name] == {"error": worst, "tolerance": tolerance}
             assert 0.0 <= worst <= tolerance
         assert set(guards) == {"norm", "truncation_leakage"}
+
+    def test_manifest_names_the_simd_dispatch_and_reruns(self, tmp_path):
+        # round-off in the artifacts depends on numpy's SIMD dispatch targets
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        args = ["--config", doc_slice_config(tmp_path), "--out", str(out1), "--quiet"]
+        assert main(["doc-slice", *args]) == 0
+        manifest = strict_json((out1 / "manifest.json").read_text())
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+        assert manifest["versions"]["simd"] == simd
+        assert set(simd) >= {"baseline", "found"}
+        rerun = ["--config", str(out1 / "manifest.json"), "--out", str(out2), "--quiet"]
+        assert main(["doc-slice", *rerun]) == 0
+        for name in manifest["outputs"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_manifest_scenario_mismatch_rejected(self, tmp_path):
         out = tmp_path / "ds"

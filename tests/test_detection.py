@@ -456,3 +456,73 @@ class TestNoiseFloorAgainstDenseSum:
                      "alpha4_coefficient", "alpha3_coefficient"):
             assert getattr(fast, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=0.0), name
         assert fast.is_balanced == dense.is_balanced
+
+
+def _lower(t, axis):
+    """The annihilation operator on one Fock axis of a state tensor:
+    out[.., n, ..] = sqrt(n + 1) t[.., n + 1, ..]."""
+    t = np.moveaxis(t, axis, -1)
+    out = np.zeros_like(t)
+    out[..., :-1] = np.sqrt(np.arange(1.0, t.shape[-1])) * t[..., 1:]
+    return np.moveaxis(out, -1, axis)
+
+
+def _raise(t, axis):
+    """The creation operator on one Fock axis; the top level's image is dropped."""
+    t = np.moveaxis(t, axis, -1)
+    out = np.zeros_like(t)
+    out[..., 1:] = np.sqrt(np.arange(1.0, t.shape[-1])) * t[..., :-1]
+    return np.moveaxis(out, -1, axis)
+
+
+class TestNoiseFloorAgainstOracle:
+    """Var(D) from the quantum state: one CL mode at omega0 evolved by the
+    oracle, tensored with a coherent reference mode |b>, and
+    D = p (n_a - n_r) + kappa a+ r + conj(kappa) r+ a applied by Fock-axis
+    shifts.  noise_floor_terms describes the same discrete mode on the grid
+    [omega0, 2 omega0] with d omega = omega0: alpha = (b / sqrt(d omega), 0), a
+    flat g0 = g / sqrt(d omega) on [0.5, 1.5] omega0, and F up to 4 omega0 so
+    that F(2 omega0) covers the anomalous term."""
+
+    B = 1.5 * np.exp(0.6j)  # |b| = 1.5; a phase, so a conjugated b^2 term cannot hide
+    REFERENCE_LEVELS = 30  # the coherent state's weight above them is ~1e-21
+    # worst relative difference measured 3.6e-11 over these 18 cases (at
+    # g = 0.8, the most photons above the CL mode's cutoff of 12); both routes
+    # are exact, so the bound only has to cover round-off and the populations
+    # (<= 1e-8, the oracle's guard) at the truncation edges
+    REL_TOL = 1e-9
+
+    @pytest.mark.parametrize("g", [0.05, 0.3, 0.8])
+    @pytest.mark.parametrize("d_over_zt", [0.0, 0.1, 0.25])
+    @pytest.mark.parametrize("beta_abs", [0.5, 1.0])
+    def test_heterodyne_variance_matches_the_evolved_state(self, beta_abs, d_over_zt, g):
+        from clcoherence.oracle import OracleMode, TruncatedSpace, evolve
+
+        state = pinem_ladder(beta_abs, BEAM)
+        if d_over_zt:
+            state = propagate(state, d_over_zt * BEAM.talbot_distance, mode="quadratic")
+        space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(harmonic=1, g=g),))
+        psi = evolve(space, state.coefficients).reshape(space.electron_dim, -1)
+        n = np.arange(self.REFERENCE_LEVELS)
+        root_factorial = np.array([math.sqrt(math.factorial(k)) for k in n])
+        ref = np.exp(-0.5 * abs(self.B) ** 2) * self.B**n / root_factorial
+        joint = psi[:, :, None] * ref  # (electron, CL photons, reference photons)
+
+        splitter = BeamSplitter.heterodyne()
+        p, kappa = splitter.imbalance, splitter.kappa
+        levels_a, levels_r = np.arange(joint.shape[1]), n
+        d_joint = (
+            p * (levels_a[:, None] - levels_r) * joint
+            + kappa * _raise(_lower(joint, 2), 1)
+            + np.conj(kappa) * _raise(_lower(joint, 1), 2)
+        )
+        mean = np.sum(np.conj(joint) * d_joint)
+        oracle_variance = np.sum(np.abs(d_joint) ** 2) - abs(mean) ** 2
+        assert abs(mean.imag) <= 1e-12  # D is Hermitian
+
+        dw = W0
+        grid = W0 * np.array([1.0, 2.0])
+        reference = ReferencePulse(grid, np.array([self.B / math.sqrt(dw), 0.0]))
+        model = FlatCoupling(g / math.sqrt(dw), 0.5 * W0, 1.5 * W0)
+        report = noise_floor_terms(splitter, reference, model, ladder_spectrum(state, 4))
+        assert report.variance_total == pytest.approx(oracle_variance, rel=self.REL_TOL, abs=0.0)
