@@ -20,6 +20,8 @@ from clcoherence.cli import main
 from clcoherence.oracle import _run_single
 from clcoherence.scenarios import _CSV_BLOCK, _write_csv
 
+import shipped_digests
+
 BEAM_SECTION = {"kinetic_energy_ev": 200000.0, "wavelength_nm": 800.0}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = [
@@ -865,7 +867,19 @@ class TestShippedConfigs:
         assert csvs
         for name in csvs:
             assert_csv_format(out / name)
-
+        # the golden artifacts: by sha256 on a host in the table, else by statistics
+        table = json.loads(shipped_digests.TABLE.read_text())
+        stored = shipped_digests.stored_digests(table)
+        name = Path(config).name
+        if stored is not None:
+            assert shipped_digests.digests(out) == stored[name]
+            return
+        actual = shipped_digests.statistics(out)
+        assert not shipped_digests.mismatches(name, table["statistics"][name], actual)
+        warnings.warn(
+            f"no golden digests for numpy {shipped_digests.host_key()}: {name}'s artifacts "
+            f"were compared by statistics within {shipped_digests.TOLERANCE:g} of their scale"
+        )
 
     @pytest.mark.parametrize("scenario", ["waveguide", "pulse-shape", "detect"])
     def test_band_scenarios_never_run_the_fft_route(self, scenario, tmp_path, monkeypatch):
