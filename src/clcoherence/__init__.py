@@ -19,7 +19,7 @@ from .errors import (
     PhysicsGuardError,
     TruncationError,
 )
-from .kinematics import BeamParameters, lorentz_factor, talbot_distance, wavenumber
+from .kinematics import BeamParameters, wavenumber
 from .estate import (
     EnvelopeSpec,
     LadderState,
@@ -64,7 +64,6 @@ from .detection import (
     ReferencePulse,
     ShotEnsemble,
     SnrReport,
-    balanced_signal,
     detector_means,
     noise_floor_terms,
     sample_shots,

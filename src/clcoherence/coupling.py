@@ -158,7 +158,7 @@ class WaveguideCoupling:
 
     def amplitude(self, omega):
         x = self.phase_mismatch(omega) * self.length / 2.0
-        out = complex(self.g0) * np.exp(1j * x) * np.sinc(x / np.pi)
+        out = complex(self.g0) * np.exp(1j * x) * self.envelope(omega)
         return out if np.asarray(omega).shape else complex(out)
 
     def eels_probability(self) -> float:
@@ -177,6 +177,6 @@ CouplingModel = Union[FlatCoupling, GaussianBandCoupling, TabulatedCoupling, Wav
 def coupling_amplitude(model: CouplingModel, omega):
     """g(omega) for any coupling model; omega must be positive (rad/fs)."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):  # a NaN trips it
         raise ValueError("coupling amplitudes are defined for omega > 0 only")
     return model.amplitude(omega)

@@ -30,7 +30,7 @@ from numpy.random import Generator, Philox
 
 from .coupling import CouplingModel, coupling_amplitude
 from .errors import PhysicsGuardError
-from .spectra import CoherentField, DensitySpectrum, _require_uniform, fft_convolve
+from .spectra import CoherentField, DensitySpectrum, _mean_step, _require_uniform, fft_convolve
 
 _UNITARY_TOL = 1.0e-12
 _MEAN_OVERFLOW = 1.0e12
@@ -89,13 +89,13 @@ class ReferencePulse:
         object.__setattr__(self, "alpha", a)
         if w.ndim != 1 or w.size < 2 or a.shape != w.shape:
             raise ValueError("omega_grid and alpha must be matching 1-D arrays")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):  # a NaN trips it
             raise ValueError("omega_grid must be positive")
         _require_uniform(w, "omega_grid")
 
     @property
     def domega(self) -> float:
-        return float((self.omega_grid[-1] - self.omega_grid[0]) / (self.omega_grid.size - 1))
+        return _mean_step(self.omega_grid)
 
     @property
     def total_counts(self) -> float:
@@ -113,7 +113,7 @@ class ReferencePulse:
         """Gaussian |alpha|^2 profile carrying exactly `total_counts` photons
         on this grid (normalized discretely, so energy checks are exact)."""
         w = np.asarray(omega_grid, dtype=float)
-        if sigma <= 0.0 or total_counts < 0.0:
+        if not (sigma > 0.0 and total_counts >= 0.0):
             raise ValueError("sigma must be positive and total_counts non-negative")
         if w.ndim != 1 or w.size < 2:
             raise ValueError("omega_grid must be a 1-D grid of 2 or more points")
@@ -161,16 +161,6 @@ def detector_means(
     mu1 = qe1 * float(np.sum(np.abs(port1) ** 2) * dw)
     mu2 = qe2 * float(np.sum(np.abs(port2) ** 2) * dw)
     return mu1, mu2
-
-
-def balanced_signal(
-    splitter: BeamSplitter,
-    reference: ReferencePulse,
-    cl_field: CoherentField | None,
-) -> float:
-    """Difference of the two mean photocounts at unit quantum efficiency."""
-    mu1, mu2 = detector_means(splitter, reference, cl_field)
-    return mu1 - mu2
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,15 +276,20 @@ def noise_floor_terms(
     Connected correlators: C+a[n,m] = conj(g_n) g_m F(w_m - w_n) - conj(<a>_n)
     <a>_m and Caa[n,m] = g_n g_m F(w_n + w_m) - <a>_n <a>_m; the spectrum must
     cover every difference and sum frequency of the grid (GridCoverageError
-    otherwise).  The alpha-weighted double sums over (n, m) are evaluated as
-    Toeplitz and Hankel sums by FFT convolution (`DensitySpectrum.pair_values`).
+    otherwise).  The grid is a uniform stride of the spectral lattice, so
+    F(w_m - w_n) depends on m - n only and F(w_n + w_m) on n + m only: each
+    N x N table is 2N - 1 lookups, and the alpha-weighted double sums over
+    (n, m) are Toeplitz and Hankel sums, evaluated by FFT convolution.
     """
     w = reference.omega_grid
     dw = reference.domega
     alpha = reference.alpha
     g = np.asarray(coupling_amplitude(model, w), dtype=complex)
     f_on_grid = spectrum.value_at(w)
-    f_diff, f_sum = spectrum.pair_values(w)
+    # f_diff[k + N - 1] = F(w_k - w_0) for k = 1-N..N-1, f_sum[s] = F(w_0 + w_s) for s = 0..2N-2
+    span = w - w[0]
+    f_diff = spectrum.value_at(np.concatenate([-span[:0:-1], span]))
+    f_sum = spectrum.value_at(np.concatenate([w[0] + w, w[-1] + w[1:]]))
 
     # With u = alpha conj(g) and b = sum alpha conj(<a>):
     #   sum alpha_n conj(alpha_m) C+a[n,m] = sum_k F(k) sum_n u_n conj(u_{n+k}) - |b|^2,
@@ -319,5 +314,5 @@ def noise_floor_terms(
         field_cross=float(cross),
         alpha4_coefficient=p * p,
         alpha3_coefficient=2.0 * abs(p) * abs(kappa),
-        is_balanced=p == 0.0,
+        is_balanced=splitter.is_balanced,
     )

@@ -13,7 +13,7 @@ the distance over which the quadratic part of the level phases winds through
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +34,16 @@ class BeamParameters:
         Electron kinetic energy in eV (e.g. 200e3 for a 200 keV microscope).
     photon_energy:
         Modulation laser photon energy hbar*omega0 in eV.
-    rest_energy:
-        Electron rest energy in eV; overridable for testing only.
     """
 
     kinetic_energy: float
     photon_energy: float
-    rest_energy: float = field(default=ELECTRON_REST_EV)
 
     def __post_init__(self) -> None:
         if self.kinetic_energy <= 0.0:
             raise ValueError("kinetic_energy must be positive (eV)")
         if self.photon_energy <= 0.0:
             raise ValueError("photon_energy must be positive (eV)")
-        if self.rest_energy <= 0.0:
-            raise ValueError("rest_energy must be positive (eV)")
         recoil = self.photon_energy / self.kinetic_energy
         if recoil > _RECOIL_ERROR:
             raise ValueError(
@@ -63,21 +58,17 @@ class BeamParameters:
             )
 
     @classmethod
-    def from_wavelength(
-        cls,
-        kinetic_energy: float,
-        wavelength_nm: float,
-        rest_energy: float = ELECTRON_REST_EV,
-    ) -> "BeamParameters":
+    def from_wavelength(cls, kinetic_energy: float, wavelength_nm: float) -> "BeamParameters":
         """Build from a laser wavelength in nm instead of a photon energy."""
         if wavelength_nm <= 0.0:
             raise ValueError("wavelength_nm must be positive")
         photon_energy = TWO_PI * HBARC_EV_NM / wavelength_nm
-        return cls(kinetic_energy, photon_energy, rest_energy)
+        return cls(kinetic_energy, photon_energy)
 
     @property
     def gamma(self) -> float:
-        return lorentz_factor(self)
+        """gamma = 1 + T / (m c^2)."""
+        return 1.0 + self.kinetic_energy / ELECTRON_REST_EV
 
     @property
     def beta_v(self) -> float:
@@ -102,12 +93,13 @@ class BeamParameters:
 
     @property
     def talbot_distance(self) -> float:
-        return talbot_distance(self)
-
-
-def lorentz_factor(beam: BeamParameters) -> float:
-    """gamma = 1 + T / (m c^2)."""
-    return 1.0 + beam.kinetic_energy / beam.rest_energy
+        """Quadratic-dispersion revival distance z_T in nm,
+        4*pi*m*v^3*gamma^3/(hbar*omega0^2) = 4*pi*m c^2 beta^3 gamma^3 c/(hbar*omega0^2)."""
+        w0 = self.omega0
+        return float(
+            4.0 * np.pi * ELECTRON_REST_EV * self.beta_v**3 * self.gamma**3 * C_NM_FS
+            / (HBAR_EV_FS * w0 * w0)
+        )
 
 
 def wavenumber(beam: BeamParameters, level_index):
@@ -118,29 +110,14 @@ def wavenumber(beam: BeamParameters, level_index):
     for levels at or below the rest energy (no propagating solution).
     """
     j = np.asarray(level_index)
-    total = beam.rest_energy + beam.kinetic_energy + j * beam.photon_energy
-    if np.any(total <= beam.rest_energy):
+    total = ELECTRON_REST_EV + beam.kinetic_energy + j * beam.photon_energy
+    if np.any(total <= ELECTRON_REST_EV):
         bad = int(np.min(j))
         raise ValueError(
             f"level index {bad} puts the electron at or below rest energy; "
             "no propagating wavenumber exists"
         )
-    k = np.sqrt(total * total - beam.rest_energy**2) / HBARC_EV_NM
+    k = np.sqrt(total * total - ELECTRON_REST_EV**2) / HBARC_EV_NM
     if np.isscalar(level_index):
         return float(k)
     return k
-
-
-def talbot_distance(beam: BeamParameters) -> float:
-    """Quadratic-dispersion revival distance z_T in nm.
-
-    Equivalent closed forms: 4*pi*m*v^3*gamma^3/(hbar*omega0^2) with
-    m = rest_energy/c^2, used here as
-    4*pi*rest_energy*beta^3*gamma^3*c/(hbar*omega0^2).
-    """
-    g = lorentz_factor(beam)
-    beta = np.sqrt(1.0 - 1.0 / (g * g))
-    w0 = beam.omega0
-    return float(
-        4.0 * np.pi * beam.rest_energy * beta**3 * g**3 * C_NM_FS / (HBAR_EV_FS * w0 * w0)
-    )

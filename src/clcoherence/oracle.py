@@ -66,6 +66,7 @@ from .spectra import central_moment, doc, ladder_spectrum, mean_field, mean_phot
 from .spectra import pair_correlation
 
 _DIMENSION_LIMIT = 20000
+_ELECTRON_MARGIN = 5  # electron levels beyond the worst-case photon recoil
 _NORM_TOL = 1.0e-10
 _LEAK_TOL = 1.0e-8
 
@@ -119,14 +120,12 @@ class TruncatedSpace:
         return self.electron_dim * int(np.prod(self.photon_dims))
 
     @classmethod
-    def for_ladder(
-        cls, ladder_cutoff: int, modes: tuple[OracleMode, ...], margin: int = 5
-    ) -> "TruncatedSpace":
+    def for_ladder(cls, ladder_cutoff: int, modes: tuple[OracleMode, ...]) -> "TruncatedSpace":
         """Electron half-width covering the ladder plus the worst-case photon
         recoil N_max * max harmonic, plus a safety margin."""
         n_max = max(m.photon_cutoff for m in modes)
         h_max = max(m.harmonic for m in modes)
-        return cls(ladder_cutoff + n_max * h_max + margin, tuple(modes))
+        return cls(ladder_cutoff + n_max * h_max + _ELECTRON_MARGIN, tuple(modes))
 
 
 @lru_cache(maxsize=8)
@@ -487,10 +486,8 @@ COUPLING_GRID = (0.05, 0.3, 0.8)
 MODE_SETS = ((1,), (1, 2))
 
 
-def run_test_matrix(beam: BeamParameters | None = None) -> list[OracleCheckRow]:
+def run_test_matrix(beam: BeamParameters) -> list[OracleCheckRow]:
     """The full validation matrix: |beta| x d/z_T x g x mode sets (54 rows)."""
-    if beam is None:
-        beam = BeamParameters.from_wavelength(200.0e3, 800.0)
     return [
         _run_single(b, d, g, m, beam)
         for b, d, g, m in product(BETA_GRID, DISTANCE_GRID, COUPLING_GRID, MODE_SETS)

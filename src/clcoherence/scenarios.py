@@ -35,7 +35,6 @@ from .coupling import (
 )
 from .detection import (
     ReferencePulse,
-    balanced_signal,
     detector_means,
     noise_floor_terms,
     sample_shots,
@@ -157,6 +156,22 @@ def _band_field(model, spectrum, lo: float, hi: float):
     return field
 
 
+def _require_half_widths(cfg: ScenarioConfig, tfield, what: str) -> None:
+    """The field is finite once its CSV is written, so a NaN width is a field that
+    never falls to half its peak inside its time grid."""
+    if not np.isnan([tfield.fwhm_envelope, tfield.fwhm_intensity]).any():
+        return
+    if cfg.envelope.kind == "infinite":
+        fix = "envelope.kind 'infinite' gives a field without end; use a gaussian envelope"
+    elif cfg.scenario == "waveguide":
+        fix = "shorten envelope.fwhm_fs"
+    else:  # pulse-shape's grid spans +/-8 fwhm
+        fix = "lengthen envelope.fwhm_fs, which sets the grid to +/-8 fwhm"
+    raise PhysicsGuardError(
+        f"{what} does not fall to half its peak inside the +/-{tfield.t[-1]:g} fs time grid; {fix}"
+    )
+
+
 def build_coupling(cfg: ScenarioConfig, length_um: float | None = None):
     c, w0 = cfg.coupling, cfg.beam.omega0
     if isinstance(c, FlatBand):
@@ -192,9 +207,9 @@ def build_coupling(cfg: ScenarioConfig, length_um: float | None = None):
 
 def _run_doc_map(cfg: ScenarioConfig, write):
     scan, mode = cfg.scan, cfg.propagation.mode
+    state = pinem_ladder(cfg.modulation.beta, cfg.beam)  # at the modulation plane
     optimum = optimal_bunching_distance(
-        cfg.modulation.beta,
-        cfg.beam,
+        state,
         scan.d_min_mm * NM_PER_MM,
         scan.d_max_mm * NM_PER_MM,
         coarse_step=scan.coarse_step_mm * NM_PER_MM,
@@ -214,8 +229,6 @@ def _run_doc_map(cfg: ScenarioConfig, write):
         },
     )
     write("width.csv", {"d_mm": d_mm, "width": optimum.coarse_widths})
-    # the ladder at the modulation plane; doc_map propagates it to the optimum
-    state = pinem_ladder(cfg.modulation.beta, cfg.beam)
     at_optimum = doc_map(state, np.array([optimum.distance]), n_max=8, mode=mode)[:, 0]
     summary = {
         "optimal_distance_mm": optimum.distance / NM_PER_MM,
@@ -349,12 +362,7 @@ def _run_waveguide(cfg: ScenarioConfig, write):
             f"field_{tag}.csv",
             {"t_fs": t_grid[::2], "e_real": e.real, "e_imag": e.imag, "intensity": np.abs(e) ** 2},
         )
-        # the field is finite here, so a NaN width is a pulse that outruns the grid
-        if np.isnan([tfield.fwhm_envelope, tfield.fwhm_intensity]).any():
-            raise PhysicsGuardError(
-                f"the field at length {length_um:g} um does not fall to half its peak "
-                f"inside the +/-{t_grid[-1]:g} fs time grid; shorten envelope.fwhm_fs"
-            )
+        _require_half_widths(cfg, tfield, f"the field at length {length_um:g} um")
         per_length.append(
             {
                 "length_um": float(length_um),
@@ -415,7 +423,8 @@ def _run_pulse_shape(cfg: ScenarioConfig, write):
             "intensity": np.abs(e) ** 2,
         },
     )
-    ratio = tfield.fwhm_envelope / tfield.fwhm_intensity  # NaN when a width is NaN
+    _require_half_widths(cfg, tfield, "the field")
+    ratio = tfield.fwhm_envelope / tfield.fwhm_intensity
     summary = {
         "envelope_fwhm_fs": cfg.envelope.fwhm_fs,
         "field_envelope_fwhm_fs": tfield.fwhm_envelope,
@@ -474,8 +483,8 @@ def _run_detect(cfg: ScenarioConfig, write):
 
     if det.phase_sweep_points:
         phases = np.linspace(0.0, TWO_PI, det.phase_sweep_points, endpoint=False)
-        signal = [balanced_signal(splitter, reference.with_phase(p), field) for p in phases]
-        write("phase_sweep.csv", {"phase_rad": phases, "signal": signal})
+        means = (detector_means(splitter, reference.with_phase(p), field) for p in phases)
+        write("phase_sweep.csv", {"phase_rad": phases, "signal": [m1 - m2 for m1, m2 in means]})
 
     summary = {
         "mu1": mu1,

@@ -39,9 +39,8 @@ from numpy.fft import fft, ifft, rfft
 from .constants import TWO_PI
 from .coupling import CouplingModel, coupling_amplitude
 from .errors import GridCoverageError, PhysicsGuardError
-from .estate import EnvelopeSpec, LadderState, WavepacketDensity, auto_cutoff, pinem_ladder
+from .estate import EnvelopeSpec, LadderState, WavepacketDensity, auto_cutoff
 from .estate import propagation_phase, sampling_lattice
-from .kinematics import BeamParameters
 
 _F0_TOL = 1.0e-8
 _HERMITIAN_TOL = 1.0e-10
@@ -61,8 +60,15 @@ def _require_uniform(x: np.ndarray, what: str) -> None:
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"{what} must be a 1-D grid of at least 2 points")
     steps = np.diff(x)
-    if steps[0] <= 0.0 or np.max(np.abs(steps - steps[0])) > _UNIFORM_TOL * steps[0]:
-        raise ValueError(f"{what} must be uniform and ascending")
+    if not (steps[0] > 0.0 and np.max(np.abs(steps - steps[0])) <= _UNIFORM_TOL * steps[0]):
+        raise ValueError(f"{what} must be uniform and ascending")  # a NaN step trips it
+
+
+def _mean_step(x: np.ndarray) -> float:
+    """Endpoint-based mean step of a uniform grid: immune to the per-element
+    rounding jitter of FFT-generated grids, which can reach ~1e-5 local steps
+    far from 0."""
+    return float((x[-1] - x[0]) / (x.size - 1))
 
 
 def _next_fast_len(n: int) -> int:
@@ -119,13 +125,10 @@ class DensitySpectrum:
             raise PhysicsGuardError("spectrum violates Hermitian symmetry")
         if not np.max(np.abs(v)) <= 1.0 + _MODULUS_TOL:
             raise PhysicsGuardError("|F| exceeds 1 beyond tolerance")
-        object.__setattr__(self, "_zero_index", i0)
 
     @property
     def domega(self) -> float:
-        # endpoint-based mean step: immune to the per-element rounding jitter
-        # of FFT-generated grids, which can reach ~1e-5 local steps far from 0
-        return float((self.omega_grid[-1] - self.omega_grid[0]) / (self.omega_grid.size - 1))
+        return _mean_step(self.omega_grid)
 
     def _indices(self, omega) -> np.ndarray:
         x = (np.asarray(omega, dtype=float) - self.omega_grid[0]) / self.domega
@@ -138,41 +141,17 @@ class DensitySpectrum:
                 f"omega = {worst!r} rad/fs is {np.max(miss):.3e} grid steps off the "
                 f"spectral lattice (step {self.domega:g})"
             )
-        return self._covered(idx).astype(np.intp)
-
-    def _covered(self, idx: np.ndarray) -> np.ndarray:
         if not np.all((idx >= 0) & (idx <= self.omega_grid.size - 1)):
             raise GridCoverageError(
                 "requested frequency lies outside the covered spectral range "
                 f"[{self.omega_grid[0]:g}, {self.omega_grid[-1]:g}] rad/fs"
             )
-        return idx
+        return idx.astype(np.intp)
 
     def value_at(self, omega):
         """F at one or many lattice frequencies (snap within 1e-6 steps)."""
         out = self.values[self._indices(omega)]
         return complex(out) if np.isscalar(omega) else out
-
-    def pair_values(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F at every difference and sum frequency of a grid w_0..w_{N-1} that
-        is a uniform stride of the lattice.
-
-        On such a grid F(w_m - w_n) depends only on m - n and F(w_n + w_m)
-        only on n + m, so each N x N table collapses to 2N-1 lattice lookups:
-        returns (diff, sums) with diff[k + N - 1] = F(w_{n+k} - w_n) and
-        sums[s] = F(w_n + w_{s-n}).  The indices are built from the snapped
-        grid itself, so they are exactly those the N x N lookups would hit
-        and GridCoverageError is raised for the same grids.
-        """
-        idx = self._indices(omega)
-        stride = np.diff(idx)
-        if np.any(stride != stride[:1]):
-            raise ValueError("omega must be a uniform stride of the spectral lattice")
-        span = idx - idx[0]
-        z = self._zero_index
-        diff = self._covered(z + np.concatenate([-span[:0:-1], span]))
-        sums = self._covered(np.concatenate([idx[0] + idx, idx[-1] + idx[1:]]) - z)
-        return self.values[diff], self.values[sums]
 
 
 def _fft_lattice(
@@ -274,9 +253,7 @@ def ladder_overlap(state: LadderState, harmonic: int) -> complex:
         raise ValueError(f"|harmonic| must be <= {2 * state.cutoff}")
     if n < 0:
         return complex(np.conj(ladder_overlap(state, -n)))
-    if n == 0:
-        return complex(np.vdot(c, c))
-    return complex(np.vdot(c[:-n], c[n:]))
+    return complex(np.vdot(c[: c.size - n], c[n:]))
 
 
 def ladder_spectrum(state: LadderState, n_max: int | None = None) -> DensitySpectrum:
@@ -355,10 +332,7 @@ def doc_map(
         amp = c * propagation_phase(state.beam, state.level_indices, block, mode)
         cols = slice(start, start + block.size)
         for n in range(n_max + 1):
-            if n == 0:
-                b = np.sum(np.conj(amp) * amp, axis=0)
-            else:
-                b = np.sum(np.conj(amp[:-n]) * amp[n:], axis=0)
+            b = np.sum(np.conj(amp[: amp.shape[0] - n]) * amp[n:], axis=0)
             out[n, cols] = np.abs(b) ** 2
         start += block.size
     return out
@@ -370,11 +344,8 @@ def spectral_width(doc_by_harmonic: np.ndarray, threshold: float = 0.01):
     Accepts a 1-D array indexed by n or a (n, d) matrix (per-column widths).
     """
     mask = np.asarray(doc_by_harmonic) >= threshold
-    if mask.ndim == 1:
-        hits = np.nonzero(mask)[0]
-        return int(hits[-1]) if hits.size else 0
-    idx = np.arange(mask.shape[0])[:, None]
-    return np.max(np.where(mask, idx, 0), axis=0)
+    n = np.arange(mask.shape[0]).reshape(-1, *(1,) * (mask.ndim - 1))
+    return np.max(np.where(mask, n, 0), axis=0)
 
 
 @dataclass(frozen=True)
@@ -390,8 +361,7 @@ class BunchingOptimum:
 
 
 def optimal_bunching_distance(
-    beta: complex,
-    beam: BeamParameters,
+    state: LadderState,
     d_min: float = 0.0,
     d_max: float = 2.0e7,
     *,
@@ -401,14 +371,14 @@ def optimal_bunching_distance(
     n_scan: int = 40,
     mode: str = "exact",
 ) -> BunchingOptimum:
-    """Distance maximizing the spectral width W(d) = max{n : DOC(n w0; d) >= threshold}.
+    """Distance from the state's plane maximizing the spectral width
+    W(d) = max{n : DOC(n w0; d) >= threshold}.
 
     W is integer-valued and typically plateaus at its maximum; within the
     plateau the scalar tiebreak S(d) = sum_{n>=1} sqrt(DOC(n w0; d)) -- the
     total coherent amplitude across the comb -- is maximized by golden-section
     search down to refine_tol (nm).
     """
-    state = pinem_ladder(beta, beam)
     n_scan = int(min(n_scan, 2 * state.cutoff))
     d = np.arange(d_min, d_max + 0.5 * coarse_step, coarse_step)
     if d.size < 3:
@@ -463,7 +433,6 @@ class CoherentField:
 
     omega_grid: np.ndarray
     a_mean: np.ndarray
-    coupling: CouplingModel
 
     def __post_init__(self) -> None:
         w = np.asarray(self.omega_grid, dtype=float)
@@ -472,12 +441,12 @@ class CoherentField:
         object.__setattr__(self, "a_mean", a)
         if w.ndim != 1 or a.shape != w.shape:
             raise ValueError("omega_grid and a_mean must be matching 1-D arrays")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):  # a NaN trips it
             raise ValueError("CoherentField lives on omega > 0")
 
     @property
     def domega(self) -> float:
-        return float((self.omega_grid[-1] - self.omega_grid[0]) / (self.omega_grid.size - 1))
+        return _mean_step(self.omega_grid)
 
 
 def mean_field(
@@ -506,7 +475,7 @@ def mean_field(
     a = g * spectrum.values[mask]
     if not np.all(np.abs(a) <= cap):
         raise PhysicsGuardError("|<a>| exceeds |g|; corrupted spectrum")
-    return CoherentField(wsel, a, model)
+    return CoherentField(wsel, a)
 
 
 def mean_photon_number(model: CouplingModel, omega):
@@ -527,7 +496,7 @@ def central_moment(
     order = int(order)
     if not 1 <= order <= 8:
         raise ValueError("order must be in 1..8")
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise ValueError("omega must be positive")
     g = complex(coupling_amplitude(model, omega))
     f = spectrum.value_at(np.arange(order + 1) * omega).tolist()  # F(k omega), k = 0..order
@@ -547,7 +516,7 @@ def pair_correlation(
     model: CouplingModel, spectrum: DensitySpectrum, omega: float, omega_prime: float
 ) -> PairCorrelation:
     """Two-frequency correlators of the CL field."""
-    if omega <= 0.0 or omega_prime <= 0.0:
+    if not (omega > 0.0 and omega_prime > 0.0):
         raise ValueError("frequencies must be positive")
     g_w = complex(coupling_amplitude(model, omega))
     g_wp = complex(coupling_amplitude(model, omega_prime))
@@ -585,30 +554,22 @@ class TimeDomainField:
     fwhm_intensity: float
 
 
-def time_domain_field(
-    field: CoherentField,
-    t: np.ndarray | None = None,
-    n_samples: int = 4096,
-) -> TimeDomainField:
-    """Coherent temporal field from the spectral amplitudes.
+def time_domain_field(field: CoherentField, t: np.ndarray) -> TimeDomainField:
+    """Coherent temporal field from the spectral amplitudes at the times t.
 
-    Default time grid spans one full period 2 pi / d omega of the spectral
-    lattice, centred on t = 0.  Both the field's omega grid and t must be
-    uniform and ascending (steps equal to 1e-9 relative; ValueError
-    otherwise): the uniform-to-uniform DFT is then one chirp-z transform
-    (Rabiner, Schafer & Rader 1969), evaluated as Bluestein's FFT convolution
-    in O((N + M) log(N + M)) for N frequencies and M times.
+    Both the field's omega grid and t must be uniform and ascending (steps
+    equal to 1e-9 relative; ValueError otherwise): the uniform-to-uniform DFT
+    is then one chirp-z transform (Rabiner, Schafer & Rader 1969), evaluated
+    as Bluestein's FFT convolution in O((N + M) log(N + M)) for N frequencies
+    and M times.
     """
     w = field.omega_grid
     _require_uniform(w, "field omega_grid")
     dw = field.domega
-    if t is None:
-        span = TWO_PI / dw
-        t = np.linspace(-0.5 * span, 0.5 * span, int(n_samples))
     t = np.asarray(t, dtype=float)
     _require_uniform(t, "t")
     n, m = w.size, t.size
-    dt = (t[-1] - t[0]) / (m - 1)
+    dt = _mean_step(t)
     # With w_k = w_c + p dw and t_j = t_c + q dt about the grid centres and
     # theta = dw dt, p q = (p^2 + q^2 - (q - p)^2) / 2 turns the sum over k
     # into a convolution with the chirp e^{i theta (q - p)^2 / 2}.  Centring

@@ -138,8 +138,8 @@ def main() -> None:
             run_shipped(scenario, config, out)
             entry["digests"][config] = digests(out)
             table["statistics"][config] = statistics(out)
-    others = [h for h in table["hosts"] if (h["numpy"], h["simd"]) != (entry["numpy"], entry["simd"])]
-    table["hosts"] = [*others, entry]
+    key = (entry["numpy"], entry["simd"])
+    table["hosts"] = [h for h in table["hosts"] if (h["numpy"], h["simd"]) != key] + [entry]
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(SHIPPED)} configs for numpy {entry['numpy']} {entry['simd']} to {TABLE}")
 

@@ -55,7 +55,7 @@ def record(number: int, passed: bool, details: str) -> None:
 def bunching_scan():
     """Full-range spectral-width scan (criteria 1 and 2) with its runtime."""
     start = time.perf_counter()
-    opt = optimal_bunching_distance(4.0, BEAM)
+    opt = optimal_bunching_distance(pinem_ladder(4.0, BEAM))
     return opt, time.perf_counter() - start
 
 

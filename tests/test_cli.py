@@ -18,7 +18,8 @@ import clcoherence
 from clcoherence import BeamParameters
 from clcoherence.cli import main
 from clcoherence.oracle import _run_single
-from clcoherence.scenarios import _CSV_BLOCK, _write_csv
+from clcoherence.errors import PhysicsGuardError
+from clcoherence.scenarios import _CSV_BLOCK, _write_csv, _write_json
 
 import shipped_digests
 
@@ -380,7 +381,16 @@ class TestExitCodes:
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "detection.reference: the band" in capsys.readouterr().err
 
-    def test_non_finite_summary_value_is_physics_guard(self, tmp_path, capsys):
+    def test_non_finite_summary_value_is_physics_guard(self, tmp_path):
+        # the last guard before summary.json names every non-finite value
+        payload = {"widths": {"field_envelope_fwhm_fs": math.nan}, "ratio": math.inf, "n": 1.0}
+        with pytest.raises(PhysicsGuardError) as info:
+            _write_json(tmp_path / "summary.json", payload)
+        message = str(info.value)
+        assert '"field_envelope_fwhm_fs": NaN' in message and '"ratio": Infinity' in message
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_pulse_shape_field_longer_than_the_time_grid_names_the_fwhm(self, tmp_path, capsys):
         # a 2e-4 omega0 coupling band: the time field has no half-maximum widths
         payload = json.loads((CONFIGS / "pulse_shape.json").read_text())
         payload["coupling"]["band_over_omega0"] = [0.9999, 1.0001]
@@ -388,9 +398,30 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["pulse-shape", "--config", cfg, "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
-        for key in ("field_envelope_fwhm_fs", "field_intensity_fwhm_fs"):
-            assert f'"{key}": NaN' in err
-        assert '"envelope_to_intensity_ratio": NaN' in err
+        assert (
+            "the field does not fall to half its peak inside the +/-1600 fs time grid; "
+            "lengthen envelope.fwhm_fs"
+        ) in err
+        assert "NaN" not in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, name, field",
+        [("pulse-shape", "pulse_shape.json", "the field"),
+         ("waveguide", "waveguide.json", "the field at length 10 um")],
+    )
+    def test_infinite_envelope_field_names_the_envelope_kind(
+        self, scenario, name, field, tmp_path, capsys
+    ):
+        payload = json.loads((CONFIGS / name).read_text())
+        payload["envelope"] = {"kind": "infinite"}
+        cfg = write_config(tmp_path, name, payload)
+        out = tmp_path / "o"
+        assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"{field} does not fall to half its peak" in err
+        assert "envelope.kind 'infinite' gives a field without end" in err
+        assert "fwhm_fs" not in err and "NaN" not in err
         assert not (out / "summary.json").exists()
 
     def test_non_finite_csv_column_is_physics_guard(self, tmp_path, capsys):
@@ -927,6 +958,13 @@ def _probe(code: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def test_readme_library_example_runs():
+    """README's python block runs as written, in a fresh interpreter."""
+    blocks = re.findall(r"```python\n(.*?)```", (CONFIGS.parent / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    _probe(blocks[0])
 
 
 def test_cli_import_does_not_load_scipy_signal():

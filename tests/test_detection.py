@@ -15,7 +15,6 @@ from clcoherence import (
     NoiseFloorReport,
     PhysicsGuardError,
     ReferencePulse,
-    balanced_signal,
     coupling_amplitude,
     density_spectrum,
     detector_means,
@@ -31,6 +30,12 @@ from clcoherence import (
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
+
+
+def difference_signal(splitter, reference, field):
+    """mu1 - mu2 at unit quantum efficiency, as detect's phase sweep writes it."""
+    mu1, mu2 = detector_means(splitter, reference, field)
+    return mu1 - mu2
 
 
 def make_setup(g0=0.05, n_points=8, total_counts=1.0e4, phase=0.0):
@@ -116,7 +121,7 @@ class TestPhaseSweep:
         s = BeamSplitter.heterodyne()
         phases = np.linspace(0.0, 2.0 * math.pi, 25, endpoint=False)
         signal = np.array(
-            [balanced_signal(s, ref.with_phase(p), field) for p in phases]
+            [difference_signal(s, ref.with_phase(p), field) for p in phases]
         )
         # Least-squares fit S = A cos(phi) + B sin(phi) + C.
         design = np.column_stack([np.cos(phases), np.sin(phases), np.ones_like(phases)])
@@ -132,7 +137,7 @@ class TestPhaseSweep:
         p_cl = float(np.sum(np.abs(field.a_mean) ** 2) * field.domega)
         bound = 2.0 * math.sqrt(ref.total_counts * p_cl)
         phases = np.linspace(0.0, 2.0 * math.pi, 720)
-        peak = max(abs(balanced_signal(s, ref.with_phase(p), field)) for p in phases)
+        peak = max(abs(difference_signal(s, ref.with_phase(p), field)) for p in phases)
         assert peak <= bound * (1.0 + 1e-12)
 
     def test_bound_saturated_by_matched_reference(self):
@@ -144,7 +149,7 @@ class TestPhaseSweep:
         p_cl = float(np.sum(np.abs(field.a_mean) ** 2) * field.domega)
         bound = 2.0 * math.sqrt(ref.total_counts * p_cl)
         phases = np.linspace(0.0, 2.0 * math.pi, 4001)
-        peak = max(abs(balanced_signal(s, ref.with_phase(p), field)) for p in phases)
+        peak = max(abs(difference_signal(s, ref.with_phase(p), field)) for p in phases)
         assert peak == pytest.approx(bound, rel=1e-6)
 
 
@@ -171,6 +176,9 @@ class TestReferencePulse:
             ReferencePulse.gaussian(grid, 3 * W0, -1.0, 10.0)
         with pytest.raises(ValueError):
             ReferencePulse.gaussian(grid, 3 * W0, W0, -5.0)
+        for sigma, counts in ((math.nan, 10.0), (W0, math.nan)):  # a NaN trips the guard
+            with pytest.raises(ValueError):
+                ReferencePulse.gaussian(grid, 3 * W0, sigma, counts)
 
     def test_gaussian_on_one_point_grid_rejected(self):
         with pytest.raises(ValueError, match="2 or more points"):
@@ -290,7 +298,7 @@ class TestSnrEstimate:
             g0=0.3, total_counts=2000.0, phase=0.5 * math.pi
         )
         s = BeamSplitter.heterodyne()
-        analytic = balanced_signal(s, ref, field)
+        analytic = difference_signal(s, ref, field)
         ens = sample_shots(s, ref, field, n_shots=3000, seed=21)
         rep = snr_estimate(ens)
         assert abs(rep.signal - analytic) < 4.0 * rep.stderr

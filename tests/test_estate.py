@@ -26,7 +26,6 @@ from clcoherence import (
     propagate,
     synthesize_density,
 )
-from clcoherence.constants import ELECTRON_REST_EV
 from clcoherence.estate import bessel_ladder, sampling_lattice
 from clcoherence.spectra import ladder_overlap
 
@@ -45,7 +44,6 @@ def to_json_dict(state: LadderState) -> dict:
         "beam": {
             "kinetic_energy_ev": state.beam.kinetic_energy,
             "photon_energy_ev": state.beam.photon_energy,
-            "rest_energy_ev": state.beam.rest_energy,
         },
         "coefficients_real": state.coefficients.real.tolist(),
         "coefficients_imag": state.coefficients.imag.tolist(),
@@ -56,7 +54,6 @@ def from_json_dict(payload: dict) -> LadderState:
     beam = BeamParameters(
         kinetic_energy=payload["beam"]["kinetic_energy_ev"],
         photon_energy=payload["beam"]["photon_energy_ev"],
-        rest_energy=payload["beam"].get("rest_energy_ev", ELECTRON_REST_EV),
     )
     c = np.asarray(payload["coefficients_real"]) + 1j * np.asarray(payload["coefficients_imag"])
     return LadderState(c, beam)

@@ -18,8 +18,6 @@ from clcoherence import (
     HBARC_EV_NM,
     HBAR_EV_FS,
     TWO_PI,
-    lorentz_factor,
-    talbot_distance,
     wavenumber,
 )
 
@@ -43,9 +41,6 @@ class TestLorentzFactor:
         assert beam200.beta_v == pytest.approx(BETA_200KEV, rel=1e-14)
         assert beam200.velocity == pytest.approx(VELOCITY_200KEV, rel=1e-14)
         assert beam200.velocity == pytest.approx(beam200.beta_v * C_NM_FS, rel=1e-15)
-
-    def test_free_function_matches_property(self, beam200):
-        assert lorentz_factor(beam200) == beam200.gamma
 
     def test_nonpositive_kinetic_energy_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +111,6 @@ class TestWavenumber:
 class TestTalbotDistance:
     def test_frozen_value(self, beam200):
         assert beam200.talbot_distance == pytest.approx(ZT_200KEV_800NM, rel=1e-10)
-        assert talbot_distance(beam200) == beam200.talbot_distance
 
     def test_two_closed_forms_agree(self, beam200):
         # 4*pi*mc^2*beta^3*gamma^3*c/(hbar*omega0^2)  ==  2*v^2*omega0*... form

@@ -28,10 +28,12 @@ from clcoherence import (
     FlatCoupling,
     GridCoverageError,
     PhysicsGuardError,
+    ReferencePulse,
     WavepacketDensity,
     analytic_pinem_overlap,
     band_spectrum,
     central_moment,
+    coupling_amplitude,
     density_spectrum,
     doc,
     doc_map,
@@ -461,12 +463,41 @@ class TestDensitySpectrumValidation:
         with pytest.raises(GridCoverageError):
             spec.value_at(omega)
 
-    def test_pair_values_rejects_nan_in_grid(self):
-        spec = ladder_spectrum(pinem_ladder(2.0, BEAM))
-        grid = W0 * np.arange(-2.0, 3.0)
-        grid[2] = math.nan
-        with pytest.raises(GridCoverageError):
-            spec.pair_values(grid)
+
+
+def _band(n=5):
+    return W0 * np.arange(1.0, n + 1.0)
+
+
+# Each guard on a frequency or time grid, fed that grid: (error, call).
+GRID_GUARDS = {
+    "spectrum lattice": (
+        ValueError,
+        lambda g: DensitySpectrum(g - 3.0 * W0, np.eye(1, g.size, 2)[0], W0),
+    ),
+    "spectrum lookup": (
+        GridCoverageError,
+        lambda g: ladder_spectrum(pinem_ladder(2.0, BEAM)).value_at(g),
+    ),
+    "coherent field": (ValueError, lambda g: CoherentField(g, np.ones(g.size))),
+    "reference pulse": (ValueError, lambda g: ReferencePulse(g, np.ones(g.size))),
+    "coupling amplitude": (
+        ValueError,
+        lambda g: coupling_amplitude(FlatCoupling(1.0, 0.5 * W0, 5.5 * W0), g),
+    ),
+    "time grid": (ValueError, lambda g: time_domain_field(CoherentField(_band(), np.ones(5)), g)),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("guard", sorted(GRID_GUARDS))
+def test_grid_guards_reject_nan(guard, position):
+    """A NaN anywhere in a grid trips its guard: every check reads `not (... <= ...)`."""
+    error, call = GRID_GUARDS[guard]
+    grid = _band()
+    grid[position] = math.nan
+    with pytest.raises(error):
+        call(grid)
 
 
 class TestDegreeOfCoherence:
@@ -558,7 +589,7 @@ class TestOptimalBunchingDistance:
         # Scan a narrow bracket around the known optimum to keep this fast;
         # the full-range behaviour is exercised by the acceptance gate.
         opt = optimal_bunching_distance(
-            4.0, BEAM, d_min=5.5e6, d_max=8.0e6, coarse_step=5.0e4
+            pinem_ladder(4.0, BEAM), d_min=5.5e6, d_max=8.0e6, coarse_step=5.0e4
         )
         assert opt.width == 17
         assert 6.0e6 < opt.distance < 7.2e6
@@ -567,8 +598,9 @@ class TestOptimalBunchingDistance:
         assert top.min() - 5e4 <= opt.distance <= top.max() + 5e4
 
     def test_carries_the_coarse_doc_map(self):
-        opt = optimal_bunching_distance(4.0, BEAM, d_min=5.5e6, d_max=8.0e6, coarse_step=5.0e4)
-        expected = doc_map(pinem_ladder(4.0, BEAM), opt.coarse_distances, n_max=40)
+        state = pinem_ladder(4.0, BEAM)
+        opt = optimal_bunching_distance(state, d_min=5.5e6, d_max=8.0e6, coarse_step=5.0e4)
+        expected = doc_map(state, opt.coarse_distances, n_max=40)
         np.testing.assert_array_equal(opt.coarse_doc, expected)
         np.testing.assert_array_equal(opt.coarse_widths, spectral_width(expected))
 
@@ -719,7 +751,7 @@ def random_band_field(n, seed):
     rng = np.random.default_rng(seed)
     w = W0 - 0.06 + 0.12 * np.arange(n) / (n - 1)
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return CoherentField(w, a, FlatCoupling(1.0, 0.5 * W0, 1.5 * W0))
+    return CoherentField(w, a)
 
 
 class TestTimeDomainFieldAgainstDirectSum:
@@ -750,8 +782,10 @@ class TestTimeDomainFieldAgainstDirectSum:
         assert np.max(np.abs(fast - reference)) <= 1e-9 * np.max(np.abs(reference))
 
     def test_default_grid_matches_direct_sum(self):
+        # 512 samples over one full period 2 pi / d omega of the spectral lattice
         field = random_band_field(301, seed=5)
-        tf = time_domain_field(field, n_samples=512)
+        span = 2.0 * math.pi / field.domega
+        tf = time_domain_field(field, t=np.linspace(-0.5 * span, 0.5 * span, 512))
         direct = direct_time_field(field, tf.t)
         assert np.max(np.abs(tf.values - direct)) <= 1e-11 * np.max(np.abs(direct))
 
@@ -766,7 +800,7 @@ class TestTimeDomainFieldAgainstDirectSum:
         w = field.omega_grid.copy()
         w[10] += 1e-6 * field.domega
         with pytest.raises(ValueError, match="uniform"):
-            time_domain_field(CoherentField(w, field.a_mean, field.coupling), t=t[:5])
+            time_domain_field(CoherentField(w, field.a_mean), t=t[:5])
 
 
 @settings(max_examples=25, deadline=None)
