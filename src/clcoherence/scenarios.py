@@ -156,20 +156,15 @@ def _band_field(model, spectrum, lo: float, hi: float):
     return field
 
 
-def _require_half_widths(cfg: ScenarioConfig, tfield, what: str) -> None:
+def _require_half_widths(tfield, envelope, what: str, gaussian_fix: str) -> None:
     """The field is finite once its CSV is written, so a NaN width is a field that
     never falls to half its peak inside its time grid."""
-    if not np.isnan([tfield.fwhm_envelope, tfield.fwhm_intensity]).any():
-        return
-    if cfg.envelope.kind == "infinite":
-        fix = "envelope.kind 'infinite' gives a field without end; use a gaussian envelope"
-    elif cfg.scenario == "waveguide":
-        fix = "shorten envelope.fwhm_fs"
-    else:  # pulse-shape's grid spans +/-8 fwhm
-        fix = "lengthen envelope.fwhm_fs, which sets the grid to +/-8 fwhm"
-    raise PhysicsGuardError(
-        f"{what} does not fall to half its peak inside the +/-{tfield.t[-1]:g} fs time grid; {fix}"
-    )
+    if np.isnan([tfield.fwhm_envelope, tfield.fwhm_intensity]).any():
+        infinite = "envelope.kind 'infinite' gives a field without end; use a gaussian envelope"
+        raise PhysicsGuardError(
+            f"{what} does not fall to half its peak inside the +/-{tfield.t[-1]:g} fs time "
+            f"grid; {infinite if envelope.kind == 'infinite' else gaussian_fix}"
+        )
 
 
 def build_coupling(cfg: ScenarioConfig, length_um: float | None = None):
@@ -362,7 +357,8 @@ def _run_waveguide(cfg: ScenarioConfig, write):
             f"field_{tag}.csv",
             {"t_fs": t_grid[::2], "e_real": e.real, "e_imag": e.imag, "intensity": np.abs(e) ** 2},
         )
-        _require_half_widths(cfg, tfield, f"the field at length {length_um:g} um")
+        what = f"the field at length {length_um:g} um"
+        _require_half_widths(tfield, cfg.envelope, what, "shorten envelope.fwhm_fs")
         per_length.append(
             {
                 "length_um": float(length_um),
@@ -423,7 +419,8 @@ def _run_pulse_shape(cfg: ScenarioConfig, write):
             "intensity": np.abs(e) ** 2,
         },
     )
-    _require_half_widths(cfg, tfield, "the field")
+    fix = "lengthen envelope.fwhm_fs, which sets the grid to +/-8 fwhm"
+    _require_half_widths(tfield, cfg.envelope, "the field", fix)
     ratio = tfield.fwhm_envelope / tfield.fwhm_intensity
     summary = {
         "envelope_fwhm_fs": cfg.envelope.fwhm_fs,

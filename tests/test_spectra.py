@@ -464,7 +464,6 @@ class TestDensitySpectrumValidation:
             spec.value_at(omega)
 
 
-
 def _band(n=5):
     return W0 * np.arange(1.0, n + 1.0)
 
@@ -492,7 +491,7 @@ GRID_GUARDS = {
 @pytest.mark.parametrize("position", [0, 2, -1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("guard", sorted(GRID_GUARDS))
 def test_grid_guards_reject_nan(guard, position):
-    """A NaN anywhere in a grid trips its guard: every check reads `not (... <= ...)`."""
+    """A NaN anywhere in a grid trips its guard: each check is written so that NaN fails it."""
     error, call = GRID_GUARDS[guard]
     grid = _band()
     grid[position] = math.nan
