@@ -1,7 +1,11 @@
 """Golden digests of the shipped configs' artifacts (`shipped_digests.json`).
 
 The table holds the sha256 of every CSV and `summary.json` that the shipped
-configs write, keyed by numpy's version and its SIMD dispatch targets
+configs write, and those that the benchmark workloads' seed-1 configs write
+(`tests/workloads/`, from perfbench's `workloads.generate(workload, 1)`; its
+oracle-check config is `configs/oracle_check.json`'s computation).  The
+workloads run inputs no shipped config covers: |beta| in [3.5, 4.5], distances
+around the bunching optimum and the reference phase.  The table is keyed by numpy's version and its SIMD dispatch targets
 (`np.show_config(mode="dicts")["SIMD Extensions"]`): those set the last bits
 of float reductions, so another dispatch writes other bytes at round-off
 level.  For a host with no entry the table also keeps numeric statistics of
@@ -9,7 +13,7 @@ each file, compared at the measured tolerance in `TOLERANCE`.
 
     PYTHONPATH=src python tests/shipped_digests.py
 
-runs the eight configs and writes this host's digests, together with the
+runs the eight shipped and eight workload configs and writes this host's digests, together with the
 statistics, into the table.  A change that moves an artifact reruns it and
 says in CHANGES.md which files moved and by how much.
 """
@@ -25,15 +29,26 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "shipped_digests.json"
+# (scenario, config path from the repository root); the table keys each by file name
 SHIPPED = [
-    ("doc-map", "doc_map.json"),
-    ("doc-slice", "doc_slice.json"),
-    ("doc-slice", "doc_slice_infinite.json"),
-    ("waveguide", "waveguide.json"),
-    ("pulse-shape", "pulse_shape.json"),
-    ("detect", "detect.json"),
-    ("oracle-check", "oracle_check.json"),
-    ("sweep", "sweep.json"),
+    ("doc-map", "configs/doc_map.json"),
+    ("doc-slice", "configs/doc_slice.json"),
+    ("doc-slice", "configs/doc_slice_infinite.json"),
+    ("waveguide", "configs/waveguide.json"),
+    ("pulse-shape", "configs/pulse_shape.json"),
+    ("detect", "configs/detect.json"),
+    ("oracle-check", "configs/oracle_check.json"),
+    ("sweep", "configs/sweep.json"),
+]
+WORKLOADS = [
+    ("doc-slice", "tests/workloads/spectral-00-doc-slice.json"),
+    ("doc-slice", "tests/workloads/spectral-01-doc-slice.json"),
+    ("waveguide", "tests/workloads/spectral-02-waveguide.json"),
+    ("pulse-shape", "tests/workloads/spectral-03-pulse-shape.json"),
+    ("detect", "tests/workloads/heterodyne-00-detect.json"),
+    ("detect", "tests/workloads/heterodyne-01-detect.json"),
+    ("doc-map", "tests/workloads/ladder-01-doc-map.json"),
+    ("sweep", "tests/workloads/ladder-02-sweep.json"),
 ]
 # Fallback tolerance, in units of a column's largest |x| (of a summary number's own
 # |x|).  Between numpy 2.4.6's AVX-512 and AVX2 paths (NPY_DISABLE_CPU_FEATURES=
@@ -124,7 +139,7 @@ def mismatches(config: str, expected: dict, actual: dict) -> list[str]:
 def run_shipped(scenario: str, config: str, out_dir: Path) -> None:
     from clcoherence.cli import main
 
-    args = [scenario, "--config", str(ROOT / "configs" / config), "--out", str(out_dir)]
+    args = [scenario, "--config", str(ROOT / config), "--out", str(out_dir)]
     if main([*args, "--quiet"]) != 0:
         raise SystemExit(f"{config} failed")
 
@@ -133,15 +148,16 @@ def main() -> None:
     table = json.loads(TABLE.read_text()) if TABLE.exists() else {"hosts": [], "statistics": {}}
     entry = {**host_key(), "digests": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for scenario, config in SHIPPED:
-            out = Path(tmp) / config
+        for scenario, config in SHIPPED + WORKLOADS:
+            name = Path(config).name
+            out = Path(tmp) / name
             run_shipped(scenario, config, out)
-            entry["digests"][config] = digests(out)
-            table["statistics"][config] = statistics(out)
+            entry["digests"][name] = digests(out)
+            table["statistics"][name] = statistics(out)
     key = (entry["numpy"], entry["simd"])
     table["hosts"] = [h for h in table["hosts"] if (h["numpy"], h["simd"]) != key] + [entry]
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(SHIPPED)} configs for numpy {entry['numpy']} {entry['simd']} to {TABLE}")
+    print(f"wrote {len(SHIPPED + WORKLOADS)} configs for numpy {entry['numpy']} {entry['simd']} to {TABLE}")
 
 
 if __name__ == "__main__":

@@ -25,16 +25,7 @@ import shipped_digests
 
 BEAM_SECTION = {"kinetic_energy_ev": 200000.0, "wavelength_nm": 800.0}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-SHIPPED = [
-    ("doc-map", "configs/doc_map.json"),
-    ("doc-slice", "configs/doc_slice.json"),
-    ("doc-slice", "configs/doc_slice_infinite.json"),
-    ("waveguide", "configs/waveguide.json"),
-    ("pulse-shape", "configs/pulse_shape.json"),
-    ("detect", "configs/detect.json"),
-    ("oracle-check", "configs/oracle_check.json"),
-    ("sweep", "configs/sweep.json"),
-]
+SHIPPED = shipped_digests.SHIPPED
 
 
 def strict_json(text):
@@ -886,7 +877,8 @@ class TestReproducibility:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("scenario,config", SHIPPED)
+    # the benchmark workloads' configs too: inputs no shipped config covers
+    @pytest.mark.parametrize("scenario,config", SHIPPED + shipped_digests.WORKLOADS)
     def test_fast_shipped_configs_run(self, scenario, config, tmp_path):
         root = CONFIGS.parent
         out = tmp_path / "o"
