@@ -32,7 +32,6 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import __version__
-from .coupling import DEFAULT_GROUP_VELOCITY_RATIO, DEFAULT_GVD_FS2_NM
 from .detection import BeamSplitter
 from .errors import ConfigError
 from .estate import EnvelopeSpec, auto_cutoff, sampling_lattice
@@ -255,21 +254,6 @@ class Propagation:
 
 
 @dataclass(frozen=True)
-class Envelope:
-    kind: str = _key(_string("infinite", "gaussian"))
-    fwhm_fs: float | None = _key(_POSITIVE, None)
-    dt_fs: float | None = _key(_POSITIVE, None)  # None: synthesize_density's choice
-    window_fs: float | None = _key(_POSITIVE, None)
-
-    def __post_init__(self) -> None:
-        self.spec  # EnvelopeSpec checks kind against fwhm
-
-    @property
-    def spec(self) -> EnvelopeSpec:
-        return EnvelopeSpec(kind=self.kind, fwhm=self.fwhm_fs)
-
-
-@dataclass(frozen=True)
 class Scan:
     d_min_mm: float = _key(_NONNEGATIVE, 0.0)
     d_max_mm: float = _key(_POSITIVE, 20.0)
@@ -317,14 +301,22 @@ class Waveguide:
     length_um: float | None = _key(_POSITIVE, None)
     # waveguide scenario only
     lengths_um: tuple[float, ...] | None = _key(_list(_POSITIVE), None)
-    v_group_ratio: float = _key(_POSITIVE, DEFAULT_GROUP_VELOCITY_RATIO)
-    gvd_fs2_nm: float = _key(_REAL, DEFAULT_GVD_FS2_NM)
+    # representative coupler: a millimetre-scale one resolves sinc nulls inside
+    # a single-harmonic line
+    v_group_ratio: float = _key(_POSITIVE, 1.05)
+    gvd_fs2_nm: float = _key(_REAL, 0.4)
     omega_match_over_omega0: float = _key(_POSITIVE, 1.0)
     variant: str = field(default="waveguide", init=False)
 
     def __post_init__(self) -> None:
         if (self.length_um is None) == (self.lengths_um is None):
             raise ValueError("give exactly one of length_um or lengths_um")
+
+
+def _envelope(value, path: str) -> EnvelopeSpec:
+    kinds = _string("infinite", "gaussian")
+    readers = {"kind": kinds, "fwhm_fs": _POSITIVE, "dt_fs": _POSITIVE, "window_fs": _POSITIVE}
+    return _build(EnvelopeSpec, path, _read(value, path, readers))
 
 
 def _splitter(value, path: str) -> BeamSplitter:
@@ -404,7 +396,7 @@ _SECTIONS = {
     "beam": _beam,
     "modulation": _section(Modulation),
     "propagation": _section(Propagation),
-    "envelope": _section(Envelope),
+    "envelope": _envelope,
     "scan": _section(Scan),
     "coupling": _coupling,
     "detection": _section(Detection),
@@ -436,7 +428,7 @@ class ScenarioConfig:
     beam: BeamParameters | None = None
     modulation: Modulation | None = None
     propagation: Propagation | None = None
-    envelope: Envelope | None = None
+    envelope: EnvelopeSpec | None = None
     scan: Scan | None = None
     coupling: FlatBand | GaussianBand | Tabulated | Waveguide | None = None
     detection: Detection | None = None
@@ -480,11 +472,11 @@ class ScenarioConfig:
         if env is not None:  # dt_fs and window_fs against this beam, by the run's own checks
             cutoff = mod.cutoff if mod.cutoff is not None else auto_cutoff(mod.beta_abs)
             try:
-                lattice = sampling_lattice(self.beam, env.spec, cutoff, env.dt_fs, env.window_fs)
+                lattice = sampling_lattice(self.beam, env, cutoff)
             except ValueError as exc:
                 raise ConfigError(f"envelope: {exc}") from None
             _, per_period, periods = lattice
-            pad = fft_pad(env.spec)
+            pad = fft_pad(env)
             sizes["lattice_span"] = int(self.lattice_top / self.beam.omega0 * pad * periods)
             if self.scenario == "doc-slice":  # the one run that synthesizes the density
                 sizes["samples"] = per_period * periods * pad

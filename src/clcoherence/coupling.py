@@ -20,13 +20,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .kinematics import BeamParameters
-
-# Representative defaults for the traveling-wave coupler; chosen so that a
-# millimetre-scale coupler resolves sinc nulls inside a single-harmonic line.
-DEFAULT_GROUP_VELOCITY_RATIO = 1.05
-DEFAULT_GVD_FS2_NM = 0.4
-
 
 @dataclass(frozen=True)
 class FlatCoupling:
@@ -129,22 +122,6 @@ class WaveguideCoupling:
             raise ValueError("velocities must be positive (nm/fs)")
         if self.length <= 0.0:
             raise ValueError("length must be positive (nm)")
-
-    @classmethod
-    def default_for_beam(
-        cls, beam: BeamParameters, g0: complex, length: float
-    ) -> "WaveguideCoupling":
-        """Coupler matched to the beam's modulation frequency with default
-        group-velocity walk-off (v_g = 1.05 v_e) and dispersion."""
-        v_e = beam.velocity
-        return cls(
-            g0=g0,
-            omega_match=beam.omega0,
-            v_electron=v_e,
-            v_group=DEFAULT_GROUP_VELOCITY_RATIO * v_e,
-            gvd=DEFAULT_GVD_FS2_NM,
-            length=length,
-        )
 
     def phase_mismatch(self, omega):
         """dk(omega) in rad/nm."""

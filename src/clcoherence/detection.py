@@ -175,29 +175,19 @@ class ShotEnsemble:
         return self.counts1.size
 
 
-def sample_shots(
-    splitter: BeamSplitter,
-    reference: ReferencePulse,
-    cl_field: CoherentField | None,
-    *,
-    n_shots: int,
-    seed: int,
-    qe1: float = 1.0,
-    qe2: float = 1.0,
-) -> ShotEnsemble:
-    """Poisson photocounts per shot, one Philox stream per detector.
+def sample_shots(mu1: float, mu2: float, *, n_shots: int, seed: int) -> ShotEnsemble:
+    """Poisson photocounts per shot about the detector means (mu1, mu2) that
+    `detector_means` returns, one Philox stream per detector.
 
     Detector d (1 or 2) draws its shots as
     `Generator(Philox(key=seed, counter=[0, 0, 0, d])).poisson(mean, n_shots)`,
     so a fixed seed gives the same ensemble, extending an ensemble never
     changes the shots already drawn, and the two detector streams are
-    separate.  Quantum efficiency thins the Poisson mean.  If a numpy release
-    changes its Poisson algorithm, `test_stream_matches_numpy_poisson` is the
-    arbiter.
+    separate.  If a numpy release changes its Poisson algorithm,
+    `test_stream_matches_numpy_poisson` is the arbiter.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    mu1, mu2 = detector_means(splitter, reference, cl_field, qe1, qe2)
     if max(mu1, mu2) > _MEAN_OVERFLOW:
         raise PhysicsGuardError(
             f"detector mean {max(mu1, mu2):.3e} exceeds {_MEAN_OVERFLOW:g} counts"
@@ -303,7 +293,7 @@ def noise_floor_terms(
     p = splitter.imbalance
     abs_k2 = abs(kappa) ** 2
 
-    reference_shot = abs_k2 * float(np.sum(np.abs(alpha) ** 2) * dw)
+    reference_shot = abs_k2 * reference.total_counts
     cl_shot = abs_k2 * float(np.sum(np.abs(g) ** 2) * dw)
     cross = dw * dw * (2.0 * np.real(kappa**2 * anomalous) + 2.0 * abs_k2 * np.real(normal))
     total = reference_shot + cl_shot + float(cross)

@@ -153,19 +153,23 @@ def propagate(state: LadderState, distance: float, mode: str = "exact") -> Ladde
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
-    """Pulse envelope: kind "infinite" or "gaussian" (fwhm of |f|^2, fs)."""
+    """Pulse envelope and its sampling: kind "infinite" or "gaussian" (fwhm_fs of
+    |f|^2), the time step dt_fs and the window window_fs (None: `sampling_lattice`'s
+    defaults).  It is the config's envelope section, resolved."""
 
     kind: str
-    fwhm: float | None = None
+    fwhm_fs: float | None = None
+    dt_fs: float | None = None
+    window_fs: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("infinite", "gaussian"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.fwhm is None or self.fwhm <= 0.0:
-                raise ValueError("gaussian envelope requires a positive fwhm (fs)")
-        elif self.fwhm is not None:
-            raise ValueError("infinite envelope takes no fwhm")
+            if self.fwhm_fs is None or self.fwhm_fs <= 0.0:
+                raise ValueError("gaussian envelope requires a positive fwhm_fs")
+        elif self.fwhm_fs is not None:
+            raise ValueError("infinite envelope takes no fwhm_fs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +203,10 @@ class WavepacketDensity:
 
 
 def sampling_lattice(
-    beam: BeamParameters, envelope: EnvelopeSpec, cutoff: int, dt=None, window=None
+    beam: BeamParameters, envelope: EnvelopeSpec, cutoff: int
 ) -> tuple[float, int, int]:
-    """(dt, samples per period, periods) sampling a ladder of half-width `cutoff`.
+    """(dt, samples per period, periods) sampling a ladder of half-width `cutoff`
+    with the envelope's dt_fs and window_fs.
 
     Defaults: dt = T0/256 and window = 16*fwhm (gaussian) or 64*T0 (infinite).
     dt is snapped to T0/m (integer m) and the window up to an integer number of
@@ -210,6 +215,7 @@ def sampling_lattice(
     ValueError), and the highest harmonic must stay below Nyquist (AliasingError).
     """
     t_period = beam.optical_period
+    dt, window = envelope.dt_fs, envelope.window_fs
     if dt is None:
         dt = t_period / 256.0
     if dt <= 0.0:
@@ -226,7 +232,7 @@ def sampling_lattice(
         )
 
     if envelope.kind == "gaussian":
-        fwhm = float(envelope.fwhm)  # validated by EnvelopeSpec
+        fwhm = float(envelope.fwhm_fs)  # validated by EnvelopeSpec
         if window is None:
             window = 16.0 * fwhm
         if window < 8.0 * fwhm * (1.0 - 1.0e-12):
@@ -240,19 +246,12 @@ def sampling_lattice(
     return dt_eff, samples_per_period, n_periods
 
 
-def synthesize_density(
-    state: LadderState,
-    envelope: EnvelopeSpec,
-    dt: float | None = None,
-    window: float | None = None,
-) -> WavepacketDensity:
+def synthesize_density(state: LadderState, envelope: EnvelopeSpec) -> WavepacketDensity:
     """Sample rho(t) = |f(t)|^2 |sum_j c_j e^{-i j omega0 t}|^2, normalized to 1, on
     the time lattice of `sampling_lattice` (its defaults and guards).  The ladder
     sum has period T0: one period, at times less whole periods (small phases), is
     a (P x 2J+1) phase matrix times the coefficients, tiled before |f|^2 is applied."""
-    dt_eff, samples_per_period, n_periods = sampling_lattice(
-        state.beam, envelope, state.cutoff, dt, window
-    )
+    dt_eff, samples_per_period, n_periods = sampling_lattice(state.beam, envelope, state.cutoff)
     t_period = state.beam.optical_period
     t0 = -0.5 * (n_periods * t_period)
     t_one = dt_eff * np.arange(samples_per_period) - 0.5 * (n_periods % 2) * t_period
@@ -263,7 +262,7 @@ def synthesize_density(
         f2 = np.arange(rho.size, dtype=float)
         f2 *= dt_eff
         f2 += t0
-        f2 /= envelope.fwhm
+        f2 /= envelope.fwhm_fs
         np.square(f2, out=f2)
         f2 *= -4.0 * math.log(2.0)
         rho *= np.exp(f2, out=f2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import platform
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -133,8 +133,8 @@ def build_state(cfg: ScenarioConfig) -> LadderState:
 def _band_spectrum(cfg: ScenarioConfig, what: str):
     """F on the sampled lattice of a run up to |omega| = cfg.lattice_top; the band
     lo <= omega <= hi that the run reads (cfg.band) must hold 2 or more lattice points."""
-    env, (lo, hi) = cfg.envelope, cfg.band
-    spectrum = band_spectrum(build_state(cfg), env.spec, cfg.lattice_top, env.dt_fs, env.window_fs)
+    lo, hi = cfg.band
+    spectrum = band_spectrum(build_state(cfg), cfg.envelope, cfg.lattice_top)
     w = spectrum.omega_grid
     if np.count_nonzero((w > 0.0) & (w >= lo) & (w <= hi)) < 2:
         raise ConfigError(
@@ -254,13 +254,12 @@ def _spectrum_step(n_fft: int, span: int) -> int:
 def _run_doc_slice(cfg: ScenarioConfig, write):
     # the independent route: FFT of the sampled density, checked against the ladder
     state = build_state(cfg)
-    env = cfg.envelope
-    density = synthesize_density(state, env.spec, dt=env.dt_fs, window=env.window_fs)
+    density = synthesize_density(state, cfg.envelope)
     w0 = cfg.beam.omega0
     n_keep = min(2 * state.cutoff, DOC_SLICE_HARMONICS)
     top = n_keep * w0 * (1.0 + 1.0e-12)
     # harmonics sit on k = 0 (mod periods x pad): one period of the density, summed over periods
-    pad = fft_pad(env.spec)
+    pad = fft_pad(cfg.envelope)
     per_harmonic = density.periods_in_window * pad
     harmonics = density_spectrum(density, top, step=per_harmonic)
 
@@ -454,18 +453,9 @@ def _run_detect(cfg: ScenarioConfig, write):
         phase=det.reference.phase_rad,
     )
     splitter = det.splitter
-    qe1, qe2 = det.qe
 
-    mu1, mu2 = detector_means(splitter, reference, field, qe1, qe2)
-    ensemble = sample_shots(
-        splitter,
-        reference,
-        field,
-        n_shots=det.shots,
-        seed=det.seed,
-        qe1=qe1,
-        qe2=qe2,
-    )
+    mu1, mu2 = detector_means(splitter, reference, field, *det.qe)
+    ensemble = sample_shots(mu1, mu2, n_shots=det.shots, seed=det.seed)
     report = snr_estimate(ensemble)
     noise = noise_floor_terms(splitter, reference, model, spectrum)
 
@@ -495,15 +485,7 @@ def _run_detect(cfg: ScenarioConfig, write):
         "n_shots": ensemble.n_shots,
         "seed": det.seed,
         "config_sha256": cfg.sha256(),
-        "noise_floor": {
-            "variance_total": noise.variance_total,
-            "reference_shot": noise.reference_shot,
-            "cl_shot": noise.cl_shot,
-            "field_cross": noise.field_cross,
-            "alpha4_coefficient": noise.alpha4_coefficient,
-            "alpha3_coefficient": noise.alpha3_coefficient,
-            "is_balanced": noise.is_balanced,
-        },
+        "noise_floor": asdict(noise),
         "splitter_imbalance": splitter.imbalance,
         "reference_counts": reference.total_counts,
         "eels_probability": model.eels_probability(),

@@ -101,7 +101,6 @@ class DensitySpectrum:
 
     omega_grid: np.ndarray
     values: np.ndarray
-    omega0: float
 
     def __post_init__(self) -> None:
         w = np.asarray(self.omega_grid, dtype=float)
@@ -210,21 +209,19 @@ def density_spectrum(
     r = rfft(rho, n=m)[np.abs(k) // step]
     phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
     values = np.where(k >= 0, np.conj(r), r) / n_fft * (n_fft * density.dt) * phase[k % (2 * pad)]
-    return DensitySpectrum(omega, values, density.omega0)
+    return DensitySpectrum(omega, values)
 
 
-def band_spectrum(
-    state: LadderState, envelope: EnvelopeSpec, max_omega: float, dt=None, window=None
-) -> DensitySpectrum:
+def band_spectrum(state: LadderState, envelope: EnvelopeSpec, max_omega: float) -> DensitySpectrum:
     """F in closed form on the lattice (and with the guards, `sampling_lattice`)
-    of density_spectrum(synthesize_density(state, envelope, dt, window)), cut
-    to |omega| <= max_omega.  With L_n = ladder_overlap(state, n), |n| <= 2J:
+    of density_spectrum(synthesize_density(state, envelope)), cut to
+    |omega| <= max_omega.  With L_n = ladder_overlap(state, n), |n| <= 2J:
 
     gaussian |f|^2 of FWHM D:  F(w) = sum_n L_n e^{-a (w - n w0)^2} / sum_n L_n e^{-a (n w0)^2},
     a = D^2 / (16 ln 2), each line summed only where it does not underflow to 0;
     infinite:  L_n / L_0 at the harmonics of the unpadded lattice, 0 elsewhere.
     """
-    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff, dt, window)
+    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff)
     n_fft = per_period * periods * fft_pad(envelope)
     k, omega = _fft_lattice(n_fft, dt_eff, max_omega)
 
@@ -236,13 +233,13 @@ def band_spectrum(
         on = (offset == 0) & (np.abs(h) <= n_max)
         values[on] = lines.values[h[on] + n_max]
     else:
-        a = envelope.fwhm**2 / (16.0 * math.log(2.0))
+        a = envelope.fwhm_fs**2 / (16.0 * math.log(2.0))
         reach = math.sqrt(746.0 / a)  # exp(-x) is exactly 0.0 in float64 for x > 745.14
         for center, line in zip(lines.omega_grid, lines.values):
             lo, hi = np.searchsorted(omega, (center - reach, center + reach))
             values[lo:hi] += line * np.exp(-a * (omega[lo:hi] - center) ** 2)
     values /= values[np.searchsorted(k, 0)]
-    return DensitySpectrum(omega, values, state.beam.omega0)
+    return DensitySpectrum(omega, values)
 
 
 def ladder_overlap(state: LadderState, harmonic: int) -> complex:
@@ -265,9 +262,8 @@ def ladder_spectrum(state: LadderState, n_max: int | None = None) -> DensitySpec
         raise ValueError("need 0 < n_max <= 2*cutoff")
     pos = np.array([ladder_overlap(state, n) for n in range(n_max + 1)])
     vals = np.concatenate([np.conj(pos[1:][::-1]), pos])
-    w0 = state.beam.omega0
-    grid = np.arange(-n_max, n_max + 1) * w0
-    return DensitySpectrum(grid, vals, w0)
+    grid = np.arange(-n_max, n_max + 1) * state.beam.omega0
+    return DensitySpectrum(grid, vals)
 
 
 def analytic_pinem_overlap(

@@ -63,7 +63,7 @@ def bunching_scan():
 def bunched_gaussian_spectrum():
     """beta = 4 at the optimal distance, 200 fs Gaussian envelope."""
     state = propagate(pinem_ladder(4.0, BEAM), 6.497e6, mode="exact")
-    density = synthesize_density(state, EnvelopeSpec("gaussian", fwhm=200.0))
+    density = synthesize_density(state, EnvelopeSpec("gaussian", fwhm_fs=200.0))
     return state, density_spectrum(density)
 
 
@@ -259,7 +259,7 @@ def test_criterion_08_waveguide_length_progression(bunched_gaussian_spectrum):
     time_fwhm = []
     t = np.linspace(-2560.0, 2560.0, 8193)
     for length in lengths:
-        model = WaveguideCoupling.default_for_beam(BEAM, 0.1, length)
+        model = WaveguideCoupling(0.1, W0, BEAM.velocity, 1.05 * BEAM.velocity, 0.4, length)
         field = mean_field(model, spec, band=band)
         power = np.abs(field.a_mean) ** 2
         spectral_fwhm.append(_lobe_fwhm(field.omega_grid, power))
@@ -300,7 +300,7 @@ def test_criterion_09_heterodyne_ensemble(bunched_gaussian_spectrum):
     ref1 = reference(1.0e6)
     mu1, mu2 = detector_means(splitter, ref1, field)
     analytic_signal = mu1 - mu2
-    ensemble = sample_shots(splitter, ref1, field, n_shots=100_000, seed=7)
+    ensemble = sample_shots(mu1, mu2, n_shots=100_000, seed=7)
     rep = snr_estimate(ensemble)
     mean_dev_sigmas = abs(rep.signal - analytic_signal) / rep.stderr
     ratios = [
@@ -361,9 +361,10 @@ def test_criterion_10_null_calibration(bunched_gaussian_spectrum):
         grid_source.omega_grid, center=W0, sigma=sigma, total_counts=1.0e4
     )
     splitter = BeamSplitter.heterodyne()
+    means = detector_means(splitter, ref, None)
     false_positives = 0
     for seed in range(100):
-        ens = sample_shots(splitter, ref, None, n_shots=400, seed=seed)
+        ens = sample_shots(*means, n_shots=400, seed=seed)
         if snr_estimate(ens).snr > 3.0:
             false_positives += 1
     ok = false_positives <= 10

@@ -162,13 +162,6 @@ class TestWaveguideCoupling:
         assert abs(sym.envelope(W0 + d) - sym.envelope(W0 - d)) < 1e-12
         assert abs(skew.envelope(W0 + d) - skew.envelope(W0 - d)) > 1e-3
 
-    def test_default_for_beam(self):
-        m = WaveguideCoupling.default_for_beam(BEAM, 0.1, 1e5)
-        assert m.omega_match == W0
-        assert m.v_electron == BEAM.velocity
-        assert m.v_group == pytest.approx(1.05 * BEAM.velocity)
-        assert m.amplitude(W0) == pytest.approx(0.1)
-
     def test_eels_probability_positive_and_finite(self):
         p = eels_probability(self._coupler(1e5))
         assert 0.0 < p < abs(0.1) ** 2 * 2 * W0  # bounded by flat-band value
@@ -177,7 +170,7 @@ class TestWaveguideCoupling:
     def test_eels_probability_matches_complex_amplitude_integral(self, length_nm):
         # |g|^2 = |g0|^2 sinc^2 needs no complex exponential; the trapezoid of
         # |amplitude|^2 on the same grid is the reference.
-        m = WaveguideCoupling.default_for_beam(BEAM, 0.3 - 0.4j, length_nm)
+        m = WaveguideCoupling(0.3 - 0.4j, W0, BEAM.velocity, 1.05 * BEAM.velocity, 0.4, length_nm)
         lo = 1e-2 * W0
         dense = np.linspace(lo, 2.0 * W0 - lo, 200001)
         ref = np.trapezoid(np.abs(m.amplitude(dense)) ** 2, dense)
@@ -203,7 +196,7 @@ class TestDispatch:
             FlatCoupling(0.1, 1.0, 3.0),
             GaussianBandCoupling(0.1, 2.0, 0.2),
             TabulatedCoupling(np.linspace(1, 3, 9), np.full(9, 0.1 + 0j)),
-            WaveguideCoupling.default_for_beam(BEAM, 0.1, 1e5),
+            WaveguideCoupling(0.1, W0, BEAM.velocity, 1.05 * BEAM.velocity, 0.4, 1e5),
         ]
         for m in models:
             val = coupling_amplitude(m, 2.0)

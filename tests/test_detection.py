@@ -189,8 +189,8 @@ class TestShotSampling:
     def test_deterministic_for_fixed_seed(self):
         model, spectrum, field, ref = make_setup(total_counts=500.0)
         s = BeamSplitter.heterodyne()
-        e1 = sample_shots(s, ref, field, n_shots=64, seed=11)
-        e2 = sample_shots(s, ref, field, n_shots=64, seed=11)
+        e1 = sample_shots(*detector_means(s, ref, field), n_shots=64, seed=11)
+        e2 = sample_shots(*detector_means(s, ref, field), n_shots=64, seed=11)
         np.testing.assert_array_equal(e1.counts1, e2.counts1)
         np.testing.assert_array_equal(e1.counts2, e2.counts2)
 
@@ -198,8 +198,8 @@ class TestShotSampling:
         # Extending an ensemble never changes already-drawn shots.
         model, spectrum, field, ref = make_setup(total_counts=500.0)
         s = BeamSplitter.heterodyne()
-        short = sample_shots(s, ref, field, n_shots=30, seed=3)
-        long = sample_shots(s, ref, field, n_shots=100, seed=3)
+        short = sample_shots(*detector_means(s, ref, field), n_shots=30, seed=3)
+        long = sample_shots(*detector_means(s, ref, field), n_shots=100, seed=3)
         np.testing.assert_array_equal(short.counts1, long.counts1[:30])
         np.testing.assert_array_equal(short.counts2, long.counts2[:30])
 
@@ -223,8 +223,8 @@ class TestShotSampling:
         # a mean of 10).
         model, spectrum, field, ref = make_setup(total_counts=total_counts)
         splitter = BeamSplitter(R=math.cos(0.7), T=np.exp(0.4j) * math.sin(0.7))
-        ens = sample_shots(splitter, ref, field, n_shots=300, seed=seed, qe1=0.9, qe2=0.55)
         means = detector_means(splitter, ref, field, 0.9, 0.55)
+        ens = sample_shots(*means, n_shots=300, seed=seed)
         for det, counts, mean in ((1, ens.counts1, means[0]), (2, ens.counts2, means[1])):
             bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, det])
             expected = np.random.Generator(bitgen).poisson(mean, 300)
@@ -235,20 +235,20 @@ class TestShotSampling:
         s = BeamSplitter.heterodyne()
         mu1, mu2 = detector_means(s, ref, None)
         assert mu1 == mu2
-        ens = sample_shots(s, ref, None, n_shots=64, seed=4)
+        ens = sample_shots(mu1, mu2, n_shots=64, seed=4)
         assert np.any(ens.counts1 != ens.counts2)
 
     def test_seed_changes_stream(self):
         model, spectrum, field, ref = make_setup(total_counts=500.0)
         s = BeamSplitter.heterodyne()
-        e1 = sample_shots(s, ref, field, n_shots=64, seed=1)
-        e2 = sample_shots(s, ref, field, n_shots=64, seed=2)
+        e1 = sample_shots(*detector_means(s, ref, field), n_shots=64, seed=1)
+        e2 = sample_shots(*detector_means(s, ref, field), n_shots=64, seed=2)
         assert np.any(e1.counts1 != e2.counts1)
 
     def test_poisson_statistics(self):
         _, _, _, ref = make_setup(total_counts=400.0)
         s = BeamSplitter.heterodyne()
-        ens = sample_shots(s, ref, None, n_shots=4000, seed=5)
+        ens = sample_shots(*detector_means(s, ref, None), n_shots=4000, seed=5)
         mu = 200.0  # each detector sees half the reference
         for counts in (ens.counts1, ens.counts2):
             assert np.mean(counts) == pytest.approx(mu, rel=0.02)
@@ -257,8 +257,8 @@ class TestShotSampling:
     def test_quantum_efficiency_thins(self):
         _, _, _, ref = make_setup(total_counts=400.0)
         s = BeamSplitter.heterodyne()
-        ens = sample_shots(s, ref, None, n_shots=2000, seed=5, qe1=0.5, qe2=1.0)
         mu1, mu2 = detector_means(s, ref, None, qe1=0.5, qe2=1.0)
+        ens = sample_shots(mu1, mu2, n_shots=2000, seed=5)
         assert mu1 == pytest.approx(100.0, rel=1e-12)
         assert mu2 == pytest.approx(200.0, rel=1e-12)
         assert np.mean(ens.counts1) == pytest.approx(100.0, rel=0.05)
@@ -267,16 +267,17 @@ class TestShotSampling:
         grid = W0 * np.arange(1, 6)
         ref = ReferencePulse.gaussian(grid, 3 * W0, W0, total_counts=4.0e12)
         with pytest.raises(PhysicsGuardError):
-            sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=1, seed=0)
+            sample_shots(*detector_means(BeamSplitter.heterodyne(), ref, None), n_shots=1, seed=0)
 
     def test_shot_count_validation(self):
         _, _, _, ref = make_setup()
         with pytest.raises(ValueError):
-            sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=0, seed=0)
+            sample_shots(*detector_means(BeamSplitter.heterodyne(), ref, None), n_shots=0, seed=0)
 
     def test_ensemble_shape_helpers(self):
         _, _, _, ref = make_setup(total_counts=100.0)
-        ens = sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=16, seed=1)
+        means = detector_means(BeamSplitter.heterodyne(), ref, None)
+        ens = sample_shots(*means, n_shots=16, seed=1)
         assert ens.n_shots == 16
         assert np.column_stack([ens.counts1, ens.counts2]).shape == (16, 2)
         assert ens.counts1.dtype == np.int64
@@ -285,7 +286,8 @@ class TestShotSampling:
 class TestSnrEstimate:
     def test_fields_are_consistent(self):
         model, spectrum, field, ref = make_setup(g0=0.3, total_counts=2000.0)
-        ens = sample_shots(BeamSplitter.heterodyne(), ref, field, n_shots=500, seed=9)
+        means = detector_means(BeamSplitter.heterodyne(), ref, field)
+        ens = sample_shots(*means, n_shots=500, seed=9)
         rep = snr_estimate(ens)
         diff = ens.counts1 - ens.counts2
         assert rep.signal == pytest.approx(np.mean(diff))
@@ -299,7 +301,7 @@ class TestSnrEstimate:
         )
         s = BeamSplitter.heterodyne()
         analytic = difference_signal(s, ref, field)
-        ens = sample_shots(s, ref, field, n_shots=3000, seed=21)
+        ens = sample_shots(*detector_means(s, ref, field), n_shots=3000, seed=21)
         rep = snr_estimate(ens)
         assert abs(rep.signal - analytic) < 4.0 * rep.stderr
 
@@ -307,19 +309,21 @@ class TestSnrEstimate:
         model, spectrum, field, ref = make_setup(g0=0.3, total_counts=2000.0)
         s = BeamSplitter.heterodyne()
         mu1, mu2 = detector_means(s, ref, field)
-        ens = sample_shots(s, ref, field, n_shots=3000, seed=23)
+        ens = sample_shots(mu1, mu2, n_shots=3000, seed=23)
         rep = snr_estimate(ens)
         assert rep.noise_per_shot**2 == pytest.approx(mu1 + mu2, rel=0.07)
 
     def test_degenerate_ensembles_rejected(self):
         _, _, _, ref = make_setup(total_counts=100.0)
-        ens = sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=1, seed=0)
+        means = detector_means(BeamSplitter.heterodyne(), ref, None)
+        ens = sample_shots(*means, n_shots=1, seed=0)
         with pytest.raises(ValueError):
             snr_estimate(ens)
 
     def test_zero_variance_ensemble_is_physics_guard(self):
         _, _, _, ref = make_setup(total_counts=0.0)
-        ens = sample_shots(BeamSplitter.heterodyne(), ref, None, n_shots=50, seed=0)
+        means = detector_means(BeamSplitter.heterodyne(), ref, None)
+        ens = sample_shots(*means, n_shots=50, seed=0)
         with pytest.raises(PhysicsGuardError, match="zero variance"):
             snr_estimate(ens)
 
@@ -416,7 +420,7 @@ SPLITTERS = {
 @pytest.fixture(scope="module")
 def sampled_spectrum():
     state = propagate(pinem_ladder(4.0, BEAM), 6.43e6, mode="quadratic")
-    return density_spectrum(synthesize_density(state, EnvelopeSpec("gaussian", fwhm=50.0)))
+    return density_spectrum(synthesize_density(state, EnvelopeSpec("gaussian", fwhm_fs=50.0)))
 
 
 def random_reference(grid, seed):

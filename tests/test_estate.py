@@ -7,6 +7,7 @@ is checked against a running-phasor sum over the whole window.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ class TestDensitySynthesis:
 
     def test_normalization(self):
         state = propagate(pinem_ladder(2.0, BEAM), 3e6)
-        for env in (EnvelopeSpec("infinite"), EnvelopeSpec("gaussian", fwhm=200.0)):
+        for env in (EnvelopeSpec("infinite"), EnvelopeSpec("gaussian", fwhm_fs=200.0)):
             density = synthesize_density(state, env)
             integral = np.sum(density.samples) * density.dt
             assert integral == pytest.approx(1.0, abs=1e-8)
@@ -287,7 +288,7 @@ class TestDensitySynthesis:
     def test_gaussian_envelope_fwhm(self):
         # Unmodulated beam with a 200 fs Gaussian envelope: density FWHM = 200 fs.
         density = synthesize_density(
-            pinem_ladder(0.0, BEAM), EnvelopeSpec("gaussian", fwhm=200.0)
+            pinem_ladder(0.0, BEAM), EnvelopeSpec("gaussian", fwhm_fs=200.0)
         )
         rho = density.samples
         half = 0.5 * rho.max()
@@ -314,19 +315,17 @@ class TestDensitySynthesis:
         # beat note (needs more than 2J samples per period).
         state = pinem_ladder(4.0, BEAM, cutoff=40)
         with pytest.raises(AliasingError):
-            synthesize_density(state, EnvelopeSpec("infinite"), dt=BEAM.optical_period / 64.0)
+            synthesize_density(state, EnvelopeSpec("infinite", dt_fs=BEAM.optical_period / 64.0))
 
     def test_dt_too_coarse_rejected(self):
         state = pinem_ladder(1.0, BEAM)
         with pytest.raises(ValueError):
-            synthesize_density(state, EnvelopeSpec("infinite"), dt=BEAM.optical_period / 32.0)
+            synthesize_density(state, EnvelopeSpec("infinite", dt_fs=BEAM.optical_period / 32.0))
 
     def test_window_too_short_rejected(self):
         state = pinem_ladder(1.0, BEAM)
         with pytest.raises(ValueError):
-            synthesize_density(
-                state, EnvelopeSpec("gaussian", fwhm=200.0), window=100.0
-            )
+            synthesize_density(state, EnvelopeSpec("gaussian", fwhm_fs=200.0, window_fs=100.0))
 
     def test_nan_sample_trips_negativity_guard(self):
         density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
@@ -346,21 +345,21 @@ class TestDensitySynthesis:
         with pytest.raises(ValueError):
             EnvelopeSpec("gaussian")  # missing fwhm
         with pytest.raises(ValueError):
-            EnvelopeSpec("gaussian", fwhm=-10.0)
+            EnvelopeSpec("gaussian", fwhm_fs=-10.0)
         with pytest.raises(ValueError):
             EnvelopeSpec("boxcar")
         with pytest.raises(ValueError):
-            EnvelopeSpec("infinite", fwhm=100.0)
+            EnvelopeSpec("infinite", fwhm_fs=100.0)
 
 
-def running_phasor_density(state, envelope, dt=None, window=None):
+def running_phasor_density(state, envelope):
     """rho(t) sampled over the whole window, one full-length pass per ladder level.
 
     The reference for `synthesize_density`: psi accumulates c_j e^{-i j omega0 t}
     with a running phasor, is multiplied by the amplitude envelope f(t), and is
     squared and normalized on `sampling_lattice`'s lattice.
     """
-    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff, dt, window)
+    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff)
     t = -0.5 * (periods * state.beam.optical_period) + dt_eff * np.arange(periods * per_period)
     omega0 = state.beam.omega0
     step = np.exp(-1j * omega0 * t)
@@ -370,7 +369,7 @@ def running_phasor_density(state, envelope, dt=None, window=None):
         psi += c_j * running
         running *= step
     if envelope.kind == "gaussian":
-        psi *= np.exp(-2.0 * math.log(2.0) * (t / envelope.fwhm) ** 2)
+        psi *= np.exp(-2.0 * math.log(2.0) * (t / envelope.fwhm_fs) ** 2)
     rho = np.abs(psi) ** 2
     return rho / (np.sum(rho) * dt_eff)
 
@@ -385,9 +384,9 @@ class TestPeriodicSynthesis:
     """One tiled period against the running-phasor loop over the whole window."""
 
     @staticmethod
-    def assert_matches_loop(state, envelope, dt=None, window=None):
-        density = synthesize_density(state, envelope, dt=dt, window=window)
-        ref = running_phasor_density(state, envelope, dt=dt, window=window)
+    def assert_matches_loop(state, envelope):
+        density = synthesize_density(state, envelope)
+        ref = running_phasor_density(state, envelope)
         assert density.samples.shape == ref.shape
         assert np.max(np.abs(density.samples - ref)) <= 1e-10 * np.max(ref)
         return density
@@ -395,7 +394,7 @@ class TestPeriodicSynthesis:
     @pytest.mark.parametrize(
         "beta_abs,distance,envelope",
         _band_cases(),
-        ids=lambda v: f"{v.kind}-{v.fwhm}" if isinstance(v, EnvelopeSpec) else f"{v:g}",
+        ids=lambda v: f"{v.kind}-{v.fwhm_fs}" if isinstance(v, EnvelopeSpec) else f"{v:g}",
     )
     def test_matches_running_phasor_loop(self, beta_abs, distance, envelope):
         state = pinem_ladder(beta_abs, BEAM)
@@ -405,26 +404,27 @@ class TestPeriodicSynthesis:
 
     @pytest.mark.parametrize(
         "envelope",
-        [EnvelopeSpec("infinite"), EnvelopeSpec("gaussian", fwhm=50.0)],
+        [EnvelopeSpec("infinite"), EnvelopeSpec("gaussian", fwhm_fs=50.0)],
         ids=["infinite", "gaussian-50"],
     )
     def test_odd_samples_per_period(self, envelope):
         state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
-        density = self.assert_matches_loop(state, envelope, dt=BEAM.optical_period / 129.0)
+        envelope = replace(envelope, dt_fs=BEAM.optical_period / 129.0)
+        density = self.assert_matches_loop(state, envelope)
         assert round(BEAM.optical_period / density.dt) == 129
 
     @pytest.mark.parametrize(
         "envelope,window",
         [
             (EnvelopeSpec("infinite"), 65.0 * BEAM.optical_period),
-            (EnvelopeSpec("gaussian", fwhm=50.0), 401.0 * BEAM.optical_period),
+            (EnvelopeSpec("gaussian", fwhm_fs=50.0), 401.0 * BEAM.optical_period),
         ],
         ids=["infinite-65", "gaussian-401"],
     )
     def test_odd_number_of_periods(self, envelope, window):
         # t0 = -n_periods T0/2 is then a half period off the period grid
         state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
-        density = self.assert_matches_loop(state, envelope, window=window)
+        density = self.assert_matches_loop(state, replace(envelope, window_fs=window))
         assert density.periods_in_window % 2 == 1
 
 

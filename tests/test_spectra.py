@@ -12,6 +12,7 @@ Independent cross-checks used here:
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestFFTPipeline:
     def test_gaussian_envelope_closed_form(self):
         # Unmodulated beam, 200 fs Gaussian density: |F| = exp(-w^2 D^2/(16 ln2)).
         fwhm = 200.0
-        _, spec = fft_spectrum(0.0, envelope=EnvelopeSpec("gaussian", fwhm=fwhm))
+        _, spec = fft_spectrum(0.0, envelope=EnvelopeSpec("gaussian", fwhm_fs=fwhm))
         w = spec.omega_grid
         sel = np.abs(w) < 0.12  # out to |F| ~ 1e-23
         expected = np.exp(-(w[sel] ** 2) * fwhm**2 / (16.0 * math.log(2.0)))
@@ -122,17 +123,17 @@ BAND_STATES = [
     for distance in (0.0, 6.47e6 * 4.0 / (beta_abs or 4.0))
 ]
 BAND_ENVELOPES = [
-    EnvelopeSpec("gaussian", fwhm=200.0),
-    EnvelopeSpec("gaussian", fwhm=50.0),
-    EnvelopeSpec("gaussian", fwhm=3.0),
+    EnvelopeSpec("gaussian", fwhm_fs=200.0),
+    EnvelopeSpec("gaussian", fwhm_fs=50.0),
+    EnvelopeSpec("gaussian", fwhm_fs=3.0),
     EnvelopeSpec("infinite"),
 ]
 
 
-def assert_band_matches_fft(state, envelope, max_omega, dt=None, window=None):
+def assert_band_matches_fft(state, envelope, max_omega):
     """band_spectrum equals the FFT route's lattice exactly and its values to 1e-8."""
-    ref = density_spectrum(synthesize_density(state, envelope, dt=dt, window=window))
-    band = band_spectrum(state, envelope, max_omega, dt=dt, window=window)
+    ref = density_spectrum(synthesize_density(state, envelope))
+    band = band_spectrum(state, envelope, max_omega)
     shared = np.abs(ref.omega_grid) <= max_omega
     np.testing.assert_array_equal(band.omega_grid, ref.omega_grid[shared])
     assert np.max(np.abs(band.values - ref.values[shared])) <= 1e-8
@@ -140,7 +141,7 @@ def assert_band_matches_fft(state, envelope, max_omega, dt=None, window=None):
 
 
 class TestBandSpectrum:
-    @pytest.mark.parametrize("envelope", BAND_ENVELOPES, ids=lambda e: f"{e.kind}-{e.fwhm}")
+    @pytest.mark.parametrize("envelope", BAND_ENVELOPES, ids=lambda e: f"{e.kind}-{e.fwhm_fs}")
     @pytest.mark.parametrize("beta_abs,distance", BAND_STATES)
     def test_matches_fft_route(self, envelope, beta_abs, distance):
         state = pinem_ladder(beta_abs, BEAM)
@@ -152,8 +153,8 @@ class TestBandSpectrum:
         # 3 fs lines overlap: sum_n L_n e^{-a (n w0)^2} is not L_0, so dividing
         # by L_0 instead would miss the FFT route by ~5e-3.
         state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
-        envelope = EnvelopeSpec("gaussian", fwhm=3.0)
-        a = envelope.fwhm**2 / (16.0 * math.log(2.0))
+        envelope = EnvelopeSpec("gaussian", fwhm_fs=3.0)
+        a = envelope.fwhm_fs**2 / (16.0 * math.log(2.0))
         n = np.arange(-2 * state.cutoff, 2 * state.cutoff + 1)
         lines = np.array([ladder_overlap(state, k) for k in n])
         norm = np.sum(lines * np.exp(-a * (n * W0) ** 2))
@@ -166,35 +167,35 @@ class TestBandSpectrum:
     @pytest.mark.parametrize(
         "envelope,dt,window",
         [
-            (EnvelopeSpec("gaussian", fwhm=50.0), BEAM.optical_period / 100.0, 500.0),
+            (EnvelopeSpec("gaussian", fwhm_fs=50.0), BEAM.optical_period / 100.0, 500.0),
             (EnvelopeSpec("infinite"), BEAM.optical_period / 128.0, 100.0 * BEAM.optical_period),
         ],
     )
     def test_explicit_dt_and_window(self, envelope, dt, window):
         state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
-        assert_band_matches_fft(state, envelope, 2.3 * W0, dt=dt, window=window)
+        assert_band_matches_fft(state, replace(envelope, dt_fs=dt, window_fs=window), 2.3 * W0)
 
     def test_band_beyond_nyquist_is_the_whole_lattice(self):
         state = propagate(pinem_ladder(1.0, BEAM), 2.0e7)
-        dt = BEAM.optical_period / 64.0
-        band = assert_band_matches_fft(state, EnvelopeSpec("infinite"), math.inf, dt=dt)
+        envelope = EnvelopeSpec("infinite", dt_fs=BEAM.optical_period / 64.0)
+        band = assert_band_matches_fft(state, envelope, math.inf)
         assert band.omega_grid.size == 64 * 64
 
     @pytest.mark.parametrize(
         "beta_abs,envelope,kwargs,error",
         [
-            (1.0, EnvelopeSpec("infinite"), {"dt": BEAM.optical_period / 32.0}, ValueError),
-            (15.0, EnvelopeSpec("infinite"), {"dt": BEAM.optical_period / 64.0}, AliasingError),
-            (1.0, EnvelopeSpec("gaussian", fwhm=200.0), {"window": 100.0}, ValueError),
-            (1.0, EnvelopeSpec("infinite"), {"window": 10 * BEAM.optical_period}, ValueError),
+            (1.0, EnvelopeSpec("infinite"), {"dt_fs": BEAM.optical_period / 32.0}, ValueError),
+            (15.0, EnvelopeSpec("infinite"), {"dt_fs": BEAM.optical_period / 64.0}, AliasingError),
+            (1.0, EnvelopeSpec("gaussian", fwhm_fs=200.0), {"window_fs": 100.0}, ValueError),
+            (1.0, EnvelopeSpec("infinite"), {"window_fs": 10 * BEAM.optical_period}, ValueError),
         ],
     )
     def test_same_guards_as_the_fft_route(self, beta_abs, envelope, kwargs, error):
-        state = pinem_ladder(beta_abs, BEAM)
+        state, envelope = pinem_ladder(beta_abs, BEAM), replace(envelope, **kwargs)
         with pytest.raises(error):
-            synthesize_density(state, envelope, **kwargs)
+            synthesize_density(state, envelope)
         with pytest.raises(error):
-            band_spectrum(state, envelope, 2.0 * W0, **kwargs)
+            band_spectrum(state, envelope, 2.0 * W0)
 
     @pytest.mark.parametrize("max_omega", [0.0, -1.0, math.nan])
     def test_max_omega_must_be_positive(self, max_omega):
@@ -213,8 +214,8 @@ def exp_phase_spectrum(density):
 
 
 FFT_CASES = [
-    (4.0, 6.47e6, EnvelopeSpec("gaussian", fwhm=200.0)),
-    (1.0, 2.588e7, EnvelopeSpec("gaussian", fwhm=3.0)),
+    (4.0, 6.47e6, EnvelopeSpec("gaussian", fwhm_fs=200.0)),
+    (1.0, 2.588e7, EnvelopeSpec("gaussian", fwhm_fs=3.0)),
     (4.0, 6.47e6, EnvelopeSpec("infinite")),
 ]
 FFT_CASE_IDS = ["gaussian-200", "gaussian-3", "infinite"]
@@ -329,8 +330,7 @@ class TestLatticeSpanLimit:
     def test_span_is_the_steps_up_to_the_top(self, scenario, name):
         # a top on a lattice point (24 omega0, 1.5 omega0) may round to either side of it
         cfg = ScenarioConfig.from_file(scenario, CONFIGS / f"{name}.json")
-        env = cfg.envelope
-        spec = band_spectrum(build_state(cfg), env.spec, cfg.lattice_top, env.dt_fs, env.window_fs)
+        spec = band_spectrum(build_state(cfg), cfg.envelope, cfg.lattice_top)
         steps = cfg.sizes()["lattice_span"]
         assert round(spec.omega_grid[-1] / spec.domega) in (steps - 1, steps)
 
@@ -351,8 +351,7 @@ class TestNumpyFFTAgainstScipy:
 
         cfg = ScenarioConfig.from_file("doc-slice", CONFIGS / f"{name}.json")
         state = build_state(cfg)
-        env = cfg.envelope
-        density = synthesize_density(state, env.spec, env.dt_fs, env.window_fs)
+        density = synthesize_density(state, cfg.envelope)
         max_omega = min(2 * state.cutoff, 24) * cfg.beam.omega0 * (1.0 + 1e-12)
         spec = density_spectrum(density, max_omega, step=1)  # no fold: the whole transform
 
@@ -392,7 +391,7 @@ class TestDensitySpectrumValidation:
     def test_f0_must_be_one(self):
         v = np.full(9, 0.5, dtype=complex)
         with pytest.raises(PhysicsGuardError):
-            DensitySpectrum(self._grid(), v, 1.0)
+            DensitySpectrum(self._grid(), v)
 
     def test_hermitian_symmetry_enforced(self):
         v = np.zeros(9, dtype=complex)
@@ -400,7 +399,7 @@ class TestDensitySpectrumValidation:
         v[5] = 0.3 + 0.1j
         v[3] = 0.3 + 0.1j  # should be conj
         with pytest.raises(PhysicsGuardError):
-            DensitySpectrum(self._grid(), v, 1.0)
+            DensitySpectrum(self._grid(), v)
 
     def test_modulus_bound_enforced(self):
         v = np.zeros(9, dtype=complex)
@@ -408,7 +407,7 @@ class TestDensitySpectrumValidation:
         v[5] = 1.5
         v[3] = 1.5
         with pytest.raises(PhysicsGuardError):
-            DensitySpectrum(self._grid(), v, 1.0)
+            DensitySpectrum(self._grid(), v)
 
     def test_grid_must_be_uniform(self):
         g = self._grid().copy()
@@ -416,27 +415,27 @@ class TestDensitySpectrumValidation:
         v = np.zeros(9, dtype=complex)
         v[4] = 1.0
         with pytest.raises(ValueError):
-            DensitySpectrum(g, v, 1.0)
+            DensitySpectrum(g, v)
 
     def test_grid_must_contain_zero(self):
         g = self._grid() + 0.5
         v = np.zeros(9, dtype=complex)
         v[4] = 1.0
         with pytest.raises(ValueError):
-            DensitySpectrum(g, v, 1.0)
+            DensitySpectrum(g, v)
 
     def test_nan_at_zero_trips_f0_guard(self):
         v = np.zeros(9, dtype=complex)
         v[4] = math.nan
         with pytest.raises(PhysicsGuardError, match=r"F\(0\)"):
-            DensitySpectrum(self._grid(), v, 1.0)
+            DensitySpectrum(self._grid(), v)
 
     def test_nan_at_both_ends_trips_hermitian_guard(self):
         v = np.zeros(9, dtype=complex)
         v[4] = 1.0
         v[0] = v[-1] = math.nan
         with pytest.raises(PhysicsGuardError, match="Hermitian"):
-            DensitySpectrum(self._grid(), v, 1.0)
+            DensitySpectrum(self._grid(), v)
 
     def test_nan_without_mirror_point_trips_modulus_guard(self):
         # grid -4..5: the last point has no -omega partner to compare with
@@ -445,7 +444,7 @@ class TestDensitySpectrumValidation:
         v[4] = 1.0
         v[-1] = math.nan
         with pytest.raises(PhysicsGuardError, match=r"\|F\| exceeds"):
-            DensitySpectrum(grid, v, 1.0)
+            DensitySpectrum(grid, v)
 
     def test_value_at_snaps_and_guards(self):
         state = pinem_ladder(1.0, BEAM)
@@ -472,7 +471,7 @@ def _band(n=5):
 GRID_GUARDS = {
     "spectrum lattice": (
         ValueError,
-        lambda g: DensitySpectrum(g - 3.0 * W0, np.eye(1, g.size, 2)[0], W0),
+        lambda g: DensitySpectrum(g - 3.0 * W0, np.eye(1, g.size, 2)[0]),
     ),
     "spectrum lookup": (
         GridCoverageError,
@@ -718,7 +717,7 @@ class TestTimeDomainField:
         # Flat coupling across the whole first-harmonic line turns the
         # spectral line shape back into the 200 fs temporal envelope.
         state = propagate(pinem_ladder(4.0, BEAM), 6.43e6, mode="quadratic")
-        dens = synthesize_density(state, EnvelopeSpec("gaussian", fwhm=200.0))
+        dens = synthesize_density(state, EnvelopeSpec("gaussian", fwhm_fs=200.0))
         spec = density_spectrum(dens)
         model = FlatCoupling(1.0, 0.5 * W0, 1.5 * W0)
         field = mean_field(model, spec, band=(0.5 * W0, 1.5 * W0))
@@ -729,7 +728,7 @@ class TestTimeDomainField:
 
     def test_narrow_window_returns_nan(self):
         state = propagate(pinem_ladder(4.0, BEAM), 6.43e6, mode="quadratic")
-        dens = synthesize_density(state, EnvelopeSpec("gaussian", fwhm=200.0))
+        dens = synthesize_density(state, EnvelopeSpec("gaussian", fwhm_fs=200.0))
         spec = density_spectrum(dens)
         model = FlatCoupling(1.0, 0.5 * W0, 1.5 * W0)
         field = mean_field(model, spec, band=(0.5 * W0, 1.5 * W0))
