@@ -111,15 +111,15 @@ class ReferencePulse:
         phase: float = 0.0,
     ) -> "ReferencePulse":
         """Gaussian |alpha|^2 profile carrying exactly `total_counts` photons
-        on this grid (normalized discretely, so energy checks are exact)."""
+        on this grid: normalized with `domega`, the step `total_counts` and
+        `detector_means` sum with, so energy checks are exact."""
         w = np.asarray(omega_grid, dtype=float)
         if not (sigma > 0.0 and total_counts >= 0.0):
             raise ValueError("sigma must be positive and total_counts non-negative")
         if w.ndim != 1 or w.size < 2:
             raise ValueError("omega_grid must be a 1-D grid of 2 or more points")
         shape = np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
-        dw = w[1] - w[0]
-        norm = np.sum(shape) * dw
+        norm = np.sum(shape) * _mean_step(w)
         if norm == 0.0:
             raise ValueError("reference profile vanishes on this grid")
         amp = np.sqrt(total_counts * shape / norm) * np.exp(1j * phase)

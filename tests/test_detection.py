@@ -1,6 +1,7 @@
 """Balanced-heterodyne detection: splitter algebra, Poisson sampling, noise floor."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from clcoherence import (
     NoiseFloorReport,
     PhysicsGuardError,
     ReferencePulse,
+    band_spectrum,
     coupling_amplitude,
     density_spectrum,
     detector_means,
@@ -27,7 +29,10 @@ from clcoherence import (
     snr_estimate,
     synthesize_density,
 )
+from clcoherence.config import ScenarioConfig
+from clcoherence.scenarios import build_coupling, build_state
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
 
@@ -158,6 +163,30 @@ class TestReferencePulse:
         grid = W0 * np.arange(1, 12)
         ref = ReferencePulse.gaussian(grid, 5 * W0, W0, total_counts=1234.5)
         assert ref.total_counts == pytest.approx(1234.5, rel=1e-12)
+
+    def test_gaussian_carries_the_requested_counts_on_the_detect_grid(self):
+        # the shipped detect run's 2,305-point reference grid: its FFT-generated
+        # steps jitter, and normalizing with w[1] - w[0] missed by 8.4e-14
+        cfg = ScenarioConfig.from_file("detect", CONFIGS / "detect.json")
+        spectrum = band_spectrum(build_state(cfg), cfg.envelope, cfg.lattice_top)
+        grid = mean_field(build_coupling(cfg), spectrum, band=cfg.band).omega_grid
+        assert grid.size == 2305
+        ref = cfg.detection.reference
+        center, sigma = ref.center_over_omega0 * W0, ref.sigma_over_omega0 * W0
+        for counts in (ref.total_counts, 1.0, 3.0e6):
+            pulse = ReferencePulse.gaussian(grid, center, sigma, counts, ref.phase_rad)
+            assert abs(pulse.total_counts - counts) <= 1e-15 * counts
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gaussian_carries_the_requested_counts_on_jittered_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3000))
+        step = W0 * rng.uniform(0.1, 1.0) / n
+        grid = W0 + step * (np.arange(n) - n // 2)
+        grid += rng.integers(-8, 9, n) * np.spacing(grid[-1])  # a few ulps, as FFT grids carry
+        counts = 10.0 ** rng.uniform(-2.0, 7.0)
+        pulse = ReferencePulse.gaussian(grid, W0, step * n / 6.0, counts, rng.uniform(0.0, 7.0))
+        assert abs(pulse.total_counts - counts) <= 1e-15 * counts
 
     def test_with_phase_preserves_counts(self):
         grid = W0 * np.arange(1, 12)
