@@ -36,7 +36,6 @@ from .spectra import (
     DensitySpectrum,
     PairCorrelation,
     TimeDomainField,
-    analytic_pinem_overlap,
     band_spectrum,
     central_moment,
     density_spectrum,

@@ -39,7 +39,7 @@ from numpy.fft import fft, ifft, rfft
 from .constants import TWO_PI
 from .coupling import CouplingModel, coupling_amplitude
 from .errors import GridCoverageError, PhysicsGuardError
-from .estate import EnvelopeSpec, LadderState, WavepacketDensity, auto_cutoff
+from .estate import EnvelopeSpec, LadderState, WavepacketDensity
 from .estate import propagation_phase, sampling_lattice
 
 _F0_TOL = 1.0e-8
@@ -264,33 +264,6 @@ def ladder_spectrum(state: LadderState, n_max: int | None = None) -> DensitySpec
     vals = np.concatenate([np.conj(pos[1:][::-1]), pos])
     grid = np.arange(-n_max, n_max + 1) * state.beam.omega0
     return DensitySpectrum(grid, vals)
-
-
-def analytic_pinem_overlap(
-    beta: complex, harmonic: int, d_over_zt: float, cutoff: int | None = None
-) -> complex:
-    """Closed Bessel-sum form of F(n omega0) after quadratic propagation.
-
-    b_n = e^{i n arg(-beta)} e^{-2 pi i n^2 x} sum_l J_l(2|b|) J_{l+n}(2|b|)
-    e^{-4 pi i l n x} with x = d/z_T.  Independent of the ladder/FFT pipelines;
-    used to cross-validate them.
-    """
-    from scipy.special import jv  # imported here: loading the package must not load it
-
-    beta = complex(beta)
-    absb = abs(beta)
-    n = int(harmonic)
-    if absb == 0.0:
-        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-    if cutoff is None:
-        cutoff = auto_cutoff(absb)
-    ell = np.arange(-cutoff - abs(n), cutoff + abs(n) + 1)
-    x = float(d_over_zt)
-    series = np.sum(
-        jv(ell, 2.0 * absb) * jv(ell + n, 2.0 * absb) * np.exp(-4j * np.pi * ell * n * x)
-    )
-    phase = np.exp(1j * n * np.angle(-beta)) * np.exp(-2j * np.pi * n * n * x)
-    return complex(phase * series)
 
 
 def doc(spectrum: DensitySpectrum, omega) -> float | np.ndarray:

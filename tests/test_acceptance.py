@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_VERDICTS
+from conftest import ACCEPTANCE_VERDICTS, analytic_pinem_overlap
 from clcoherence import (
     BeamParameters,
     BeamSplitter,
@@ -24,7 +24,6 @@ from clcoherence import (
     ReferencePulse,
     TruncatedSpace,
     WaveguideCoupling,
-    analytic_pinem_overlap,
     density_spectrum,
     detector_means,
     ladder_overlap,

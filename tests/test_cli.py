@@ -962,9 +962,9 @@ def test_readme_library_example_runs():
 def test_cli_import_does_not_load_scipy_signal():
     # Loading the CLI imports numpy and the bare scipy package only: any scipy
     # subpackage costs ~0.3 s (its array-API shim).  The ladder is numpy's FFT of
-    # its Jacobi-Anger series and the spectra use numpy.fft; special loads for
-    # the closed Bessel-sum cross-check, integrate and interpolate (and
-    # optimize through it) for a tabulated coupling.
+    # its Jacobi-Anger series and the spectra use numpy.fft; only the tests'
+    # closed Bessel-sum cross-check loads special, and a tabulated coupling
+    # integrate and interpolate (and optimize through it).
     heavy = [
         "scipy.signal",
         "scipy.special",

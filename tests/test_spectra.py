@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import analytic_pinem_overlap
 from clcoherence import (
     AliasingError,
     BeamParameters,
@@ -31,7 +32,6 @@ from clcoherence import (
     PhysicsGuardError,
     ReferencePulse,
     WavepacketDensity,
-    analytic_pinem_overlap,
     band_spectrum,
     central_moment,
     coupling_amplitude,
