@@ -519,6 +519,8 @@ class ScenarioConfig:
         if scenario == "detect" and None in (used["detection"].shots, used["detection"].seed):
             raise ConfigError("detection: scenario 'detect' requires shots and seed")
         cfg = cls(scenario=scenario, **used)
+        if scenario == "waveguide" and not cfg.band[0] > 0.0:
+            raise ConfigError("beam: the waveguide band omega0 +/- 0.06 rad/fs reaches 0 rad/fs")
         for name, count in cfg.sizes().items():
             what, limit, keys = LIMITS[name]
             if not count <= limit:

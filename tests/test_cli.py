@@ -1,24 +1,30 @@
 """Command-line interface: scenarios, exit codes, manifests, reproducibility."""
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 import clcoherence
 from clcoherence import BeamParameters
 from clcoherence.cli import main
+from clcoherence.config import LIMITS, ScenarioConfig
 from clcoherence.oracle import _run_single
-from clcoherence.errors import PhysicsGuardError
+from clcoherence.errors import ClcoherenceError, PhysicsGuardError
 from clcoherence.scenarios import _CSV_BLOCK, _write_csv, _write_json
 
 import shipped_digests
@@ -361,6 +367,14 @@ class TestExitCodes:
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "detection.reference: sigma_over_omega0 must be below" in capsys.readouterr().err
 
+    def test_waveguide_band_reaching_zero_frequency_is_config_error(self, tmp_path, capsys):
+        # omega0 = 0.003 rad/fs: the band omega0 +/- 0.06 rad/fs would start below 0
+        payload = json.loads((CONFIGS / "waveguide.json").read_text())
+        payload["beam"]["wavelength_nm"] = 620092.6787790952
+        cfg = write_config(tmp_path, "waveguide.json", payload)
+        assert main(["waveguide", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "beam: the waveguide band omega0 +/- 0.06" in capsys.readouterr().err
+
     @pytest.mark.parametrize("center", [1.0, 1.00001])
     def test_detect_band_of_fewer_than_two_lattice_points_is_config_error(
         self, center, tmp_path, capsys
@@ -625,6 +639,73 @@ class TestExitCodes:
         args = ["--config", str(CONFIGS / "sweep.json"), "--out", str(out), "--quiet"]
         assert main(["sweep", *args]) == 2
         assert f"output directory {str(out)!r}" in capsys.readouterr().err
+
+
+# An example keeps each LIMITS row below this fraction of its limit, or beyond the
+# limit (exit 2 at load): the limits themselves are TestExitCodes' cases.
+_SIZE_FRACTION = 1.0 / 64.0
+
+
+def _leaves(value, path=()):
+    """Paths to a JSON value's numbers and lists, each list before its entries."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _leaves(v, (*path, key))
+    elif isinstance(value, list):
+        yield path
+        for i, v in enumerate(value):
+            yield from _leaves(v, (*path, i))
+    elif not isinstance(value, (bool, str)):
+        yield path
+
+
+def _number(value):
+    """value scaled log-uniformly over +/-3 decades (an int stays an int), 0 or non-finite."""
+    magnitude = math.copysign(abs(value) or 1.0, value)
+    scaled = st.floats(-3.0, 3.0).map(lambda u: magnitude * 10.0**u)
+    if isinstance(value, int):
+        scaled = scaled.map(round)
+    return st.one_of(scaled, st.sampled_from([0 * value, math.nan, math.inf, -math.inf]))
+
+
+@settings(
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_varied_shipped_configs_end_in_a_documented_exit_code(tmp_path, data):
+    # one to three numeric leaves or list lengths of a shipped config varied
+    scenario, config = data.draw(st.sampled_from(SHIPPED))
+    mapping = json.loads((CONFIGS.parent / config).read_text())
+    leaves = st.sampled_from(list(_leaves(mapping)))
+    paths = data.draw(st.lists(leaves, min_size=1, max_size=3, unique=True))
+    for path in sorted(paths, key=len, reverse=True):  # entries before their list
+        *head, key = path
+        parent = functools.reduce(operator.getitem, head, mapping)
+        value = parent[key]
+        if isinstance(value, list):
+            length = data.draw(st.integers(0, 2 * len(value) + 1))
+            parent[key] = [value[i % len(value)] for i in range(length)]
+        else:
+            parent[key] = data.draw(_number(value))
+    try:
+        sizes = ScenarioConfig.from_mapping(scenario, mapping).sizes()
+    except ClcoherenceError:  # main reports it by its exit code
+        sizes = {}
+    rows = [(count, LIMITS[name].limit) for name, count in sizes.items()]
+    assume(not any(_SIZE_FRACTION * limit < count <= limit for count, limit in rows))
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        out = Path(tmp) / "o"
+        cfg = write_config(Path(tmp), "config.json", mapping)  # NaN and Infinity as JSON allows
+        code = main([scenario, "--config", cfg, "--out", str(out), "--quiet"])
+        event(f"{scenario} exit {code}")  # the spread, under --hypothesis-show-statistics
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            strict_json((out / "summary.json").read_text())
+            for csv in out.glob("*.csv"):
+                assert_csv_format(csv)
 
 
 class TestDocSliceTransformLengths:
