@@ -11,7 +11,6 @@ __version__ = "0.3.0"
 
 from .constants import C_NM_FS, ELECTRON_REST_EV, HBARC_EV_NM, HBAR_EV_FS, TWO_PI
 from .errors import (
-    AliasingError,
     ClcoherenceError,
     ConfigError,
     GridCoverageError,

@@ -74,7 +74,9 @@ LIMITS = {
     "shots": Limit("shots", 10**6, "detection.shots"),
     "phase_sweep_points": Limit("phase-sweep points", 10**5, "detection.phase_sweep_points"),
     "lengths": Limit("lengths", 256, "coupling.lengths_um"),  # two CSVs each
-    "sweep_values": Limit("sweep values", 10**4, "sweep.values"),
+    "sweep_values": Limit(  # sweep builds one ladder per value
+        "ladder levels over the values", 10**6, "sweep.values, modulation.beta_abs"
+    ),
     "scan": Limit(  # doc-map's coarse scan holds this many complex amplitudes
         "distances x ladder levels",
         10**7,
@@ -88,9 +90,13 @@ LIMITS = {
         10**6,
         "envelope.fwhm_fs, envelope.window_fs, beam.wavelength_nm",
     ),
-    # doc-slice's synthesized density, zero-padded for its FFT, and its phase matrix
-    "samples": Limit("samples", 2**24, "envelope.dt_fs, envelope.fwhm_fs, envelope.window_fs"),
-    "phases": Limit("phases", 2**23, "envelope.dt_fs, modulation.beta_abs, modulation.cutoff"),
+    # doc-slice's synthesized density, zero-padded for its FFT
+    "samples": Limit(
+        "samples", 2**24, "envelope.fwhm_fs, envelope.window_fs, modulation.beta_abs"
+    ),
+    # the ladder of a run with an envelope: 4J+1 lines of its spectrum, and doc-slice's
+    # phase matrix of P x (2J+1) <= 2048 x 2047 entries (P, samples a period, > 2J)
+    "levels": Limit("ladder levels", 2047, "modulation.beta_abs"),
 }
 
 # Optional sections a scenario reads, and what stands in for an absent one.
@@ -100,6 +106,11 @@ _OPTIONAL = {
     "oracle-check": {"beam": {"kinetic_energy_ev": 200000.0, "wavelength_nm": 800.0}},
     "sweep": {"propagation": {}},
 }
+
+
+def _levels(beta_abs: float) -> int:
+    """2J + 1, the levels of the ladder pinem_ladder builds at |beta|."""
+    return 2 * auto_cutoff(beta_abs) + 1
 
 
 def _fail(path: str, message: str):
@@ -240,7 +251,6 @@ def _section(cls):
 class Modulation:
     beta_abs: float = _key(_NONNEGATIVE)
     beta_arg: float = _key(_REAL, 0.0)
-    cutoff: int | None = _key(_integer(1), None)  # None: auto_cutoff(beta_abs)
 
     @property
     def beta(self) -> complex:
@@ -315,7 +325,7 @@ class Waveguide:
 
 def _envelope(value, path: str) -> EnvelopeSpec:
     kinds = _string("infinite", "gaussian")
-    readers = {"kind": kinds, "fwhm_fs": _POSITIVE, "dt_fs": _POSITIVE, "window_fs": _POSITIVE}
+    readers = {"kind": kinds, "fwhm_fs": _POSITIVE, "window_fs": _POSITIVE}
     return _build(EnvelopeSpec, path, _read(value, path, readers))
 
 
@@ -448,8 +458,7 @@ class ScenarioConfig:
 
     @property
     def lattice_top(self) -> float:
-        """|omega| (rad/fs) up to which a run with an envelope reads its spectral lattice
-        (doc-slice: at most; it keeps min(2J, DOC_SLICE_HARMONICS) harmonics)."""
+        """|omega| (rad/fs) up to which a run with an envelope reads its spectral lattice."""
         if self.scenario == "doc-slice":
             return DOC_SLICE_HARMONICS * self.beam.omega0
         hi = self.band[1]
@@ -465,12 +474,17 @@ class ScenarioConfig:
         if getattr(self.coupling, "lengths_um", None):
             sizes["lengths"] = len(self.coupling.lengths_um)
         if self.sweep is not None:
-            sizes["sweep_values"] = len(self.sweep.values)
+            values = self.sweep.values
+            if self.sweep.parameter == "beta_abs":
+                sizes["sweep_values"] = sum(_levels(value) for value in values)
+            else:
+                sizes["sweep_values"] = len(values) * _levels(mod.beta_abs)
         if self.scenario == "doc-map":
             distances = math.ceil((scan.d_max_mm - scan.d_min_mm) / scan.coarse_step_mm + 0.5)
-            sizes["scan"] = distances * (2 * auto_cutoff(mod.beta_abs) + 1)
-        if env is not None:  # dt_fs and window_fs against this beam, by the run's own checks
-            cutoff = mod.cutoff if mod.cutoff is not None else auto_cutoff(mod.beta_abs)
+            sizes["scan"] = distances * _levels(mod.beta_abs)
+        if env is not None:  # window_fs against this beam, by the run's own checks
+            cutoff = auto_cutoff(mod.beta_abs)
+            sizes["levels"] = 2 * cutoff + 1
             try:
                 lattice = sampling_lattice(self.beam, env, cutoff)
             except ValueError as exc:
@@ -480,7 +494,6 @@ class ScenarioConfig:
             sizes["lattice_span"] = int(self.lattice_top / self.beam.omega0 * pad * periods)
             if self.scenario == "doc-slice":  # the one run that synthesizes the density
                 sizes["samples"] = per_period * periods * pad
-                sizes["phases"] = per_period * (2 * cutoff + 1)
         return sizes
 
     @classmethod
@@ -512,10 +525,6 @@ class ScenarioConfig:
             raise ConfigError("coupling.variant: scenario 'waveguide' needs variant 'waveguide'")
         if isinstance(coupling, Waveguide) and scenario != "waveguide" and not coupling.length_um:
             raise ConfigError("coupling.length_um is required here (lengths_um is a sweep)")
-        if scenario == "doc-map" and used["modulation"].cutoff is not None:
-            raise ConfigError(
-                "modulation.cutoff: doc-map builds its ladders at the automatic cutoff"
-            )
         if scenario == "detect" and None in (used["detection"].shots, used["detection"].seed):
             raise ConfigError("detection: scenario 'detect' requires shots and seed")
         cfg = cls(scenario=scenario, **used)
@@ -525,6 +534,16 @@ class ScenarioConfig:
             what, limit, keys = LIMITS[name]
             if not count <= limit:
                 raise ConfigError(f"{keys}: {count} {what} exceed the limit {limit}")
+        if cfg.modulation is not None:  # level -J must keep a positive kinetic energy
+            key, betas = "modulation.beta_abs", (cfg.modulation.beta_abs,)
+            if cfg.sweep is not None and cfg.sweep.parameter == "beta_abs":
+                key, betas = "sweep.values", cfg.sweep.values
+            cutoff = auto_cutoff(max(betas))
+            if not cutoff * cfg.beam.photon_energy < cfg.beam.kinetic_energy:
+                raise ConfigError(
+                    f"{key}: the ladder's lowest level, {cutoff} photons below the beam, "
+                    "has no kinetic energy left"
+                )
         tags = [f"{length:g}" for length in getattr(cfg.coupling, "lengths_um", None) or ()]
         if len(set(tags)) < len(tags):  # waveguide names each length's two CSVs by its tag
             tag = next(t for t in tags if tags.count(t) > 1)

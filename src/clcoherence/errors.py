@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
-physics guards (aliasing, truncation, grid coverage, overflow) exit 3, and a
+physics guards (truncation, grid coverage, overflow) exit 3, and a
 failed oracle cross-check exits 4.
 """
 from __future__ import annotations
@@ -19,12 +19,8 @@ class PhysicsGuardError(ClcoherenceError):
     """A numerical-validity guard tripped (result would be untrustworthy)."""
 
 
-class AliasingError(PhysicsGuardError):
-    """Time step too coarse for the highest retained ladder harmonic."""
-
-
 class TruncationError(PhysicsGuardError):
-    """A requested cutoff discards non-negligible amplitude."""
+    """A ladder's boundary sidebands hold non-negligible amplitude."""
 
 
 class GridCoverageError(PhysicsGuardError):

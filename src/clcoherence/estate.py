@@ -26,7 +26,7 @@ import numpy as np
 from numpy.fft import fft
 
 from .constants import TWO_PI
-from .errors import AliasingError, PhysicsGuardError, TruncationError
+from .errors import PhysicsGuardError, TruncationError
 from .kinematics import BeamParameters, wavenumber
 
 _NORM_TOL = 1.0e-10
@@ -34,7 +34,7 @@ _EDGE_TOL = 1.0e-14
 
 
 def auto_cutoff(beta_abs: float) -> int:
-    """Default ladder half-width J for modulation strength |beta|.
+    """Ladder half-width J for modulation strength |beta|.
 
     The Bessel weights J_j(2|beta|) die super-exponentially beyond j ~ 2|beta|;
     ceil(2|beta|) + max(20, ceil(4*sqrt(2|beta|))) keeps the discarded norm
@@ -98,25 +98,15 @@ def bessel_ladder(x: float, half_width: int) -> np.ndarray:
     return np.concatenate([c[n - half_width :], c[: half_width + 1]])
 
 
-def pinem_ladder(beta: complex, beam: BeamParameters, cutoff: int | None = None) -> LadderState:
+def pinem_ladder(beta: complex, beam: BeamParameters) -> LadderState:
     """Ladder state produced by laser modulation of strength beta.
 
-    c_j = J_j(2|beta|) * exp(i j arg(-beta)), the J_j from `bessel_ladder`.
-    With cutoff=None the half-width is `auto_cutoff(|beta|)`; an explicit
-    smaller cutoff raises TruncationError reporting the discarded norm.
+    c_j = J_j(2|beta|) * exp(i j arg(-beta)) for |j| <= auto_cutoff(|beta|), the
+    J_j from `bessel_ladder`.
     """
     beta = complex(beta)
     absb = abs(beta)
-    needed = auto_cutoff(absb)
-    if cutoff is None:
-        cutoff = needed
-    elif cutoff < needed:
-        c = bessel_ladder(2.0 * absb, needed)[needed - cutoff : needed + cutoff + 1]
-        kept = float(np.sum(c**2))
-        raise TruncationError(
-            f"cutoff {cutoff} < required {needed} for |beta|={absb:g}; "
-            f"discarded norm {max(1.0 - kept, 0.0):.3e}"
-        )
+    cutoff = auto_cutoff(absb)
     j = np.arange(-cutoff, cutoff + 1)
     if absb == 0.0:
         c = np.zeros(2 * cutoff + 1, dtype=complex)
@@ -153,13 +143,12 @@ def propagate(state: LadderState, distance: float, mode: str = "exact") -> Ladde
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
-    """Pulse envelope and its sampling: kind "infinite" or "gaussian" (fwhm_fs of
-    |f|^2), the time step dt_fs and the window window_fs (None: `sampling_lattice`'s
-    defaults).  It is the config's envelope section, resolved."""
+    """Pulse envelope and its sampling window: kind "infinite" or "gaussian" (fwhm_fs
+    of |f|^2) and the window window_fs (None: `sampling_lattice`'s default).  It is
+    the config's envelope section, resolved."""
 
     kind: str
     fwhm_fs: float | None = None
-    dt_fs: float | None = None
     window_fs: float | None = None
 
     def __post_init__(self) -> None:
@@ -206,31 +195,17 @@ def sampling_lattice(
     beam: BeamParameters, envelope: EnvelopeSpec, cutoff: int
 ) -> tuple[float, int, int]:
     """(dt, samples per period, periods) sampling a ladder of half-width `cutoff`
-    with the envelope's dt_fs and window_fs.
+    over the envelope's window_fs.
 
-    Defaults: dt = T0/256 and window = 16*fwhm (gaussian) or 64*T0 (infinite).
-    dt is snapped to T0/m (integer m) and the window up to an integer number of
-    periods so that harmonics fall on the FFT lattice.  Guards: dt must not
-    exceed T0/64, the window must cover >= 8*fwhm resp. >= 64 periods (both
-    ValueError), and the highest harmonic must stay below Nyquist (AliasingError).
+    A period holds P = max(256, the smallest power of two above 2*cutoff) samples,
+    dt = T0/P, so the highest harmonic 2*cutoff of the density stays below P.  The
+    window, by default 16*fwhm (gaussian) or 64*T0 (infinite), is rounded up to
+    whole periods so that harmonics fall on the FFT lattice; it must cover >= 8*fwhm
+    resp. >= 64 periods (ValueError).
     """
     t_period = beam.optical_period
-    dt, window = envelope.dt_fs, envelope.window_fs
-    if dt is None:
-        dt = t_period / 256.0
-    if dt <= 0.0:
-        raise ValueError("dt must be positive (fs)")
-    if dt > t_period / 64.0 * (1.0 + 1.0e-12):
-        raise ValueError(f"dt={dt:g} fs exceeds T0/64={t_period / 64.0:g} fs")
-    samples_per_period = int(round(t_period / dt))
-    dt_eff = t_period / samples_per_period
-
-    if samples_per_period <= 2 * cutoff:
-        raise AliasingError(
-            f"dt={dt_eff:g} fs aliases harmonic {cutoff}: need more than {2 * cutoff} "
-            "samples per period"
-        )
-
+    samples_per_period = max(256, 1 << (2 * cutoff).bit_length())
+    window = envelope.window_fs
     if envelope.kind == "gaussian":
         fwhm = float(envelope.fwhm_fs)  # validated by EnvelopeSpec
         if window is None:
@@ -243,7 +218,7 @@ def sampling_lattice(
         if window < 64.0 * t_period * (1.0 - 1.0e-12):
             raise ValueError(f"window={window:g} fs < 64 periods={64.0 * t_period:g} fs")
     n_periods = int(math.ceil(window / t_period - 1.0e-9))
-    return dt_eff, samples_per_period, n_periods
+    return t_period / samples_per_period, samples_per_period, n_periods
 
 
 def synthesize_density(state: LadderState, envelope: EnvelopeSpec) -> WavepacketDensity:

@@ -12,6 +12,7 @@ the distance over which the quadratic part of the level phases winds through
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -51,10 +52,14 @@ class BeamParameters:
                 "non-recoil sideband-ladder treatment"
             )
         if recoil > _RECOIL_WARN:
+            # name the first caller outside this module and the dataclass-generated __init__
+            frame, level = sys._getframe(), 1
+            while frame.f_back is not None and frame.f_code.co_filename in (__file__, "<string>"):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"photon/kinetic energy ratio {recoil:.3e} > {_RECOIL_WARN:g}; "
                 "non-recoil approximation is marginal",
-                stacklevel=2,
+                stacklevel=level,
             )
 
     @classmethod

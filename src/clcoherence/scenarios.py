@@ -124,7 +124,7 @@ def _derived_constants(beam: BeamParameters) -> dict:
 def build_state(cfg: ScenarioConfig) -> LadderState:
     """The modulated ladder, propagated over the configured distance."""
     mod, prop = cfg.modulation, cfg.propagation
-    state = pinem_ladder(mod.beta, cfg.beam, cutoff=mod.cutoff)
+    state = pinem_ladder(mod.beta, cfg.beam)
     if prop.distance_mm:
         state = propagate(state, prop.distance_mm * NM_PER_MM, prop.mode)
     return state
@@ -256,7 +256,7 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
     state = build_state(cfg)
     density = synthesize_density(state, cfg.envelope)
     w0 = cfg.beam.omega0
-    n_keep = min(2 * state.cutoff, DOC_SLICE_HARMONICS)
+    n_keep = DOC_SLICE_HARMONICS  # below 2J: auto_cutoff is at least 20
     top = n_keep * w0 * (1.0 + 1.0e-12)
     # harmonics sit on k = 0 (mod periods x pad): one period of the density, summed over periods
     pad = fft_pad(cfg.envelope)

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import clcoherence
-from clcoherence import BeamParameters
+from clcoherence import BeamParameters, LadderState, pinem_ladder
 from clcoherence.cli import main
 from clcoherence.config import LIMITS, ScenarioConfig
 from clcoherence.oracle import _run_single
@@ -213,10 +213,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "incomplete.json", payload)
         assert main(["doc-slice", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
-    def test_physics_guard_maps_to_exit_3(self, tmp_path):
-        # Cutoff far too small for |beta| = 4: truncation guard must trip.
-        cfg = doc_slice_config(tmp_path, modulation={"beta_abs": 4.0, "cutoff": 5})
+    def test_physics_guard_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
+        # A ladder cut to |j| <= 5 at |beta| = 4 trips LadderState's truncation guard.
+        import clcoherence.scenarios as scen
+
+        def truncated_ladder(beta, beam):
+            c = pinem_ladder(beta, beam).coefficients[23:34]  # J = 28
+            return LadderState(c / np.linalg.norm(c), beam)
+
+        monkeypatch.setattr(scen, "pinem_ladder", truncated_ladder)
+        cfg = doc_slice_config(tmp_path, modulation={"beta_abs": 4.0})
         assert main(["doc-slice", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert "boundary sideband occupation" in capsys.readouterr().err
 
     def test_oracle_mismatch_maps_to_exit_4(self, tmp_path, monkeypatch):
         import clcoherence.scenarios as scen
@@ -263,19 +271,41 @@ class TestExitCodes:
         )
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
-    def test_sweep_honours_modulation_cutoff(self, tmp_path):
-        payload = {
-            "beam": dict(BEAM_SECTION),
-            "modulation": {"beta_abs": 4.0, "cutoff": 1},
-            "sweep": {"parameter": "distance_mm", "values": [0.0, 6.43]},
-        }
-        cfg = write_config(tmp_path, "sweep.json", payload)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    @pytest.mark.parametrize(
+        "scenario, name, section, key, value",
+        [
+            ("doc-slice", "doc_slice", "modulation", "cutoff", 40),
+            ("doc-map", "doc_map", "modulation", "cutoff", 40),
+            ("sweep", "sweep", "modulation", "cutoff", 1),
+            ("doc-slice", "doc_slice", "envelope", "dt_fs", 0.01),
+            ("waveguide", "waveguide", "envelope", "dt_fs", 1.0),
+        ],
+    )
+    def test_ladder_width_and_time_step_are_unknown_keys(
+        self, scenario, name, section, key, value, tmp_path, capsys
+    ):
+        # both follow from |beta|: J = auto_cutoff(|beta|), T0 / dt the power of two above 2J
+        payload = json.loads((CONFIGS / f"{name}.json").read_text())
+        payload[section][key] = value
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        out = tmp_path / "o"
+        assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"{section}: unknown key(s) ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_doc_map_rejects_modulation_cutoff(self, tmp_path):
-        payload = {"beam": dict(BEAM_SECTION), "modulation": {"beta_abs": 4.0, "cutoff": 1}}
-        cfg = write_config(tmp_path, "doc_map.json", payload)
-        assert main(["doc-map", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    @pytest.mark.parametrize("scenario, name", [("doc-slice", "doc_slice"), ("detect", "detect")])
+    def test_large_beta_runs(self, scenario, name, tmp_path):
+        # |beta| = 60: J = 164, so harmonic 2J = 328 takes 512 samples a period, not 256
+        payload = json.loads((CONFIGS / f"{name}.json").read_text())
+        payload["modulation"]["beta_abs"] = 60.0
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        out = tmp_path / "o"
+        assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        if scenario == "doc-slice":
+            summary = strict_json((out / "summary.json").read_text())
+            assert summary["max_fft_ladder_mismatch"] <= 1e-8
+            period = BeamParameters.from_wavelength(200e3, 800.0).optical_period
+            assert round(period / summary["dt_fs"]) == 512
 
     def test_doc_map_scan_of_fewer_than_three_distances_is_config_error(self, tmp_path, capsys):
         payload = {
@@ -286,16 +316,6 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "doc_map.json", payload)
         assert main(["doc-map", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "coarse_step_mm" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "scenario,name", [("doc-slice", "doc_slice"), ("waveguide", "waveguide")]
-    )
-    def test_dt_above_a_64th_period_is_config_error(self, scenario, name, tmp_path, capsys):
-        payload = json.loads((CONFIGS / f"{name}.json").read_text())
-        payload["envelope"]["dt_fs"] = 1.0  # T0/64 = 0.0417 fs
-        cfg = write_config(tmp_path, f"{name}.json", payload)
-        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-        assert "envelope: dt=1 fs exceeds T0/64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "scenario, name, edit, steps",
@@ -331,31 +351,88 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_density_of_too_many_samples_is_config_error(self, tmp_path, capsys):
-        # 26,685 samples a period x 1,200 periods x 8: without the limit, a 1.91 GiB rfft
+        # |beta| = 451: 2,048 samples a period x 1,025 periods x 8
         payload = json.loads((CONFIGS / "doc_slice.json").read_text())
-        payload["envelope"]["dt_fs"] = 1e-4
+        payload["modulation"]["beta_abs"] = 451.0
+        period = BeamParameters.from_wavelength(200e3, 800.0).optical_period
+        payload["envelope"]["window_fs"] = 1025 * period
         cfg = write_config(tmp_path, "doc_slice.json", payload)
         out = tmp_path / "o"
         assert main(["doc-slice", "--config", cfg, "--out", str(out), "--quiet"]) == 2
         assert (
-            "envelope.dt_fs, envelope.fwhm_fs, envelope.window_fs: "
-            "256176000 samples exceed the limit 16777216"
+            "envelope.fwhm_fs, envelope.window_fs, modulation.beta_abs: "
+            "16793600 samples exceed the limit 16777216"
         ) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_phase_matrix_too_large_is_config_error(self, tmp_path, capsys):
-        # 299,833 samples a period x 515 levels: without the limit, a 2.30 GiB phase
-        # matrix; the density itself, 14.4M samples, is below its own limit
-        payload = json.loads((CONFIGS / "doc_slice.json").read_text())
-        payload["modulation"]["beta_abs"] = 100.0
-        payload["propagation"]["distance_mm"] = 0.0
-        payload["envelope"].update(fwhm_fs=1.0, dt_fs=8.9e-6)
-        cfg = write_config(tmp_path, "doc_slice.json", payload)
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [
+            ("doc-slice", "doc_slice"),
+            ("waveguide", "waveguide"),
+            ("pulse-shape", "pulse_shape"),
+            ("detect", "detect"),
+        ],
+    )
+    def test_ladder_of_too_many_levels_is_config_error(self, scenario, name, tmp_path, capsys):
+        # |beta| = 451.5: J = 1024, one level a side above the limit
+        payload = json.loads((CONFIGS / f"{name}.json").read_text())
+        payload["modulation"]["beta_abs"] = 451.5
+        cfg = write_config(tmp_path, f"{name}.json", payload)
         out = tmp_path / "o"
-        assert main(["doc-slice", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 2
         assert (
-            "envelope.dt_fs, modulation.beta_abs, modulation.cutoff: "
-            "154413995 phases exceed the limit 8388608"
+            "modulation.beta_abs: 2049 ladder levels exceed the limit 2047"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, name, edit, key, cutoff",
+        [
+            (
+                "doc-slice",
+                "doc_slice_infinite",
+                {"beam": {"kinetic_energy_ev": 1e5, "photon_energy_ev": 1000.0}},
+                "modulation.beta_abs",
+                914,
+            ),
+            (
+                "sweep",
+                "sweep",
+                {"sweep": {"parameter": "beta_abs", "values": [1.0, 1e5]}},
+                "sweep.values",
+                201789,
+            ),
+        ],
+    )
+    def test_ladder_reaching_zero_kinetic_energy_is_config_error(
+        self, scenario, name, edit, key, cutoff, tmp_path, capsys
+    ):
+        # level -J would have no wavenumber, and `wavenumber` would raise mid-run
+        payload = json.loads((CONFIGS / f"{name}.json").read_text())
+        payload["modulation"]["beta_abs"] = 400.0
+        payload.update(edit)
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the 1 keV photons' recoil note
+            assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert (
+            f"{key}: the ladder's lowest level, {cutoff} photons below the beam, "
+            "has no kinetic energy left"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_of_too_many_ladder_levels_is_config_error(self, tmp_path, capsys):
+        # one |beta| of 1,000,001 levels: the ladder alone would take ~300 MB to build
+        payload = json.loads((CONFIGS / "sweep.json").read_text())
+        payload["sweep"]["values"] = [248589.5]
+        cfg = write_config(tmp_path, "sweep.json", payload)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert (
+            "sweep.values, modulation.beta_abs: "
+            "1000001 ladder levels over the values exceed the limit 1000000"
         ) in capsys.readouterr().err
         assert not out.exists()
 
@@ -570,13 +647,16 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_sweep_values_above_the_limit_is_config_error(self, tmp_path, capsys):
-        # 200,000 values: still running at 60 s at the parent
+        # 200,000 values of 43 to 49 levels each, 9.6M levels in all
         payload = json.loads((CONFIGS / "sweep.json").read_text())
         payload["sweep"]["values"] = [0.5 + 1e-5 * i for i in range(200_000)]
         cfg = write_config(tmp_path, "sweep.json", payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "sweep.values: 200000 sweep values exceed the limit 10000" in err
+        assert (
+            "sweep.values, modulation.beta_abs: "
+            "9599992 ladder levels over the values exceed the limit 1000000"
+        ) in err
         assert not (tmp_path / "o").exists()
 
     def test_doc_map_scan_above_the_limit_is_config_error(self, tmp_path, capsys):

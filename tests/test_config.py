@@ -185,8 +185,13 @@ LIMIT_CASES = {
         "waveguide.json", {}, ("coupling", "lengths_um"),
         [10.0 + i for i in range(256)], [10.0 + i for i in range(257)], 256, 257,
     ),
+    # one |beta| a value: 999,999 and 1,000,001 ladder levels; a 1 MeV beam keeps
+    # level -J at a positive kinetic energy
     "sweep_values": (
-        "sweep.json", {}, ("sweep", "values"), [1.0] * 10**4, [1.0] * (10**4 + 1), 10**4, 10**4 + 1
+        "sweep.json",
+        {("beam", "kinetic_energy_ev"): 1e6},
+        ("sweep", "values"),
+        [248589.0], [248589.5], 999_999, 1_000_001,
     ),
     # |beta| = 4: 57 ladder levels a distance
     "scan": (
@@ -198,16 +203,16 @@ LIMIT_CASES = {
         "doc_slice_infinite.json", {}, ("envelope", "window_fs"),
         41666 * T0, 41667 * T0, 41666 * 24, 41667 * 24,
     ),
-    # 200 fs Gaussian: 1,200 periods, padded x8
+    # |beta| = 451: 2,048 samples a period, padded x8
     "samples": (
-        "doc_slice.json", {}, ("envelope", "dt_fs"), T0 / 1747, T0 / 1748, 1747 * 9600, 1748 * 9600
-    ),
-    # |beta| = 100: 515 ladder levels (a 1 fs Gaussian keeps the samples small)
-    "phases": (
         "doc_slice.json",
-        {("modulation", "beta_abs"): 100.0, ("envelope", "fwhm_fs"): 1.0},
-        ("envelope", "dt_fs"),
-        T0 / 16288, T0 / 16289, 16288 * 515, 16289 * 515,
+        {("modulation", "beta_abs"): 451.0},
+        ("envelope", "window_fs"),
+        1024 * T0, 1025 * T0, 2048 * 1024 * 8, 2048 * 1025 * 8,
+    ),
+    # J = 1023 and 1024 (64 periods keep the samples small)
+    "levels": (
+        "doc_slice_infinite.json", {}, ("modulation", "beta_abs"), 451.0, 451.5, 2047, 2049
     ),
 }
 
@@ -226,6 +231,24 @@ def test_size_limits_admit_the_limit_and_refuse_one_more(name):
     with pytest.raises(ConfigError) as refused:
         ScenarioConfig.from_mapping(scenario, _replaced(data, path, over))
     assert str(refused.value) == f"{keys}: {count_over} {what} exceed the limit {limit}"
+
+
+def test_every_limit_key_is_a_config_key():
+    # each key is read by a shipped config's scenario, so a string there is refused
+    # under its own name: a removed key cannot linger in a limit's message
+    configs = {name: json.loads((CONFIGS / name).read_text()) for name in SCENARIO_BY_FILE}
+    for key in sorted({key for row in LIMITS.values() for key in row.keys.split(", ")}):
+        section, name = key.split(".")
+        config = next(
+            config
+            for config, data in configs.items()
+            if getattr(ScenarioConfig.from_mapping(SCENARIO_BY_FILE[config], data), section)
+        )
+        data = json.loads(json.dumps(configs[config]))
+        data.setdefault(section, {})[name] = "x"
+        with pytest.raises(ConfigError) as refused:
+            ScenarioConfig.from_mapping(SCENARIO_BY_FILE[config], data)
+        assert str(refused.value).startswith(f"{key}: must be"), (config, str(refused.value))
 
 
 def test_every_limit_has_headroom_over_the_shipped_configs():

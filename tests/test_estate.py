@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clcoherence import (
-    AliasingError,
     BeamParameters,
     EnvelopeSpec,
     LadderState,
@@ -130,18 +129,9 @@ class TestPinemLadder:
         assert coefficient(state, 0) == pytest.approx(1.0)
         assert np.sum(np.abs(state.coefficients)) == pytest.approx(1.0, abs=1e-15)
 
-    def test_explicit_cutoff_too_small_raises(self):
-        with pytest.raises(TruncationError) as excinfo:
-            pinem_ladder(4.0, BEAM, cutoff=5)
-        # Error reports how much norm is missing.
-        assert "norm" in str(excinfo.value).lower()
-
-    def test_truncation_error_reports_the_bessel_norm_outside_the_cutoff(self):
-        from scipy.special import jv
-
-        discarded = 1.0 - np.sum(jv(np.arange(-5, 6), 8.0) ** 2)
-        with pytest.raises(TruncationError, match=f"discarded norm {discarded:.3e}"):
-            pinem_ladder(4.0, BEAM, cutoff=5)
+    @pytest.mark.parametrize("beta_abs", [0.0, 1.0, 4.0, 60.0, 451.0])
+    def test_half_width_is_auto_cutoff(self, beta_abs):
+        assert pinem_ladder(beta_abs, BEAM).cutoff == auto_cutoff(beta_abs)
 
 
 class TestBesselLadder:
@@ -159,11 +149,6 @@ class TestBesselLadder:
 
     def test_zero_argument_is_the_unit_vector(self):
         np.testing.assert_array_equal(bessel_ladder(0.0, 3), [0, 0, 0, 1, 0, 0, 0])
-
-    def test_generous_explicit_cutoff_allowed(self):
-        state = pinem_ladder(1.0, BEAM, cutoff=40)
-        assert state.cutoff == 40
-        assert abs(ladder_overlap(state, 0) - 1.0) < 1e-12
 
 
 class TestLadderState:
@@ -310,17 +295,17 @@ class TestDensitySynthesis:
         assert ratio == pytest.approx(round(ratio), abs=1e-9)
         assert round(ratio) >= 64
 
-    def test_aliasing_guard(self):
-        # With cutoff J=40, 64 samples per period cannot resolve the fastest
-        # beat note (needs more than 2J samples per period).
-        state = pinem_ladder(4.0, BEAM, cutoff=40)
-        with pytest.raises(AliasingError):
-            synthesize_density(state, EnvelopeSpec("infinite", dt_fs=BEAM.optical_period / 64.0))
+    def test_256_samples_a_period_up_to_half_width_127(self):
+        for cutoff in range(128):
+            assert sampling_lattice(BEAM, EnvelopeSpec("infinite"), cutoff)[1] == 256
 
-    def test_dt_too_coarse_rejected(self):
-        state = pinem_ladder(1.0, BEAM)
-        with pytest.raises(ValueError):
-            synthesize_density(state, EnvelopeSpec("infinite", dt_fs=BEAM.optical_period / 32.0))
+    @pytest.mark.parametrize(
+        "cutoff,per_period", [(128, 512), (255, 512), (256, 1024), (511, 1024), (1023, 2048)]
+    )
+    def test_samples_a_period_are_the_power_of_two_above_2j(self, cutoff, per_period):
+        dt, got, _ = sampling_lattice(BEAM, EnvelopeSpec("infinite"), cutoff)
+        assert got == per_period
+        assert dt == BEAM.optical_period / per_period
 
     def test_window_too_short_rejected(self):
         state = pinem_ladder(1.0, BEAM)
@@ -407,11 +392,14 @@ class TestPeriodicSynthesis:
         [EnvelopeSpec("infinite"), EnvelopeSpec("gaussian", fwhm_fs=50.0)],
         ids=["infinite", "gaussian-50"],
     )
-    def test_odd_samples_per_period(self, envelope):
-        state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
-        envelope = replace(envelope, dt_fs=BEAM.optical_period / 129.0)
+    def test_large_beta_with_explicit_window(self, envelope):
+        # |beta| = 60 at its bunching distance: 512 samples a period, 65 or 301 periods
+        state = propagate(pinem_ladder(60.0, BEAM), 6.47e6 * 4.0 / 60.0)
+        periods = 65 if envelope.kind == "infinite" else 301
+        envelope = replace(envelope, window_fs=periods * BEAM.optical_period)
         density = self.assert_matches_loop(state, envelope)
-        assert round(BEAM.optical_period / density.dt) == 129
+        assert round(BEAM.optical_period / density.dt) == 512
+        assert density.periods_in_window == periods
 
     @pytest.mark.parametrize(
         "envelope,window",

@@ -172,6 +172,21 @@ class TestRecoilGuards:
             beam = BeamParameters(kinetic_energy=1000.0, photon_energy=5.0)
         assert beam.gamma > 1.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BeamParameters(kinetic_energy=1000.0, photon_energy=5.0),
+            lambda: BeamParameters.from_wavelength(1000.0, 200.0),
+        ],
+        ids=["constructor", "from_wavelength"],
+    )
+    def test_moderate_recoil_warning_names_the_callers_line(self, build):
+        # neither the dataclass-generated __init__ nor from_wavelength
+        with pytest.warns(UserWarning, match="non-recoil") as record:
+            build()
+        assert [w.filename for w in record] == [__file__]
+        assert [w.lineno for w in record] == [build.__code__.co_firstlineno]
+
     def test_large_recoil_rejected(self):
         with pytest.raises(ValueError):
             BeamParameters(kinetic_energy=100.0, photon_energy=5.0)
