@@ -198,7 +198,7 @@ def sampling_lattice(
     over the envelope's window_fs.
 
     A period holds P = max(256, the smallest power of two above 2*cutoff) samples,
-    dt = T0/P, so the highest harmonic 2*cutoff of the density stays below P.  The
+    dt = T0/P: the wavefunction's highest sideband, `cutoff`, lies below Nyquist.  The
     window, by default 16*fwhm (gaussian) or 64*T0 (infinite), is rounded up to
     whole periods so that harmonics fall on the FFT lattice; it must cover >= 8*fwhm
     resp. >= 64 periods (ValueError).
