@@ -9,14 +9,27 @@ manifest records them and a rerun from it repeats the run.
 
 Exit codes: 0 success, 2 configuration error, 3 physics guard tripped,
 4 oracle mismatch.
+
+Importing this module runs numpy's OpenBLAS on one thread: it sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is already set (OpenBLAS reads them in
+that order, so a user's own count wins).  The package makes only level-1 BLAS
+calls on short vectors, and a worker pool only costs start-up time.  Where
+numpy was loaded first, as by a library user or the tests, it keeps the
+threads it started with.
 """
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
-from .config import SCENARIOS, ScenarioConfig
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(os.environ.get(name) for name in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .config import SCENARIOS, ScenarioConfig  # numpy loads here
 from .errors import ConfigError, OracleMismatchError, PhysicsGuardError
 from .scenarios import run_scenario
 

@@ -108,13 +108,20 @@ _OPTIONAL = {
 }
 
 
-def _levels(beta_abs: float) -> int:
-    """2J + 1, the levels of the ladder pinem_ladder builds at |beta|."""
-    return 2 * auto_cutoff(beta_abs) + 1
-
-
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
+
+
+def _cutoff(beta_abs: float, key: str) -> int:
+    """J = auto_cutoff(|beta|), the half-width of the ladder; key names |beta|'s source."""
+    if not math.isfinite(2.0 * beta_abs):
+        _fail(key, f"{beta_abs:g} is too large: 2|beta| overflows a float")
+    return auto_cutoff(beta_abs)
+
+
+def _levels(beta_abs: float, key: str) -> int:
+    """2J + 1, the levels of the ladder pinem_ladder builds at |beta|."""
+    return 2 * _cutoff(beta_abs, key) + 1
 
 
 def _check_keys(section: dict, path: str, allowed) -> None:
@@ -476,14 +483,14 @@ class ScenarioConfig:
         if self.sweep is not None:
             values = self.sweep.values
             if self.sweep.parameter == "beta_abs":
-                sizes["sweep_values"] = sum(_levels(value) for value in values)
+                sizes["sweep_values"] = sum(_levels(value, "sweep.values") for value in values)
             else:
-                sizes["sweep_values"] = len(values) * _levels(mod.beta_abs)
+                sizes["sweep_values"] = len(values) * _levels(mod.beta_abs, "modulation.beta_abs")
         if self.scenario == "doc-map":
             distances = math.ceil((scan.d_max_mm - scan.d_min_mm) / scan.coarse_step_mm + 0.5)
-            sizes["scan"] = distances * _levels(mod.beta_abs)
+            sizes["scan"] = distances * _levels(mod.beta_abs, "modulation.beta_abs")
         if env is not None:  # window_fs against this beam, by the run's own checks
-            cutoff = auto_cutoff(mod.beta_abs)
+            cutoff = _cutoff(mod.beta_abs, "modulation.beta_abs")
             sizes["levels"] = 2 * cutoff + 1
             try:
                 lattice = sampling_lattice(self.beam, env, cutoff)
@@ -538,7 +545,7 @@ class ScenarioConfig:
             key, betas = "modulation.beta_abs", (cfg.modulation.beta_abs,)
             if cfg.sweep is not None and cfg.sweep.parameter == "beta_abs":
                 key, betas = "sweep.values", cfg.sweep.values
-            cutoff = auto_cutoff(max(betas))
+            cutoff = _cutoff(max(betas), key)
             if not cutoff * cfg.beam.photon_energy < cfg.beam.kinetic_energy:
                 raise ConfigError(
                     f"{key}: the ladder's lowest level, {cutoff} photons below the beam, "

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import operator
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import clcoherence
 from clcoherence import BeamParameters, LadderState, pinem_ladder
-from clcoherence.cli import main
+from clcoherence.cli import BLAS_THREAD_VARS, main
 from clcoherence.config import LIMITS, ScenarioConfig
 from clcoherence.oracle import _run_single
 from clcoherence.errors import ClcoherenceError, PhysicsGuardError
@@ -306,6 +307,29 @@ class TestExitCodes:
             assert summary["max_fft_ladder_mismatch"] <= 1e-8
             period = BeamParameters.from_wavelength(200e3, 800.0).optical_period
             assert round(period / summary["dt_fs"]) == 512
+
+    @pytest.mark.parametrize(
+        "scenario, name, key",
+        [
+            ("doc-map", "doc_map", "modulation.beta_abs"),
+            ("doc-slice", "doc_slice", "modulation.beta_abs"),
+            ("sweep", "sweep", "sweep.values"),
+        ],
+    )
+    def test_beta_whose_double_overflows_is_config_error(
+        self, scenario, name, key, tmp_path, capsys
+    ):
+        # 2|beta| = inf: the ladder's level count cannot be computed to check it
+        payload = json.loads((CONFIGS / f"{name}.json").read_text())
+        if scenario == "sweep":
+            payload["sweep"]["values"] = [1.0, 1e308]
+        else:
+            payload["modulation"]["beta_abs"] = 1e308
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        out = tmp_path / "o"
+        assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"{key}: 1e+308 is too large" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_doc_map_scan_of_fewer_than_three_distances_is_config_error(self, tmp_path, capsys):
         payload = {
@@ -1101,11 +1125,16 @@ class TestShippedConfigs:
             assert len(cfg.sha256()) == 64
 
 
-def _probe(code: str) -> str:
-    """stdout of `code` run in a fresh interpreter that imports this package."""
+def _probe(code: str, **env_vars: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this package.
+
+    The child gets none of the BLAS thread variables but those in env_vars:
+    importing clcoherence.cli in this process has set OPENBLAS_NUM_THREADS here.
+    """
     src = str(Path(clcoherence.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
@@ -1118,6 +1147,44 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", (CONFIGS.parent / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     _probe(blocks[0])
+
+
+def test_package_import_loads_no_numpy():
+    assert _probe("import sys, clcoherence; print('numpy' in sys.modules)") == "False"
+
+
+# OpenBLAS caps its threads at the CPU count, so one CPU shows one thread either way
+COUNTS_THREADS = Path("/proc/self/task").is_dir() and (os.cpu_count() or 1) >= 2
+THREADS_PROBE = """import os, clcoherence.cli
+tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(tasks))"""
+
+
+def test_cli_import_runs_blas_on_one_thread():
+    variable, threads = _probe(THREADS_PROBE).split()
+    assert variable == "1"
+    if COUNTS_THREADS:
+        assert threads == "1"
+
+
+def test_cli_import_keeps_a_preset_thread_count():
+    # OMP_NUM_THREADS is the last variable OpenBLAS reads: set alone, it still wins
+    variable, threads = _probe(THREADS_PROBE, OMP_NUM_THREADS="2").split()
+    assert variable == "None"
+    if COUNTS_THREADS:
+        assert threads == "2"
+
+
+def test_lazy_package_root_resolves_every_public_name():
+    for name in clcoherence.__all__:
+        module = importlib.import_module(f"clcoherence.{clcoherence._MODULE_OF[name]}")
+        assert getattr(clcoherence, name) is getattr(module, name), name
+    assert set(clcoherence.__all__) <= set(dir(clcoherence))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        clcoherence.no_such_name
+    namespace = {}
+    exec("from clcoherence import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(clcoherence.__all__)
 
 
 def test_cli_import_does_not_load_scipy_signal():
