@@ -2,8 +2,9 @@
 
 A runner reads the typed fields of a resolved `ScenarioConfig` only: its
 defaults and conversions, and any CLI flag, were all settled at load.  It
-hands each CSV to `write(name, columns)` and returns its summary and the body
-of its gnuplot script.  `run_scenario` owns every artifact: the CSVs (written
+hands each CSV to `write(name, columns)`, or `write(name, columns, rows)` with
+the row text of a structured file, and returns its summary and the body of its
+gnuplot script.  `run_scenario` owns every artifact: the CSVs (written
 as they are handed over, so a later guard leaves them on disk),
 `plot_<scenario>.gp` when output.gnuplot is set, `summary.json`, and a
 `manifest.json` that embeds the resolved config (`to_mapping()`), its sha256,
@@ -74,27 +75,86 @@ class RunResult:
     outputs: tuple[str, ...]
 
 
-def _write_csv(path: Path, columns: dict) -> None:
-    """One CSV file: the header is the keys of `columns`, row i holds element i
-    of each equal-length 1-D column.  Floats are written as their repr, bools
-    as 1/0; nothing is quoted, since no column holds a separator.  A non-finite
-    float raises PhysicsGuardError before the file is opened.  The rows go out
-    `_CSV_BLOCK` at a time, each block formatted by one `%` call ("%s" of a
-    float is its repr)."""
-    cols = {name: np.asarray(col) for name, col in columns.items()}
+def _text(values: np.ndarray) -> list[str]:
+    """Each float's repr, for a cell whose text is written more than once."""
+    return list(map(repr, values.tolist()))
+
+
+def _negated(text: list[str]) -> list[str]:
+    """repr(-x) of each repr(x): the sign flipped in the text, zeros included."""
+    return [s[1:] if s[0] == "-" else "-" + s for s in text]
+
+
+def _rows(cells: list[list]) -> str:
+    """CSV rows of equal-length lists of cells, formatted by one `%` call: "%s"
+    writes an int as itself, a float as its repr and a cell's text unchanged."""
+    row_fmt = ",".join(["%s"] * len(cells)) + "\r\n"
+    return row_fmt * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _table_rows(path: Path, cols: dict):
+    """Row i of a plain table holds element i of each equal-length 1-D column
+    (a bool as 1/0), `_CSV_BLOCK` rows a block."""
     if any(c.ndim != 1 for c in cols.values()) or len({c.size for c in cols.values()}) > 1:
         raise ValueError(f"{path.name}: columns must be 1-D arrays of equal length")
+    data = [c.astype(int) if c.dtype == bool else c for c in cols.values()]
+    stop = data[0].size if data else 0
+    return (
+        _rows([c[start : start + _CSV_BLOCK].tolist() for c in data])
+        for start in range(0, stop, _CSV_BLOCK)
+    )
+
+
+def _hermitian_rows(omega, f_real, f_imag, doc):
+    """Rows of a spectrum of a real density on the lattice k = -K..K, in ascending
+    omega.  Only the omega >= 0 cells are formatted: the row at -omega is the text
+    mirror of the row at omega, with omega and f_imag negated and f_real and doc
+    copied, F(-omega) = conj F(omega).  The omega > 0 blocks are walked from the
+    top down, each mirror written at once and its own text held until the
+    omega < 0 half is out (~80 B a row)."""
+    zero = omega.size // 2
+    if not np.array_equal(omega[:zero], -omega[: zero : -1]):
+        raise ValueError("the spectrum's lattice is not symmetric about omega = 0")
+    # A row's six cell texts take ~4x the bytes of a plain row's floats: a quarter
+    # block holds no more small objects than a plain block, so it grows no
+    # interpreter arenas that outlive the file.
+    block = _CSV_BLOCK // 4
+    held = []
+    for stop in range(omega.size, zero + 1, -block):
+        start = max(stop - block, zero + 1)
+        w, re, im, d = (_text(c[start:stop]) for c in (omega, f_real, f_imag, doc))
+        held.append(_rows([w, re, im, d]))
+        yield _rows([_negated(w[::-1]), re[::-1], _negated(im[::-1]), d[::-1]])
+    yield _rows([[c[zero].item()] for c in (omega, f_real, f_imag, doc)])
+    yield from reversed(held)
+
+
+def _doc_map_rows(d_mm, doc):
+    """doc-map's rows (n, d, DOC(n omega0; d)), n-major, from each distance's
+    text formatted once."""
+    d_text = _text(d_mm)
+    for n, row in enumerate(doc):
+        for start in range(0, d_mm.size, _CSV_BLOCK):
+            d = d_text[start : start + _CSV_BLOCK]
+            yield _rows([[n] * len(d), d, row[start : start + _CSV_BLOCK].tolist()])
+
+
+def _write_csv(path: Path, columns: dict, rows=None) -> None:
+    """One CSV file whose header is the keys of `columns`.  Floats are written as
+    their repr, bools as 1/0; nothing is quoted, since no column holds a
+    separator.  A non-finite float in any column raises PhysicsGuardError before
+    the file is opened.  `rows` is the row text, in blocks, of a structured file
+    over these columns; without it row i holds element i of each equal-length
+    1-D column, `_CSV_BLOCK` rows per `%` call."""
+    cols = {name: np.asarray(col) for name, col in columns.items()}
+    if rows is None:
+        rows = _table_rows(path, cols)
     bad = [name for name, c in cols.items() if c.dtype.kind == "f" and not np.isfinite(c).all()]
     if bad:
         raise PhysicsGuardError(f"{path.name} would hold non-finite numbers in: {' '.join(bad)}")
-    data = [c.astype(int) if c.dtype == bool else c for c in cols.values()]
-    rows = data[0].size if data else 0
-    row_fmt = ",".join(["%s"] * len(data)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\r\n")
-        for start in range(0, rows, _CSV_BLOCK):
-            block = [c[start : start + _CSV_BLOCK].tolist() for c in data]
-            fh.write(row_fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        fh.writelines(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -213,16 +273,10 @@ def _run_doc_map(cfg: ScenarioConfig, write):
         n_scan=scan.n_harmonics,
         mode=mode,
     )
-    distances, matrix = optimum.coarse_distances, optimum.coarse_doc
-    d_mm = distances / NM_PER_MM
-    write(
-        "doc_map.csv",
-        {
-            "omega_over_omega0": np.repeat(np.arange(matrix.shape[0]), distances.size),
-            "d_mm": np.tile(d_mm, matrix.shape[0]),
-            "doc": matrix.ravel(),
-        },
-    )
+    matrix = optimum.coarse_doc
+    d_mm = optimum.coarse_distances / NM_PER_MM
+    columns = {"omega_over_omega0": np.arange(matrix.shape[0]), "d_mm": d_mm, "doc": matrix}
+    write("doc_map.csv", columns, _doc_map_rows(d_mm, matrix))
     write("width.csv", {"d_mm": d_mm, "width": optimum.coarse_widths})
     at_optimum = doc_map(state, np.array([optimum.distance]), n_max=8, mode=mode)[:, 0]
     summary = {
@@ -252,7 +306,11 @@ def _spectrum_step(n_fft: int, span: int) -> int:
 
 
 def _run_doc_slice(cfg: ScenarioConfig, write):
-    # the independent route: FFT of the sampled density, checked against the ladder
+    """The independent route: the FFT of the sampled density, checked against the
+    ladder sums at the harmonics.  spectrum.csv holds the FFT on every s-th point
+    of its lattice; its omega < 0 rows are written as the Hermitian mirror of the
+    omega > 0 rows, once the FFT's own omega < 0 half has passed DensitySpectrum's
+    guard, and the density is released before they are written."""
     state = build_state(cfg)
     density = synthesize_density(state, cfg.envelope)
     w0 = cfg.beam.omega0
@@ -282,17 +340,6 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
 
     step = _spectrum_step(pad * density.samples.size, n_keep * per_harmonic)
     spectrum = density_spectrum(density, top, step=step)
-    f = spectrum.values
-    write(
-        "spectrum.csv",
-        {
-            "omega_over_omega0": spectrum.omega_grid / w0,
-            "f_real": f.real,
-            "f_imag": f.imag,
-            "doc": np.abs(f) ** 2,
-        },
-    )
-
     doc_by_n = np.abs(f_all[2 * state.cutoff :]) ** 2
     summary = {
         "distance_mm": cfg.propagation.distance_mm,
@@ -303,6 +350,15 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
         "width_at_1pct": int(spectral_width(doc_by_n, 0.01)),
         "max_fft_ladder_mismatch": float(np.max(np.abs(f_fft - f_lad))),
     }
+    del density  # the row text held while spectrum.csv is written stays below its peak
+    f = spectrum.values
+    columns = {
+        "omega_over_omega0": spectrum.omega_grid / w0,
+        "f_real": f.real,
+        "f_imag": f.imag,
+        "doc": np.abs(f) ** 2,
+    }
+    write("spectrum.csv", columns, _hermitian_rows(*columns.values()))
     log.info(
         "doc-slice: width(1%%) = %d, FFT/ladder mismatch = %.3e",
         summary["width_at_1pct"],
@@ -602,8 +658,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunResult:
         raise ConfigError(f"output directory {str(out_dir)!r}: {exc.strerror}") from exc
     outputs = ["summary.json"]
 
-    def write(name: str, columns: dict) -> None:
-        _write_csv(out_dir / name, columns)
+    def write(name: str, columns: dict, rows=None) -> None:
+        _write_csv(out_dir / name, columns, rows)
         outputs.append(name)
 
     # A field beyond float range turns inf or nan without a numpy warning; the

@@ -310,11 +310,14 @@ def doc_map(
 def spectral_width(doc_by_harmonic: np.ndarray, threshold: float = 0.01):
     """Largest harmonic n with DOC >= threshold.
 
-    Accepts a 1-D array indexed by n or a (n, d) matrix (per-column widths).
+    Accepts a 1-D array indexed by n or a (n, d) matrix (per-column widths,
+    built one harmonic at a time, so no temporary of the matrix's size).
     """
-    mask = np.asarray(doc_by_harmonic) >= threshold
-    n = np.arange(mask.shape[0]).reshape(-1, *(1,) * (mask.ndim - 1))
-    return np.max(np.where(mask, n, 0), axis=0)
+    doc = np.asarray(doc_by_harmonic)
+    width = np.zeros(doc.shape[1:], dtype=np.intp)
+    for n, row in enumerate(doc):
+        width[row >= threshold] = n
+    return width[()]  # a scalar for a 1-D array
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,9 @@ def optimal_bunching_distance(
         raise ValueError("distance range too small for the coarse scan")
     docm = doc_map(state, d, n_max=n_scan, mode=mode)
     widths = spectral_width(docm, threshold)
-    sums = np.sum(np.sqrt(docm[1:]), axis=0)
+    sums = np.zeros(d.size)  # row by row, in the order of np.sum(np.sqrt(docm[1:]), axis=0)
+    for row in docm[1:]:
+        sums += np.sqrt(row)
     w_max = int(np.max(widths))
     on_plateau = widths == w_max
     i_best = int(np.argmax(np.where(on_plateau, sums, -np.inf)))
@@ -391,7 +396,7 @@ def optimal_bunching_distance(
         width=int(spectral_width(col, threshold)),
         tiebreak_value=float(np.sum(np.sqrt(col[1:]))),
         coarse_distances=d,
-        coarse_widths=np.asarray(widths),
+        coarse_widths=widths,
         coarse_doc=docm,
     )
 

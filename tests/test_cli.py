@@ -14,6 +14,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from hypothesis import strategies as st
 import clcoherence
 from clcoherence import BeamParameters, LadderState, pinem_ladder
 from clcoherence.cli import BLAS_THREAD_VARS, main
-from clcoherence.config import LIMITS, ScenarioConfig
+from clcoherence.config import DOC_SLICE_HARMONICS, LIMITS, ScenarioConfig
 from clcoherence.oracle import _run_single
 from clcoherence.errors import ClcoherenceError, PhysicsGuardError
 from clcoherence.scenarios import _CSV_BLOCK, _write_csv, _write_json
+from clcoherence.spectra import density_spectrum, optimal_bunching_distance
 
 import shipped_digests
 
@@ -530,16 +532,59 @@ class TestExitCodes:
         assert "fwhm_fs" not in err and "NaN" not in err
         assert not (out / "summary.json").exists()
 
-    def test_non_finite_csv_column_is_physics_guard(self, tmp_path, capsys):
-        # |E|^2 of a g0 = 1e160 field overflows to inf
-        payload = json.loads((CONFIGS / "pulse_shape.json").read_text())
-        payload["coupling"]["g0"] = 1e160
-        cfg = write_config(tmp_path, "pulse_shape.json", payload)
+    @pytest.mark.parametrize(
+        "scenario, name, spoil, csv, column",
+        [
+            ("pulse-shape", "pulse_shape.json", "overflowing_coupling", "field_time.csv",
+             "intensity"),
+            ("doc-slice", "doc_slice_infinite.json", "nan_below_zero_frequency", "spectrum.csv",
+             "f_imag"),
+            ("doc-map", "doc_map.json", "nan_doc_cell", "doc_map.csv", "doc"),
+        ],
+    )
+    def test_non_finite_csv_column_is_physics_guard(
+        self, scenario, name, spoil, csv, column, tmp_path, monkeypatch, capsys
+    ):
+        payload = json.loads((CONFIGS / name).read_text())
+        getattr(self, spoil)(payload, monkeypatch)
+        cfg = write_config(tmp_path, name, payload)
         out = tmp_path / "o"
-        assert main(["pulse-shape", "--config", cfg, "--out", str(out), "--quiet"]) == 3
-        err = capsys.readouterr().err
-        assert "field_time.csv" in err and "intensity" in err
-        assert not (out / "field_time.csv").exists()
+        assert main([scenario, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert f"{csv} would hold non-finite numbers in: {column}" in capsys.readouterr().err
+        assert not (out / csv).exists()
+
+    @staticmethod
+    def overflowing_coupling(payload, monkeypatch):
+        payload["coupling"]["g0"] = 1e160  # |E|^2 of the field overflows to inf
+
+    @staticmethod
+    def nan_below_zero_frequency(payload, monkeypatch):
+        # a NaN f_imag at the lowest omega, a cell that spectrum.csv writes as the
+        # mirror of omega > 0 and so never formats
+        import clcoherence.scenarios as scen
+
+        def spectrum(*args, **kwargs):
+            found = density_spectrum(*args, **kwargs)
+            if found.values.size <= 2 * DOC_SLICE_HARMONICS + 1:  # the harmonics
+                return found
+            values = found.values.copy()
+            values[0] = complex(values[0].real, math.nan)
+            return SimpleNamespace(omega_grid=found.omega_grid, values=values)
+
+        monkeypatch.setattr(scen, "density_spectrum", spectrum)
+
+    @staticmethod
+    def nan_doc_cell(payload, monkeypatch):
+        # one DOC of the scan matrix, which doc_map.csv writes one harmonic at a time
+        import clcoherence.scenarios as scen
+
+        def optimum(*args, **kwargs):
+            found = optimal_bunching_distance(*args, **kwargs)
+            doc = found.coarse_doc.copy()
+            doc[3, 5] = math.nan
+            return dataclasses.replace(found, coarse_doc=doc)
+
+        monkeypatch.setattr(scen, "optimal_bunching_distance", optimum)
 
     def test_overflowing_field_warns_nothing_before_exit_3(self, tmp_path, capsys):
         # the overflow of |E|^2 is reported by the exit-3 message alone
@@ -869,6 +914,42 @@ class TestDocSliceTransformLengths:
         assert sorted(lengths) == [256, n_fft // 32]
         assert len(omega_column) == 2 * (757056 // 32) + 1 <= 50000
         assert summary["max_fft_ladder_mismatch"] <= 1e-14
+
+
+def test_doc_slice_spectrum_rows_below_zero_mirror_those_above(tmp_path, monkeypatch):
+    # F transforms a real density, F(-omega) = conj F(omega): each omega < 0 row of
+    # spectrum.csv is the text of its omega > 0 partner with omega and f_imag
+    # negated, and every row, the mirrored ones included, holds the FFT's own
+    # value within DensitySpectrum's Hermitian tolerance
+    import clcoherence.scenarios as scen
+
+    spectra = []
+
+    def recording_spectrum(*args, **kwargs):
+        spectra.append(density_spectrum(*args, **kwargs))
+        return spectra[-1]
+
+    monkeypatch.setattr(scen, "density_spectrum", recording_spectrum)
+    out = tmp_path / "o"
+    cfg = str(CONFIGS / "doc_slice.json")
+    assert main(["doc-slice", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    zero = len(rows) // 2
+    assert len(rows) == 46081 and rows[zero][0] == "0.0"
+
+    def negated(cell):
+        return cell[1:] if cell.startswith("-") else "-" + cell
+
+    mirrors = [[negated(w), re, negated(im), doc] for w, re, im, doc in rows[: zero : -1]]
+    assert rows[:zero] == mirrors
+
+    fft = max(spectra, key=lambda found: found.values.size)
+    values = np.array(rows, dtype=float)
+    w0 = BeamParameters.from_wavelength(200e3, 800.0).omega0
+    assert np.array_equal(values[:, 0], fft.omega_grid / w0)
+    tolerance = 1e-10
+    assert np.max(np.abs(values[:, 1] + 1j * values[:, 2] - fft.values)) <= tolerance
+    assert np.max(np.abs(values[:, 3] - np.abs(fft.values) ** 2)) <= tolerance
 
 
 class TestReproducibility:
