@@ -233,7 +233,7 @@ class TestExitCodes:
         import clcoherence.scenarios as scen
 
         beam = BeamParameters.from_wavelength(200e3, 800.0)
-        row = _run_single(0.0, 0.0, 0.05, (1,), beam)
+        row = _run_single(0.0, 0.0, 0.05, (1,), beam, {})
         bad_check = dataclasses.replace(row.checks[0], error=1.0, passed=False)
         bad_row = dataclasses.replace(row, checks=(bad_check, *row.checks[1:]))
         monkeypatch.setattr(scen, "run_test_matrix", lambda beam: [bad_row])

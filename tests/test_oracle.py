@@ -33,7 +33,6 @@ from clcoherence.oracle import (
     DISTANCE_GRID,
     MODE_SETS,
     build_generator,
-    electron_mean_level,
     electron_mean_level_initial,
     evolve,
     evolve_dense,
@@ -271,9 +270,9 @@ class TestTwoModeObservables:
 
     def test_energy_bookkeeping(self, strong_two_mode):
         state, space, v = strong_two_mode
-        drop = electron_mean_level_initial(state) - electron_mean_level(space, v)
-        mean_n = observables(space, v).mean_n
-        budget = mean_n[1] + 2.0 * mean_n[2]
+        obs = observables(space, v)
+        drop = electron_mean_level_initial(state) - obs.electron_mean_level
+        budget = obs.mean_n[1] + 2.0 * obs.mean_n[2]
         assert drop == pytest.approx(budget, abs=1e-8)
 
     def test_leakage_well_controlled(self, strong_two_mode):
@@ -373,13 +372,19 @@ def _reached(space, coefficients):
 
 
 class TestReachableSubspace:
-    """evolve works on the K-sectors the ladder occupies; the same series on
-    the whole space's generator is the reference and must come out bit for bit."""
+    """evolve runs one series on the seed s (the vacuum state |j = K, vac> of each
+    K-sector the ladder occupies) and scales it by c_K; the same series on the
+    whole space's seed vector, scaled the same way, must come out bit for bit."""
 
     @staticmethod
     def assert_matches_full_space(space, coefficients):
-        full = oracle.apply_unitary(space, initial_vector(space, coefficients))
-        assert evolve(space, coefficients).tobytes() == full.tobytes()
+        full = oracle.apply_unitary(space, (initial_vector(space, coefficients) != 0) * 1.0)
+        reached = _reached(space, coefficients)
+        k = oracle._sector_labels(*oracle._shape(space))[reached]
+        expected = np.zeros(space.dimension, dtype=complex)
+        expected[reached] = coefficients[k + coefficients.size // 2] * full[reached]
+        assert not np.delete(full, reached).any()
+        assert evolve(space, coefficients).tobytes() == expected.tobytes()
 
     @staticmethod
     def assert_closed(space, coefficients):
@@ -433,6 +438,78 @@ class TestReachableSubspace:
             evolve(space, np.ones(size, dtype=complex) / np.sqrt(size))
 
 
+def _spy_series(monkeypatch) -> list:
+    """Record the space of every Chebyshev series `evolve` runs."""
+    spaces = []
+    series = oracle.apply_unitary
+
+    def spy(space, v, sectors=None):
+        spaces.append(space)
+        return series(space, v, sectors)
+
+    monkeypatch.setattr(oracle, "apply_unitary", spy)
+    return spaces
+
+
+class TestSharedSeedSeries:
+    """One series per space object and occupied sectors, whatever the c_j: the
+    three distances of a (|beta|, g, modes) share it, each with its own state."""
+
+    def test_matrix_runs_18_series_for_54_rows(self, monkeypatch):
+        spaces = _spy_series(monkeypatch)
+        rows = run_test_matrix(BEAM)
+        assert (len(rows), len(spaces), len(set(map(id, spaces)))) == (54, 18, 18)
+        assert all(r.passed for r in rows)
+        mean_a = {}  # the first check is the measured <a> of the lowest harmonic
+        for r in rows:
+            mean_a.setdefault((r.beta_abs, r.g, r.harmonics), []).append(r.checks[0].value)
+        assert len(mean_a) == 18
+        for (beta_abs, _, _), values in mean_a.items():
+            assert len(values) == 3 and (beta_abs == 0.0 or len(set(values)) == 3)
+
+    def test_rows_differing_only_in_distance_get_different_states(self, monkeypatch):
+        ladders = [pinem_ladder(1.0, BEAM)] + [
+            propagate(pinem_ladder(1.0, BEAM), d * BEAM.talbot_distance, mode="quadratic")
+            for d in DISTANCE_GRID[1:]
+        ]
+        modes = (OracleMode(1, 0.3), OracleMode(2, 0.3))
+        space = TruncatedSpace.for_ladder(ladders[0].cutoff, modes)
+        spaces = _spy_series(monkeypatch)
+        shared = [evolve(space, ladder.coefficients) for ladder in ladders]
+        assert spaces == [space]
+        for a, b in itertools.combinations(shared, 2):
+            assert np.max(np.abs(a - b)) > 1e-3
+        # sharing moves no bit: an equal space object runs its own series
+        for ladder, v in zip(ladders, shared):
+            fresh = TruncatedSpace.for_ladder(ladder.cutoff, modes)
+            assert evolve(fresh, ladder.coefficients).tobytes() == v.tobytes()
+        assert len(spaces) == 1 + len(ladders)
+
+    def test_a_series_does_not_outlive_its_space(self, monkeypatch):
+        state = pinem_ladder(0.5, BEAM)
+        modes = (OracleMode(1, 0.1),)
+        monkeypatch.setattr(
+            oracle, "apply_unitary", lambda space, v, sectors=None: np.full_like(v, np.nan)
+        )
+        with pytest.raises(PhysicsGuardError, match="norm"):
+            evolve(TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients)
+        monkeypatch.undo()
+        v = evolve(TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients)
+        assert abs(oracle._dot(v, v) - 1.0) <= 1e-10
+
+    def test_cached_arrays_are_read_only(self):
+        state = pinem_ladder(0.5, BEAM)
+        space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
+        evolve(space, state.coefficients)
+        sectors = _occupied_sectors(state.coefficients)
+        pattern = oracle._generator_pattern(*oracle._shape(space), sectors)
+        for array in (*pattern, *space._series[sectors]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 1
+
+
 class TestAgainstScipyExpmMultiply:
     """The Chebyshev series against scipy's expm_multiply (Al-Mohy & Higham)
     on the whole space's CSR generator."""
@@ -481,24 +558,85 @@ class TestChebyshevSeries:
 
 
 class TestSlicedAnnihilationAgainstKron:
-    """The tensor-sliced mode operators against explicit Kronecker products."""
+    """The mode operators `observables` gathers on the K-sectors around the state
+    against explicit Kronecker products on the whole space."""
 
     TOL = 1e-13
 
-    def test_single_mode_observables(self, strong_two_mode):
-        _, space, v = strong_two_mode
+    def assert_matches_kron(self, space, v):
         obs = observables(space, v, moment_orders=(1, 2, 3, 4))
+        a = [_kron_annihilation(space, i) for i in range(len(space.modes))]
         for i, mode in enumerate(space.modes):
             n = mode.harmonic
-            a = _kron_annihilation(space, i)
-            mean = np.vdot(v, a @ v)
+            mean = np.vdot(v, a[i] @ v)
             assert abs(obs.mean_a[n] - mean) <= self.TOL
-            assert abs(obs.mean_n[n] - np.vdot(a @ v, a @ v).real) <= self.TOL
+            assert abs(obs.mean_n[n] - np.vdot(a[i] @ v, a[i] @ v).real) <= self.TOL
             assert set(obs.central_moments[n]) == {1, 2, 3, 4}
             u = v
             for order in (1, 2, 3, 4):
-                u = a @ u - mean * u
+                u = a[i] @ u - mean * u
                 assert abs(obs.central_moments[n][order] - np.vdot(v, u)) <= self.TOL
+        for (i, mode_i), (k, mode_k) in itertools.combinations(enumerate(space.modes), 2):
+            normal, anomalous = obs.pair_correlations[(mode_i.harmonic, mode_k.harmonic)]
+            assert abs(normal - np.vdot(a[i] @ v, a[k] @ v)) <= self.TOL
+            assert abs(anomalous - np.vdot(v, a[i] @ (a[k] @ v))) <= self.TOL
+        t = np.abs(v.reshape(space.electron_dim, *space.photon_dims)) ** 2
+        j = np.arange(-space.electron_halfwidth, space.electron_halfwidth + 1)
+        assert abs(obs.norm - np.linalg.norm(v)) <= self.TOL
+        populations = t.sum(axis=tuple(range(1, t.ndim)))
+        assert abs(obs.electron_mean_level - np.sum(j * populations)) <= self.TOL
+        edges = [t[0].sum(), t[-1].sum()] + [np.take(t, -1, axis=i).sum() for i in range(1, t.ndim)]
+        np.testing.assert_allclose(list(obs.leakage.values()), edges, rtol=0, atol=self.TOL)
+
+    def test_ladder_with_a_gap_between_occupied_levels(self):
+        # c_j = 0 at j = -3, 0..3: sectors {-4, -2, -1, 4}, not contiguous, and the
+        # gathered window [-6, 4] holds the empty sectors between them
+        coefficients = np.zeros(9, dtype=complex)
+        coefficients[[0, 2, 3, 8]] = np.array([0.5, -0.3 + 0.4j, 0.1j, 0.6]) / math.sqrt(0.87)
+        modes = (
+            OracleMode(1, 0.15 + 0.1j, photon_cutoff=6),
+            OracleMode(2, -0.1 + 0.12j, photon_cutoff=5),
+        )
+        space = TruncatedSpace.for_ladder(4, modes)
+        v = evolve(space, coefficients)
+        k = oracle._sector_labels(*oracle._shape(space))
+        held = set(k[v != 0].tolist())
+        assert {-4, -2, -1, 4} <= held and held.isdisjoint({-3, 0, 1, 2, 3})
+        reference = scipy_expm_multiply(build_generator(space), initial_vector(space, coefficients))
+        assert np.max(np.abs(v - reference)) <= 1e-14
+        self.assert_matches_kron(space, v)
+
+    @pytest.mark.parametrize(
+        "modes, sectors",
+        [
+            ((OracleMode(1, 0.3 + 0.2j, photon_cutoff=8),), [-2, 0, 3]),
+            (
+                (OracleMode(1, 0.15 + 0.1j, photon_cutoff=6), OracleMode(2, 0.1j, photon_cutoff=5)),
+                [-4, -2, -1, 4],
+            ),
+        ],
+        ids=["one-mode", "harmonics-1-2"],
+    )
+    def test_any_vector_on_separated_sectors(self, modes, sectors):
+        # random amplitudes on every state of the sectors, ladder and Fock edges included
+        space = TruncatedSpace(5, modes)
+        k = oracle._sector_labels(*oracle._shape(space))
+        rng = np.random.default_rng(25)
+        w = np.where(np.isin(k, sectors), [1, 1j] @ rng.normal(size=(2, k.size)), 0.0)
+        self.assert_matches_kron(space, w / np.linalg.norm(w))
+
+    def test_harmonics_one_and_three_with_complex_couplings(self):
+        state = propagate(pinem_ladder(0.5, BEAM), 0.1 * BEAM.talbot_distance, mode="quadratic")
+        modes = (
+            OracleMode(1, -0.1 + 0.05j, photon_cutoff=5),
+            OracleMode(3, 0.05 - 0.07j, photon_cutoff=4),
+        )
+        space = TruncatedSpace(40, modes)
+        self.assert_matches_kron(space, evolve(space, state.coefficients))
+
+    def test_single_mode_observables(self, strong_two_mode):
+        _, space, v = strong_two_mode
+        self.assert_matches_kron(space, v)
 
     def test_pair_correlations(self, strong_two_mode):
         _, space, v = strong_two_mode
@@ -572,7 +710,7 @@ class TestExpectedSideIsTheLibrary:
             return out + 1e-3
 
         monkeypatch.setattr(oracle, name, perturbed)
-        row = oracle._run_single(1.0, 0.1, 0.3, (1, 2), BEAM)
+        row = oracle._run_single(1.0, 0.1, 0.3, (1, 2), BEAM, {})
         failed = {c.name for c in row.checks if not c.passed}
         reading = {c.name for c in row.checks if c.name.startswith(self.CHECKS[name])}
         assert reading and failed == reading
@@ -589,6 +727,15 @@ class TestObservablesHelper:
         assert set(obs.central_moments[1]) == {2, 3}
         assert set(obs.pair_correlations) == {(1, 2)}
         assert obs.norm == pytest.approx(1.0, abs=1e-10)
+
+    def test_zero_vector_reads_zero(self):
+        modes = (OracleMode(1, 0.3, photon_cutoff=4), OracleMode(2, 0.1, photon_cutoff=3))
+        space = TruncatedSpace(6, modes)
+        obs = observables(space, np.zeros(space.dimension, dtype=complex), moment_orders=(1, 2))
+        assert obs.mean_a == obs.mean_n == {1: 0.0, 2: 0.0}
+        assert obs.central_moments == {1: {1: 0.0, 2: 0.0}, 2: {1: 0.0, 2: 0.0}}
+        assert obs.pair_correlations == {(1, 2): (0.0, 0.0)}
+        assert (obs.norm, obs.electron_mean_level, max(obs.leakage.values())) == (0.0, 0.0, 0.0)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
