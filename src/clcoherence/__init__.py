@@ -79,7 +79,6 @@ _EXPORTS = {
         "OracleCheckRow",
         "OracleMode",
         "TruncatedSpace",
-        "build_generator",
         "evolve",
         "observables",
         "run_test_matrix",

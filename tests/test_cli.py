@@ -1,5 +1,6 @@
 """Command-line interface: scenarios, exit codes, manifests, reproducibility."""
 
+import ast
 import dataclasses
 import functools
 import importlib
@@ -1301,6 +1302,24 @@ def test_oracle_check_loads_no_scipy_linear_algebra(tmp_path):
         f"print(code, [m for m in {heavy!r} if m in sys.modules])"
     )
     assert _probe(probe).splitlines()[-1] == "0 []"
+
+
+def test_only_coupling_and_scenarios_import_scipy():
+    # read statically, so a lazy import inside a function counts too: the
+    # tabulated coupling's interpolation and integration, and the manifest's
+    # version; the oracle's full-space cross-check routes live in the tests
+    importers = set()
+    for path in sorted(Path(clcoherence.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                importers.add(path.name)
+    assert importers == {"coupling.py", "scenarios.py"}
 
 
 @pytest.mark.parametrize("rows", [0, 200, _CSV_BLOCK, _CSV_BLOCK + 1])

@@ -538,12 +538,13 @@ class TestNoiseFloorAgainstOracle:
     @pytest.mark.parametrize("beta_abs", [0.5, 1.0])
     def test_heterodyne_variance_matches_the_evolved_state(self, beta_abs, d_over_zt, g):
         from clcoherence.oracle import OracleMode, TruncatedSpace, evolve
+        from oracle_reference import full_vector
 
         state = pinem_ladder(beta_abs, BEAM)
         if d_over_zt:
             state = propagate(state, d_over_zt * BEAM.talbot_distance, mode="quadratic")
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(harmonic=1, g=g),))
-        psi = evolve(space, state.coefficients).reshape(space.electron_dim, -1)
+        psi = full_vector(space, evolve(space, state.coefficients)).reshape(space.electron_dim, -1)
         n = np.arange(self.REFERENCE_LEVELS)
         root_factorial = np.array([math.sqrt(math.factorial(k)) for k in n])
         ref = np.exp(-0.5 * abs(self.B) ** 2) * self.B**n / root_factorial

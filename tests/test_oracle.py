@@ -1,10 +1,12 @@
 """Truncated-Hilbert-space oracle: exact unitary evolution cross-validation.
 
-The oracle builds the interaction generator explicitly on (electron ladder) x
-(photon Fock spaces) and exponentiates it; that measured side shares no code
-path with the analytic ladder/coupling formulas whose predictions it checks.
-Its Chebyshev series is cross-checked here against scipy's expm_multiply and a
-dense expm.
+The oracle sums exp(G) on (electron ladder) x (photon Fock spaces) as a
+Chebyshev series over the K-sectors the ladder occupies, and never builds G as
+a matrix; that measured side shares no code path with the analytic
+ladder/coupling formulas whose predictions it checks.  Here its state, embedded
+in the whole space (`oracle_reference.full_vector`), is cross-checked against
+scipy's expm_multiply and a dense expm of the whole space's generator, and its
+observables against Kronecker-product operators.
 """
 
 import dataclasses
@@ -32,15 +34,14 @@ from clcoherence.oracle import (
     COUPLING_GRID,
     DISTANCE_GRID,
     MODE_SETS,
-    build_generator,
+    OracleState,
     electron_mean_level_initial,
     evolve,
-    evolve_dense,
-    initial_vector,
     observables,
     require_all_passed,
     truncation_leakage,
 )
+from oracle_reference import build_generator, evolve_dense, full_vector, initial_vector
 from clcoherence.spectra import CoherentField, PairCorrelation, ladder_overlap
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -76,7 +77,7 @@ class TestEvolution:
     def test_weak_coupling_limit_is_identity(self):
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 1e-9),))
-        v = evolve(space, state.coefficients)
+        v = full_vector(space, evolve(space, state.coefficients))
         v0 = initial_vector(space, state.coefficients)
         assert np.linalg.norm(v - v0) < 1e-8
 
@@ -85,7 +86,7 @@ class TestEvolution:
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.4),))
         assert space.dimension <= 4000
-        fast = evolve(space, state.coefficients)
+        fast = full_vector(space, evolve(space, state.coefficients))
         dense = evolve_dense(space, state.coefficients)
         assert np.linalg.norm(fast - dense) < 1e-10
 
@@ -98,7 +99,7 @@ class TestEvolution:
         )
         space = TruncatedSpace(26, modes)
         assert space.dimension <= 4000
-        fast = evolve(space, state.coefficients)
+        fast = full_vector(space, evolve(space, state.coefficients))
         dense = evolve_dense(space, state.coefficients)
         assert np.linalg.norm(fast - dense) < 1e-10
 
@@ -118,7 +119,7 @@ class TestEvolution:
             runs = []
             for seed in (1, 2):
                 np.random.seed(seed)
-                runs.append(evolve(space, state.coefficients))
+                runs.append(full_vector(space, evolve(space, state.coefficients)))
         finally:
             np.random.set_state(saved)
         assert runs[0].tobytes() == runs[1].tobytes()
@@ -136,7 +137,9 @@ class TestEvolution:
         # A NaN behind a finite entry: Python's max() would return the 0.0.
         monkeypatch.setattr(oracle, "apply_unitary", lambda space, v, sectors=None: v)
         monkeypatch.setattr(
-            oracle, "truncation_leakage", lambda space, v: {"electron_low": 0.0, "top": np.nan}
+            oracle,
+            "truncation_leakage",
+            lambda space, sectors, amplitudes: {"electron_low": 0.0, "top": np.nan},
         )
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
@@ -157,13 +160,13 @@ class TestEvolution:
         modes = (OracleMode(1, 0.0), OracleMode(2, 0.0))
         space = TruncatedSpace.for_ladder(state.cutoff, modes)
         v0 = initial_vector(space, state.coefficients)
-        np.testing.assert_array_equal(evolve(space, state.coefficients), v0)
+        np.testing.assert_array_equal(full_vector(space, evolve(space, state.coefficients)), v0)
         np.testing.assert_array_equal(oracle.apply_unitary(space, v0), v0)
 
     def test_norm_preserved(self):
         state = pinem_ladder(1.0, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.8),))
-        v = evolve(space, state.coefficients)
+        v = full_vector(space, evolve(space, state.coefficients))
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
 
     def test_leakage_guard_trips_on_tight_photon_cutoff(self):
@@ -178,19 +181,41 @@ class TestEvolution:
         with pytest.raises(PhysicsGuardError):
             TruncatedSpace(10000, (OracleMode(1, 0.1),))
 
-    def test_initial_vector_embedding(self):
+    def test_full_vector_embedding(self):
+        # zero coupling: the ladder centred in the space, the photon mode in vacuum
         state = pinem_ladder(0.5, BEAM)
-        space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1, photon_cutoff=2),))
-        v0 = initial_vector(space, state.coefficients)
-        t = v0.reshape(space.electron_dim, 3)
+        space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.0, photon_cutoff=2),))
+        t = full_vector(space, evolve(space, state.coefficients)).reshape(space.electron_dim, 3)
         m, j = space.electron_halfwidth, state.cutoff
-        np.testing.assert_array_equal(t[m - j : m + j + 1, 0], state.coefficients)
-        assert np.all(t[:, 1:] == 0.0)
+        expected = np.zeros_like(t)
+        expected[m - j : m + j + 1, 0] = state.coefficients
+        np.testing.assert_array_equal(t, expected)
 
-    def test_initial_vector_rejects_oversized_ladder(self):
+    def test_evolve_rejects_oversized_ladder(self):
         space = TruncatedSpace(5, (OracleMode(1, 0.1, photon_cutoff=2),))
-        with pytest.raises(ValueError):
-            initial_vector(space, np.zeros(13, dtype=complex))
+        with pytest.raises(ValueError, match="wider than the truncated ladder"):
+            evolve(space, np.zeros(13, dtype=complex))
+
+    def test_state_holds_only_the_occupied_sectors(self):
+        # the matrix's largest space: the state of the occupied sectors, in
+        # ascending full-space order, with norm 1
+        state = propagate(
+            pinem_ladder(max(BETA_GRID), BEAM),
+            max(DISTANCE_GRID) * BEAM.talbot_distance,
+            mode="quadratic",
+        )
+        modes = tuple(OracleMode(n, max(COUPLING_GRID)) for n in MODE_SETS[-1])
+        space = TruncatedSpace.for_ladder(state.cutoff, modes)
+        assert space.dimension == 17407
+        evolved = evolve(space, state.coefficients)
+        k = oracle._sector_labels(*oracle._shape(space))
+        expected = np.flatnonzero(np.isin(k, _occupied_sectors(state.coefficients)))
+        assert 0 < expected.size < space.dimension
+        assert evolved.states.tobytes() == expected.tobytes()
+        assert np.all(np.diff(evolved.states) > 0)
+        assert evolved.amplitudes.shape == evolved.states.shape
+        norm = math.sqrt(np.sum(np.abs(evolved.amplitudes) ** 2))
+        assert abs(norm - 1.0) <= 1e-10
 
 
 class TestSingleModeObservables:
@@ -208,7 +233,7 @@ class TestSingleModeObservables:
         # state whose number distribution is Poisson(|g|^2).
         state = pinem_ladder(0.0, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.5),))
-        v = evolve(space, state.coefficients)
+        v = full_vector(space, evolve(space, state.coefficients))
         dist = np.sum(np.abs(v.reshape(space.electron_dim, -1)) ** 2, axis=0)  # P(n)
         mean = 0.25
         expected = np.array(
@@ -222,7 +247,7 @@ class TestSingleModeObservables:
         g = 0.05
         state = pinem_ladder(1.0, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, g),))
-        v = evolve(space, state.coefficients)
+        v = full_vector(space, evolve(space, state.coefficients))
         t = v.reshape(space.electron_dim, space.photon_dims[0])
         m, j = space.electron_halfwidth, state.cutoff
         one_photon = t[:, 1]
@@ -247,7 +272,7 @@ class TestSingleModeObservables:
         g = 0.05
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, g),))
-        v = evolve(space, state.coefficients)
+        v = full_vector(space, evolve(space, state.coefficients))
         emitted = 1.0 - np.sum(np.abs(v.reshape(space.electron_dim, -1)[:, 0]) ** 2)
         assert abs(emitted - g * g) < 1e-5  # error is O(g^4)
 
@@ -276,10 +301,11 @@ class TestTwoModeObservables:
         assert drop == pytest.approx(budget, abs=1e-8)
 
     def test_leakage_well_controlled(self, strong_two_mode):
-        _, space, v = strong_two_mode
-        leak = truncation_leakage(space, v)
+        ladder, space, v = strong_two_mode
+        leak = truncation_leakage(space, _occupied_sectors(ladder.coefficients), v.amplitudes)
         assert set(leak) == {"electron_low", "electron_high", "mode0_top_fock", "mode1_top_fock"}
         assert max(leak.values()) < 1e-8
+        assert leak == v.leakage
 
 
 def _kron_annihilation(space: TruncatedSpace, index: int) -> sp.csr_matrix:
@@ -368,7 +394,7 @@ def _occupied_sectors(coefficients):
 
 
 def _reached(space, coefficients):
-    return oracle._generator_pattern(*oracle._shape(space), _occupied_sectors(coefficients))[0]
+    return oracle._sector_states(*oracle._shape(space), _occupied_sectors(coefficients))[0]
 
 
 class TestReachableSubspace:
@@ -384,7 +410,7 @@ class TestReachableSubspace:
         expected = np.zeros(space.dimension, dtype=complex)
         expected[reached] = coefficients[k + coefficients.size // 2] * full[reached]
         assert not np.delete(full, reached).any()
-        assert evolve(space, coefficients).tobytes() == expected.tobytes()
+        assert full_vector(space, evolve(space, coefficients)).tobytes() == expected.tobytes()
 
     @staticmethod
     def assert_closed(space, coefficients):
@@ -431,11 +457,20 @@ class TestReachableSubspace:
             reached += expected.size
         assert (total, reached) == (487890, 144882)
 
-    @pytest.mark.parametrize("size", [6, 23], ids=["even-length", "oversized"])
-    def test_evolve_rejects_bad_coefficients(self, size):
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((6,), "1-D array of odd length"),
+            ((23,), "wider than the truncated ladder"),
+            ((3, 3), "1-D array of odd length"),
+        ],
+        ids=["even-length", "oversized", "2-d"],
+    )
+    def test_evolve_rejects_bad_coefficients(self, shape, message):
         space = TruncatedSpace(5, (OracleMode(1, 0.1, photon_cutoff=2),))
-        with pytest.raises(ValueError):
-            evolve(space, np.ones(size, dtype=complex) / np.sqrt(size))
+        size = math.prod(shape)
+        with pytest.raises(ValueError, match=message):
+            evolve(space, np.ones(shape, dtype=complex) / np.sqrt(size))
 
 
 def _spy_series(monkeypatch) -> list:
@@ -475,14 +510,14 @@ class TestSharedSeedSeries:
         modes = (OracleMode(1, 0.3), OracleMode(2, 0.3))
         space = TruncatedSpace.for_ladder(ladders[0].cutoff, modes)
         spaces = _spy_series(monkeypatch)
-        shared = [evolve(space, ladder.coefficients) for ladder in ladders]
+        shared = [full_vector(space, evolve(space, ladder.coefficients)) for ladder in ladders]
         assert spaces == [space]
         for a, b in itertools.combinations(shared, 2):
             assert np.max(np.abs(a - b)) > 1e-3
         # sharing moves no bit: an equal space object runs its own series
         for ladder, v in zip(ladders, shared):
             fresh = TruncatedSpace.for_ladder(ladder.cutoff, modes)
-            assert evolve(fresh, ladder.coefficients).tobytes() == v.tobytes()
+            assert full_vector(fresh, evolve(fresh, ladder.coefficients)).tobytes() == v.tobytes()
         assert len(spaces) == 1 + len(ladders)
 
     def test_a_series_does_not_outlive_its_space(self, monkeypatch):
@@ -494,16 +529,24 @@ class TestSharedSeedSeries:
         with pytest.raises(PhysicsGuardError, match="norm"):
             evolve(TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients)
         monkeypatch.undo()
-        v = evolve(TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients)
+        v = evolve(TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients).amplitudes
         assert abs(oracle._dot(v, v) - 1.0) <= 1e-10
 
     def test_cached_arrays_are_read_only(self):
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
         evolve(space, state.coefficients)
-        sectors = _occupied_sectors(state.coefficients)
-        pattern = oracle._generator_pattern(*oracle._shape(space), sectors)
-        for array in (*pattern, *space._series[sectors]):
+        observables(space, evolve(space, state.coefficients))
+        shape, sectors = oracle._shape(space), _occupied_sectors(state.coefficients)
+        window = tuple(range(min(sectors) - 1, max(sectors) + 1))
+        cached = (
+            *oracle._generator_pattern(*shape, sectors),
+            *oracle._sector_states(*shape, sectors),
+            *oracle._sector_states(*shape, window),
+            *oracle._lowering(*shape, window),
+            *space._series[sectors],
+        )
+        for array in cached:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
             with pytest.raises(ValueError, match="read-only"):
@@ -523,7 +566,8 @@ class TestAgainstScipyExpmMultiply:
             reference = scipy_expm_multiply(
                 build_generator(space), initial_vector(space, coefficients)
             )
-            worst = max(worst, np.max(np.abs(evolve(space, coefficients) - reference)))
+            v = full_vector(space, evolve(space, coefficients))
+            worst = max(worst, np.max(np.abs(v - reference)))
         return worst
 
     def test_every_validation_matrix_space(self):
@@ -563,8 +607,9 @@ class TestSlicedAnnihilationAgainstKron:
 
     TOL = 1e-13
 
-    def assert_matches_kron(self, space, v):
-        obs = observables(space, v, moment_orders=(1, 2, 3, 4))
+    def assert_matches_kron(self, space, state):
+        obs = observables(space, state, moment_orders=(1, 2, 3, 4))
+        v = full_vector(space, state)
         a = [_kron_annihilation(space, i) for i in range(len(space.modes))]
         for i, mode in enumerate(space.modes):
             n = mode.harmonic
@@ -598,13 +643,14 @@ class TestSlicedAnnihilationAgainstKron:
             OracleMode(2, -0.1 + 0.12j, photon_cutoff=5),
         )
         space = TruncatedSpace.for_ladder(4, modes)
-        v = evolve(space, coefficients)
+        state = evolve(space, coefficients)
+        v = full_vector(space, state)
         k = oracle._sector_labels(*oracle._shape(space))
         held = set(k[v != 0].tolist())
         assert {-4, -2, -1, 4} <= held and held.isdisjoint({-3, 0, 1, 2, 3})
         reference = scipy_expm_multiply(build_generator(space), initial_vector(space, coefficients))
         assert np.max(np.abs(v - reference)) <= 1e-14
-        self.assert_matches_kron(space, v)
+        self.assert_matches_kron(space, state)
 
     @pytest.mark.parametrize(
         "modes, sectors",
@@ -623,7 +669,10 @@ class TestSlicedAnnihilationAgainstKron:
         k = oracle._sector_labels(*oracle._shape(space))
         rng = np.random.default_rng(25)
         w = np.where(np.isin(k, sectors), [1, 1j] @ rng.normal(size=(2, k.size)), 0.0)
-        self.assert_matches_kron(space, w / np.linalg.norm(w))
+        states = oracle._sector_states(*oracle._shape(space), tuple(sectors))[0]
+        amplitudes = (w / np.linalg.norm(w))[states]
+        leakage = truncation_leakage(space, tuple(sectors), amplitudes)
+        self.assert_matches_kron(space, OracleState(states, amplitudes, leakage))
 
     def test_harmonics_one_and_three_with_complex_couplings(self):
         state = propagate(pinem_ladder(0.5, BEAM), 0.1 * BEAM.talbot_distance, mode="quadratic")
@@ -639,9 +688,10 @@ class TestSlicedAnnihilationAgainstKron:
         self.assert_matches_kron(space, v)
 
     def test_pair_correlations(self, strong_two_mode):
-        _, space, v = strong_two_mode
+        _, space, state = strong_two_mode
         a0, a1 = _kron_annihilation(space, 0), _kron_annihilation(space, 1)
-        normal, anomalous = observables(space, v).pair_correlations[(1, 2)]
+        normal, anomalous = observables(space, state).pair_correlations[(1, 2)]
+        v = full_vector(space, state)
         assert abs(normal - np.vdot(a0 @ v, a1 @ v)) <= self.TOL
         assert abs(anomalous - np.vdot(v, a0 @ (a1 @ v))) <= self.TOL
 
@@ -728,10 +778,13 @@ class TestObservablesHelper:
         assert set(obs.pair_correlations) == {(1, 2)}
         assert obs.norm == pytest.approx(1.0, abs=1e-10)
 
-    def test_zero_vector_reads_zero(self):
+    def test_zero_state_reads_zero(self):
         modes = (OracleMode(1, 0.3, photon_cutoff=4), OracleMode(2, 0.1, photon_cutoff=3))
         space = TruncatedSpace(6, modes)
-        obs = observables(space, np.zeros(space.dimension, dtype=complex), moment_orders=(1, 2))
+        states = oracle._sector_states(*oracle._shape(space), (-2, 3))[0]
+        zero = np.zeros(states.size, dtype=complex)
+        state = OracleState(states, zero, truncation_leakage(space, (-2, 3), zero))
+        obs = observables(space, state, moment_orders=(1, 2))
         assert obs.mean_a == obs.mean_n == {1: 0.0, 2: 0.0}
         assert obs.central_moments == {1: {1: 0.0, 2: 0.0}, 2: {1: 0.0, 2: 0.0}}
         assert obs.pair_correlations == {(1, 2): (0.0, 0.0)}
