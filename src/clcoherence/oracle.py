@@ -24,26 +24,26 @@ e^{i rho x} = J_0(rho) + 2 sum_k i^k J_k(rho) T_k(x) on |x| <= 1 gives
 where psi_k = i^k T_k(H / rho) v, so every coefficient is real and the
 recurrence runs on G itself.  rho is the Gershgorin bound sum_i |g_i|
 (sqrt(N_i - 1) + sqrt(N_i)) on the spectrum of H for photon cutoffs N_i; it
-depends on the space alone, so a K-sector and the whole space sum the same
+depends on the space alone, so a K-window and the whole space sum the same
 terms.  The term count K is fixed beforehand from |J_k(rho)| <= (rho/2)^k /
 k!: the discarded tail lies below the unit round-off, so there is no
 convergence test to fail and no tolerance to set.  The J_k(rho) come from
 `estate.bessel_ladder`; a non-finite coupling is refused before the series
 starts.  The tests cross-check the series against scipy's expm_multiply and a
-dense expm of G, which they build on `_generator_pattern`; no scipy here.
+dense expm of G, which they build on `_basis`; no scipy here.
 
 G conserves K = j + sum_modes n * (photons in the mode), and the ladder puts
 c_K on one state of each sector, |j = K, vacuum>.  So exp(G) v0 = c_K u with
 u = exp(G) s, s the sum of those states over the occupied sectors (nonzero
 c_j): one series per space and sector set, whatever the c_j, in float64 when
-every g is real; the other amplitudes stay exactly 0.  So `evolve` returns the
-state on the occupied sectors alone (`OracleState`), and nothing here builds a
-vector of the whole space.  `_sector_states` maps a space shape and a sector
-set to its states, cached.  G is a pattern cached on them: padded rows of two
+every g is real.  Each a_i only lowers K, by h_i, so every observable lies in
+the window of sectors [K_min - max h_i, K_max] around the occupied ones.
+`evolve` runs the series on that window's states (`_basis`, cached per space
+shape and window) and returns the state there (`OracleState`); the margin and
+any empty sector between occupied ones stay exactly 0, and nothing here builds
+a vector of the whole space.  On the basis G is a pattern of padded rows, two
 slots per mode, slot-major, so that a matvec is one gather, one product and a
-sum over the slots.  Each a_i only lowers K, by h_i, so `observables` works on
-the sectors [K_min - max h_i, K_max] around the state, where a_i is one gather
-times sqrt(n_i + 1).
+sum over the slots; a_i is one gather times sqrt(n_i + 1).
 
 `evolve` and `observables` make no BLAS call: no `@`, no `vdot`, no default
 2-norm.  The matvec, inner products and norms are reduced elementwise (see
@@ -57,6 +57,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,47 +133,56 @@ class TruncatedSpace:
         return cls(ladder_cutoff + n_max * h_max + _ELECTRON_MARGIN, tuple(modes))
 
 
-@lru_cache(maxsize=4)  # one |beta| of the matrix: two sector sets, two windows
-def _sector_states(electron_dim: int, harmonics: tuple, photon_dims: tuple, sectors):
-    """Ascending full-space indices of the states whose K = j + sum_i h_i n_i lies
-    in `sectors` (None: every state), and their K; read-only, shared by every
-    space of this shape."""
-    k = _sector_labels(electron_dim, harmonics, photon_dims)
-    states = np.arange(k.size) if sectors is None else np.flatnonzero(np.isin(k, sectors))
-    return _read_only(states, k[states])
+class Basis(NamedTuple):
+    """The states of a K-window and the operators on them (`_basis`)."""
+
+    states: np.ndarray  # ascending full-space indices
+    k: np.ndarray  # K of each state
+    cols: np.ndarray  # G's pattern, slot-major: cols, sqrt_n, term
+    sqrt_n: np.ndarray
+    term: np.ndarray
+    sources: np.ndarray  # a_i x = ratios[i] * x[sources[i]]
+    ratios: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _generator_pattern(electron_dim: int, harmonics: tuple, photon_dims: tuple, sectors):
-    """Pattern of G on the states of `sectors` (`_sector_states`), as fixed-width
-    padded rows shared by every space of this shape (read-only arrays).  G
-    conserves K, so these states are closed under it.
+@lru_cache(maxsize=2)  # one |beta| of the matrix: one window per mode set
+def _basis(electron_dim: int, harmonics: tuple, photon_dims: tuple, low: int, top: int) -> Basis:
+    """The states whose K = j + sum_i h_i n_i lies in low..top, with G and each
+    a_i on them; read-only, shared by every space of this shape.
 
-    Returns (cols, sqrt_n, term), cols and sqrt_n slot-major: row r
-    holds G[r, cols[s, r]] = sqrt_n[s, r] * coef[term[s]] in slot s, with coef =
-    (g_0, -conj g_0, g_1, -conj g_1, ...).  Each mode gives every row two slots,
-    the diagonals col - row = +-(h * stride_electron - stride_i) of the full
-    space: a photon created (the raising operator B_h (x) a_i+ maps
-    |j + h, n_i - 1> to sqrt(n_i) |j, n_i>) and one absorbed.  The slots run in
-    ascending column order; one whose neighbour lies outside the space is
-    padding, sqrt_n = 0 at the row's own column.
+    G conserves K, so these states are closed under it.  Its pattern is
+    fixed-width padded rows: row r holds G[r, cols[s, r]] = sqrt_n[s, r] *
+    coef[term[s]] in slot s, with coef = (g_0, -conj g_0, g_1, -conj g_1, ...).
+    Each mode gives every row two slots, the diagonals col - row = +-(h *
+    stride_electron - stride_i) of the full space: a photon created (the raising
+    operator B_h (x) a_i+ maps |j + h, n_i - 1> to sqrt(n_i) |j, n_i>) and one
+    absorbed.  The slots run in ascending column order; one whose neighbour lies
+    outside the space is padding, sqrt_n = 0 at the row's own column.  a_i
+    lowers K by h_i: sources[i] is the state one photon up, ratios[i] its
+    sqrt(n_i + 1), 0 where that state lies above the top Fock level or the window.
     """
-    dim = electron_dim * math.prod(photon_dims)
-    states = _sector_states(electron_dim, harmonics, photon_dims, sectors)[0]
-    local = np.zeros(dim, dtype=np.intp)
+    photons = math.prod(photon_dims)
+    k = _sector_labels(electron_dim, harmonics, photon_dims)
+    states = np.flatnonzero((low <= k) & (k <= top))
+    k = k[states]
+    local = np.zeros(electron_dim * photons, dtype=np.intp)
     local[states] = np.arange(states.size)
-    electron = states // (dim // electron_dim)
-    slots = []
+    electron = states // photons
+    slots, sources, ratios = [], [], []
     for i, (h, n_dim) in enumerate(zip(harmonics, photon_dims)):
         stride = math.prod(photon_dims[i + 1 :])
-        offset = h * (dim // electron_dim) - stride
+        offset = h * photons - stride
         n = states // stride % n_dim
         slots.append((-offset, 2 * i + 1, (n < n_dim - 1) & (electron >= h), np.sqrt(n + 1)))
         slots.append((offset, 2 * i, (n > 0) & (electron + h < electron_dim), np.sqrt(n)))
+        up = (n < n_dim - 1) & (k + h <= top)
+        sources.append(local[np.where(up, states + stride, states)])
+        ratios.append(np.where(up, np.sqrt(n + 1.0), 0.0))
     slots.sort(key=lambda slot: slot[0])
     cols = np.stack([local[np.where(ok, states + d, states)] for d, _, ok, _ in slots])
     sqrt_n = np.stack([np.where(ok, s, 0.0) for _, _, ok, s in slots])
-    return _read_only(cols, sqrt_n, np.array([t for _, t, _, _ in slots]))
+    term = np.array([t for _, t, _, _ in slots])
+    return Basis(*_read_only(states, k, cols, sqrt_n, term, np.array(sources), np.array(ratios)))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -221,15 +231,14 @@ def _series_terms(rho: float) -> int:
     return m - 1
 
 
-def apply_unitary(space: TruncatedSpace, v: np.ndarray, sectors=None) -> np.ndarray:
-    """exp(G) v on the states of `sectors` (None: the whole space), `v` in
-    `_sector_states` order, by the Chebyshev series of the module docstring
-    (real for a real `v` when every coupling is).  Raises PhysicsGuardError for
-    a non-finite coupling, before the series starts."""
+def apply_unitary(space: TruncatedSpace, v: np.ndarray, basis: Basis) -> np.ndarray:
+    """exp(G) v, `v` on the states of `basis`, by the Chebyshev series of the
+    module docstring (real for a real `v` when every coupling is).  Raises
+    PhysicsGuardError for a non-finite coupling, before the series starts."""
     rho = _spectral_bound(space)
     if not math.isfinite(rho):
         raise PhysicsGuardError(f"oracle coupling bound {rho!r} is not finite")
-    cols, sqrt_n, term = _generator_pattern(*_shape(space), sectors)
+    cols, sqrt_n, term = basis.cols, basis.sqrt_n, basis.term
     terms = _series_terms(rho)
     bessel = bessel_ladder(rho, terms)[terms:]  # J_0 .. J_K
     coef = _coefficients(space)
@@ -252,20 +261,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class OracleState:
-    """An evolved state on the K-sectors it occupies (0 elsewhere): the ascending
-    full-space indices of every state of those sectors, the amplitudes there and
-    the population on each truncation boundary (`truncation_leakage`)."""
+    """An evolved state on the K-window around the sectors it occupies (0 off
+    the window): its basis, the amplitudes on the basis states and the
+    population on each truncation boundary (`truncation_leakage`)."""
 
-    states: np.ndarray
+    basis: Basis
     amplitudes: np.ndarray
     leakage: dict
 
 
 def evolve(space: TruncatedSpace, electron_coefficients: np.ndarray) -> OracleState:
     """Apply the interaction unitary to (ladder state, centred in the space) x
-    (vacuum modes): c_K u on the occupied sectors.  The seed series u of the module
-    docstring is kept on `space`, read-only, per sector set: every ladder with the
-    same nonzero c_j on this object reuses it.
+    (vacuum modes): c_K u on the window around the occupied sectors.  The seed
+    series u of the module docstring is kept on `space`, read-only, per sector
+    set: every ladder with the same nonzero c_j on this object reuses it.
 
     Raises ValueError for coefficients not 1-D of odd length or wider than the
     space's ladder; PhysicsGuardError for a non-finite coupling, when unitarity
@@ -278,31 +287,35 @@ def evolve(space: TruncatedSpace, electron_coefficients: np.ndarray) -> OracleSt
         raise ValueError("electron coefficients must be a 1-D array of odd length")
     if c.size // 2 > space.electron_halfwidth:
         raise ValueError("electron coefficients wider than the truncated ladder")
-    sectors = tuple((np.flatnonzero(c) - c.size // 2).tolist())  # K = j of each nonzero c_j
+    half, h = c.size // 2, max(m.harmonic for m in space.modes)
+    sectors = tuple((np.flatnonzero(c) - half).tolist())  # K = j of each nonzero c_j
     if sectors not in space._series:
-        states, k = _sector_states(*_shape(space), sectors)
-        seed = (states % math.prod(space.photon_dims) == 0) * 1.0  # 1 on |j = K, vacuum>
-        space._series[sectors] = (states, k, *_read_only(apply_unitary(space, seed, sectors)))
-    states, k, u = space._series[sectors]
-    w = c[k + c.size // 2] * u
+        low, top = (sectors[0] - h, sectors[-1]) if sectors else (1, 0)  # no sector: no state
+        basis = _basis(*_shape(space), low, top)
+        vacuum = (np.array(sectors) + space.electron_halfwidth) * math.prod(space.photon_dims)
+        seed = np.zeros(basis.states.size)
+        seed[np.searchsorted(basis.states, vacuum)] = 1.0  # 1 on |j = K, vacuum>
+        space._series[sectors] = (basis, *_read_only(apply_unitary(space, seed, basis)))
+    basis, u = space._series[sectors]
+    w = np.pad(c, (h, 0))[basis.k + half + h] * u  # c_K, 0 below the ladder
     norm = math.sqrt(_dot(w, w).real)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise PhysicsGuardError(f"evolved norm {norm!r} deviates from 1 beyond {_NORM_TOL:g}")
-    leakage = truncation_leakage(space, sectors, w)
+    leakage = truncation_leakage(space, basis, w)
     worst = float(np.max(list(leakage.values())))
     if not worst <= _LEAK_TOL:
         raise PhysicsGuardError(
             f"truncation boundary population {worst:.3e} exceeds {_LEAK_TOL:g}; "
             "increase electron_halfwidth or photon_cutoff"
         )
-    return OracleState(states, w, leakage)
+    return OracleState(basis, w, leakage)
 
 
-def truncation_leakage(space: TruncatedSpace, sectors: tuple, amplitudes: np.ndarray) -> dict:
+def truncation_leakage(space: TruncatedSpace, basis: Basis, amplitudes: np.ndarray) -> dict:
     """Population stranded on each truncation boundary by `amplitudes` on the
-    states of `sectors` (`_sector_states`): the ladder's two edges, a prefix and a
-    suffix of those ascending states, and each mode's top Fock level."""
-    states = _sector_states(*_shape(space), sectors)[0]
+    states of `basis`: the ladder's two edges, a prefix and a suffix of those
+    ascending states, and each mode's top Fock level."""
+    states = basis.states
     p = np.abs(amplitudes) ** 2
     stride = math.prod(space.photon_dims)  # of the electron index
     low, high = np.searchsorted(states, [stride, (space.electron_dim - 1) * stride])
@@ -311,23 +324,6 @@ def truncation_leakage(space: TruncatedSpace, sectors: tuple, amplitudes: np.nda
         stride //= n_dim
         out[f"mode{i}_top_fock"] = float(np.sum(p[states // stride % n_dim == mode.photon_cutoff]))
     return out
-
-
-@lru_cache(maxsize=2)  # one |beta| of the matrix: two windows
-def _lowering(electron_dim: int, harmonics: tuple, photon_dims: tuple, sectors):
-    """Each a_i on the states of `sectors` (`_sector_states`), read-only: a_i x =
-    ratios[i] * x[sources[i]], sqrt(n_i + 1) times the amplitude one photon up
-    where that state lies in the sectors too, 0 elsewhere; and the electron index
-    j + M of each state."""
-    states, k = _sector_states(electron_dim, harmonics, photon_dims, sectors)
-    j, *n = np.unravel_index(states, (electron_dim, *photon_dims))
-    sources, ratios = [], []
-    for i, (h, n_dim, n_i) in enumerate(zip(harmonics, photon_dims, n)):
-        up = (n_i < n_dim - 1) & np.isin(k + h, sectors)
-        target = np.where(up, states + math.prod(photon_dims[i + 1 :]), states)
-        sources.append(np.searchsorted(states, target))
-        ratios.append(np.where(up, np.sqrt(n_i + 1.0), 0.0))
-    return _read_only(j, np.array(sources), np.array(ratios))
 
 
 def _central_moments(vec, lower, a_vec, mean: complex, orders) -> dict:
@@ -355,26 +351,14 @@ class OracleObservables:
 
 
 def observables(space: TruncatedSpace, state: OracleState, moment_orders=(2, 3)) -> OracleObservables:
-    """Every observable of `state`, read off the K-sectors [K_min - max h_i, K_max]
-    around the sectors it holds.  Each a_i lowers K by h_i, so a_i applied to the
-    state lies in them, and what a central-moment chain or pair term lowers out of
-    them never returns to the sectors the state holds.  There a_i is one gather
-    times sqrt(n_i + 1): a v gives <a> and <n>, the central moments continue from
-    it, and the pair terms reuse it (7 gathers for two modes and orders 2, 3)."""
-    shape = _shape(space)
-    photons = math.prod(space.photon_dims)
-    energy = _sector_labels(1, *shape[1:])  # sum_i h_i n_i of each photon state
-    held = state.states // photons - space.electron_halfwidth + energy[state.states % photons]
-    top = int(held.max())
-    low = int(held.min()) - max(m.harmonic for m in space.modes)
-    window = tuple(range(low, top + 1))
-    k = _sector_states(*shape, window)[1]
-    j, sources, ratios = _lowering(*shape, window)
-    occupied = np.zeros(top - low + 1, dtype=bool)
-    occupied[held - low] = True
-    v = np.zeros(k.size, dtype=complex)
-    v[occupied[k - low]] = state.amplitudes
-    lowering = [lambda x, s=s, r=r: r * x[s] for s, r in zip(sources, ratios)]
+    """Every observable of `state`, read off its window [K_min - max h_i, K_max].
+    Each a_i lowers K by h_i, so a_i applied to the state lies in the window, and
+    what a central-moment chain or pair term lowers out of it never returns to
+    the sectors the state occupies.  There a_i is one gather times sqrt(n_i + 1):
+    a v gives <a> and <n>, the central moments continue from it, and the pair
+    terms reuse it (7 gathers for two modes and orders 2, 3)."""
+    basis, v = state.basis, state.amplitudes
+    lowering = [lambda x, s=s, r=r: r * x[s] for s, r in zip(basis.sources, basis.ratios)]
     a_vecs = [lower(v) for lower in lowering]
     mean_a, mean_n, moments, pairs = {}, {}, {}, {}
     for mode, lower, a_vec in zip(space.modes, lowering, a_vecs):
@@ -385,7 +369,8 @@ def observables(space: TruncatedSpace, state: OracleState, moment_orders=(2, 3))
         normal = _dot(a_vecs[i], a_vecs[r])
         pairs[(mode_i.harmonic, mode_r.harmonic)] = normal, _dot(v, lowering[i](a_vecs[r]))
     p = np.abs(v) ** 2
-    level, norm = float(np.sum((j - space.electron_halfwidth) * p)), math.sqrt(np.sum(p))
+    j = basis.states // math.prod(space.photon_dims) - space.electron_halfwidth
+    level, norm = float(np.sum(j * p)), math.sqrt(np.sum(p))
     return OracleObservables(mean_a, mean_n, moments, pairs, level, state.leakage, norm)
 
 
@@ -489,12 +474,11 @@ def run_test_matrix(beam: BeamParameters) -> list[OracleCheckRow]:
     """The full validation matrix: |beta| x d/z_T x g x mode sets (54 rows).  The
     three distances of a (|beta|, g, modes) evolve on one space object, so they
     share its seed series (`evolve`): 18 series for 54 rows, gone on return with
-    the shape caches, whose memory a later run in the process then reuses."""
+    the basis cache, whose memory a later run in the process then reuses."""
     spaces = {}
     grid = product(BETA_GRID, DISTANCE_GRID, COUPLING_GRID, MODE_SETS)
     rows = [_run_single(b, d, g, m, beam, spaces) for b, d, g, m in grid]
-    for cache in (_sector_states, _generator_pattern, _lowering):
-        cache.cache_clear()
+    _basis.cache_clear()
     return rows
 
 

@@ -265,8 +265,8 @@ def _run_doc_map(cfg: ScenarioConfig, write):
     state = pinem_ladder(cfg.modulation.beta, cfg.beam)  # at the modulation plane
     optimum = optimal_bunching_distance(
         state,
-        scan.d_min_mm * NM_PER_MM,
-        scan.d_max_mm * NM_PER_MM,
+        d_min=scan.d_min_mm * NM_PER_MM,
+        d_max=scan.d_max_mm * NM_PER_MM,
         coarse_step=scan.coarse_step_mm * NM_PER_MM,
         refine_tol=scan.refine_tol_mm * NM_PER_MM,
         threshold=scan.threshold,
@@ -526,7 +526,7 @@ def _run_detect(cfg: ScenarioConfig, write):
 
     if det.phase_sweep_points:
         phases = np.linspace(0.0, TWO_PI, det.phase_sweep_points, endpoint=False)
-        means = (detector_means(splitter, reference.with_phase(p), field) for p in phases)
+        means = (detector_means(splitter, reference.with_phase(p), field, *det.qe) for p in phases)
         write("phase_sweep.csv", {"phase_rad": phases, "signal": [m1 - m2 for m1, m2 in means]})
 
     summary = {

@@ -334,13 +334,13 @@ class BunchingOptimum:
 
 def optimal_bunching_distance(
     state: LadderState,
-    d_min: float = 0.0,
-    d_max: float = 2.0e7,
     *,
-    coarse_step: float = 1.0e4,
-    refine_tol: float = 1.0e3,
-    threshold: float = 0.01,
-    n_scan: int = 40,
+    d_min: float,
+    d_max: float,
+    coarse_step: float,
+    refine_tol: float,
+    threshold: float,
+    n_scan: int,
     mode: str = "exact",
 ) -> BunchingOptimum:
     """Distance from the state's plane maximizing the spectral width

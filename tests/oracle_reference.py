@@ -1,11 +1,12 @@
 """Full-space cross-check routes for the truncated-space oracle.
 
-`evolve` holds its state on the K-sectors the ladder occupies and never builds
-G as a matrix.  The tests compare it against routes on the whole product
-space: the initial vector, the generator G as a scipy CSR matrix (built on the
-oracle's own `_generator_pattern`, and checked against Kronecker chains), a
-dense `scipy.linalg.expm`, and `full_vector`, which embeds an evolved state in
-the whole space.
+`evolve` holds its state on the K-window around the sectors the ladder
+occupies and never builds G as a matrix.  The tests compare it against routes
+on the whole product space: the initial vector, the generator G as a scipy CSR
+matrix (built on the oracle's own `_basis`, and checked against Kronecker
+chains), a dense `scipy.linalg.expm`, and `full_vector`, which embeds an
+evolved state in the whole space.  `whole_basis` is the basis spanning every K
+of the space: the whole space, in full-space order.
 """
 from __future__ import annotations
 
@@ -29,16 +30,23 @@ def initial_vector(space, electron_coefficients) -> np.ndarray:
 
 
 def full_vector(space, state) -> np.ndarray:
-    """`evolve`'s state on the whole product space: 0 off its sectors."""
+    """`evolve`'s state on the whole product space: 0 off its window."""
     vec = np.zeros(space.dimension, dtype=complex)
-    vec[state.states] = state.amplitudes
+    vec[state.basis.states] = state.amplitudes
     return vec
 
 
-def build_generator(space, sectors=None) -> csr_matrix:
+def whole_basis(space) -> oracle.Basis:
+    """The oracle's basis over every K = j + sum_i h_i n_i of the space."""
+    top = space.electron_halfwidth + sum(m.harmonic * m.photon_cutoff for m in space.modes)
+    return oracle._basis(*oracle._shape(space), -space.electron_halfwidth, top)
+
+
+def build_generator(space, basis=None) -> csr_matrix:
     """Anti-Hermitian interaction generator G (complex128 CSR) on the states of
-    `sectors` (None: the whole product space), in `_sector_states` order."""
-    cols, sqrt_n, term = oracle._generator_pattern(*oracle._shape(space), sectors)
+    `basis` (None: `whole_basis`), in their order."""
+    basis = whole_basis(space) if basis is None else basis
+    cols, sqrt_n, term = basis.cols, basis.sqrt_n, basis.term
     values = (sqrt_n * oracle._coefficients(space)[term, None]).T
     keep = sqrt_n.T > 0.0
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])

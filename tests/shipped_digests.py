@@ -14,8 +14,10 @@ each file, compared at the measured tolerance in `TOLERANCE`.
     PYTHONPATH=src python tests/shipped_digests.py
 
 runs the eight shipped and eight workload configs and writes this host's digests, together with the
-statistics, into the table.  A change that moves an artifact reruns it and
-says in CHANGES.md which files moved and by how much.
+statistics, into the table.  It prints each config/file whose digest differs
+from the entry it replaces (`moved`), or "no artifact moved".  A change that
+moves an artifact reruns it and says in CHANGES.md which files moved and by
+how much.
 """
 from __future__ import annotations
 
@@ -136,6 +138,18 @@ def mismatches(config: str, expected: dict, actual: dict) -> list[str]:
     return bad
 
 
+def moved(before: dict | None, after: dict) -> list[str]:
+    """"config/file" of each artifact whose digest in `after` is not the one in
+    `before` (None: no entry, every artifact is new), a file gone included."""
+    before = before or {}
+    names = {(config, name) for table in (before, after) for config in table for name in table[config]}
+    return [
+        f"{config}/{name}"
+        for config, name in sorted(names)
+        if before.get(config, {}).get(name) != after.get(config, {}).get(name)
+    ]
+
+
 def run_shipped(scenario: str, config: str, out_dir: Path) -> None:
     from clcoherence.cli import main
 
@@ -155,9 +169,11 @@ def main() -> None:
             entry["digests"][name] = digests(out)
             table["statistics"][name] = statistics(out)
     key = (entry["numpy"], entry["simd"])
+    replaced = stored_digests(table)
     table["hosts"] = [h for h in table["hosts"] if (h["numpy"], h["simd"]) != key] + [entry]
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(SHIPPED + WORKLOADS)} configs for numpy {entry['numpy']} {entry['simd']} to {TABLE}")
+    print("\n".join(f"moved: {name}" for name in moved(replaced, entry["digests"])) or "no artifact moved")
 
 
 if __name__ == "__main__":

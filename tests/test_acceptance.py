@@ -38,7 +38,9 @@ from clcoherence import (
     synthesize_density,
     time_domain_field,
 )
+from clcoherence.config import Scan
 from clcoherence.oracle import evolve, observables
+from clcoherence.scenarios import NM_PER_MM
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
 W0 = BEAM.omega0
@@ -53,8 +55,17 @@ def record(number: int, passed: bool, details: str) -> None:
 @pytest.fixture(scope="module")
 def bunching_scan():
     """Full-range spectral-width scan (criteria 1 and 2) with its runtime."""
+    scan = Scan()  # the config's defaults, converted as `_run_doc_map` converts them
     start = time.perf_counter()
-    opt = optimal_bunching_distance(pinem_ladder(4.0, BEAM))
+    opt = optimal_bunching_distance(
+        pinem_ladder(4.0, BEAM),
+        d_min=scan.d_min_mm * NM_PER_MM,
+        d_max=scan.d_max_mm * NM_PER_MM,
+        coarse_step=scan.coarse_step_mm * NM_PER_MM,
+        refine_tol=scan.refine_tol_mm * NM_PER_MM,
+        threshold=scan.threshold,
+        n_scan=scan.n_harmonics,
+    )
     return opt, time.perf_counter() - start
 
 

@@ -151,6 +151,17 @@ class TestSuccessPaths:
         assert lines[0] == "shot_index,i1,i2"
         assert len(lines) == 301
 
+    def test_phase_sweep_applies_the_quantum_efficiencies(self, tmp_path):
+        # the sweep's phase 0 is the reference phase itself: its row is the summary's signal
+        cfg = detect_config(tmp_path, qe=[0.5, 0.9], phase_sweep_points=24)
+        out = tmp_path / "runQ"
+        assert main(["detect", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        summary = strict_json((out / "summary.json").read_text())
+        header, first, *rest = (out / "phase_sweep.csv").read_text().splitlines()
+        assert (header, len(rest)) == ("phase_rad,signal", 23)
+        phase, signal = map(float, first.split(","))
+        assert (phase, signal) == (0.0, summary["signal"])
+
     def test_sweep_scenario(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -1170,6 +1181,15 @@ class TestShippedConfigs:
             f"no golden digests for numpy {shipped_digests.host_key()}: {name}'s artifacts "
             f"were compared by statistics within {shipped_digests.TOLERANCE:g} of their scale"
         )
+
+    def test_digest_tool_names_what_moved(self):
+        before = {"a.json": {"x.csv": "1", "summary.json": "2"}, "b.json": {"y.csv": "3"}}
+        assert shipped_digests.moved(before, before) == []
+        after = {"a.json": {"x.csv": "1", "summary.json": "4"}, "b.json": {"z.csv": "3"}}
+        assert shipped_digests.moved(before, after) == [
+            "a.json/summary.json", "b.json/y.csv", "b.json/z.csv"
+        ]
+        assert shipped_digests.moved(None, {"b.json": {"y.csv": "3"}}) == ["b.json/y.csv"]
 
     @pytest.mark.parametrize("scenario", ["waveguide", "pulse-shape", "detect"])
     def test_band_scenarios_never_run_the_fft_route(self, scenario, tmp_path, monkeypatch):

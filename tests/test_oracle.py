@@ -1,12 +1,12 @@
 """Truncated-Hilbert-space oracle: exact unitary evolution cross-validation.
 
 The oracle sums exp(G) on (electron ladder) x (photon Fock spaces) as a
-Chebyshev series over the K-sectors the ladder occupies, and never builds G as
-a matrix; that measured side shares no code path with the analytic
-ladder/coupling formulas whose predictions it checks.  Here its state, embedded
-in the whole space (`oracle_reference.full_vector`), is cross-checked against
-scipy's expm_multiply and a dense expm of the whole space's generator, and its
-observables against Kronecker-product operators.
+Chebyshev series over the K-window around the sectors the ladder occupies, and
+never builds G as a matrix; that measured side shares no code path with the
+analytic ladder/coupling formulas whose predictions it checks.  Here its state,
+embedded in the whole space (`oracle_reference.full_vector`), is cross-checked
+against scipy's expm_multiply and a dense expm of the whole space's generator,
+and its observables against Kronecker-product operators.
 """
 
 import dataclasses
@@ -16,6 +16,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from clcoherence import (
@@ -41,7 +43,7 @@ from clcoherence.oracle import (
     require_all_passed,
     truncation_leakage,
 )
-from oracle_reference import build_generator, evolve_dense, full_vector, initial_vector
+from oracle_reference import build_generator, evolve_dense, full_vector, initial_vector, whole_basis
 from clcoherence.spectra import CoherentField, PairCorrelation, ladder_overlap
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -126,7 +128,7 @@ class TestEvolution:
 
     def test_norm_guard_rejects_nan_vector(self, monkeypatch):
         monkeypatch.setattr(
-            oracle, "apply_unitary", lambda space, v, sectors=None: np.full_like(v, np.nan)
+            oracle, "apply_unitary", lambda space, v, basis: np.full_like(v, np.nan)
         )
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
@@ -135,11 +137,11 @@ class TestEvolution:
 
     def test_leakage_guard_rejects_nan_leakage(self, monkeypatch):
         # A NaN behind a finite entry: Python's max() would return the 0.0.
-        monkeypatch.setattr(oracle, "apply_unitary", lambda space, v, sectors=None: v)
+        monkeypatch.setattr(oracle, "apply_unitary", lambda space, v, basis: v)
         monkeypatch.setattr(
             oracle,
             "truncation_leakage",
-            lambda space, sectors, amplitudes: {"electron_low": 0.0, "top": np.nan},
+            lambda space, basis, amplitudes: {"electron_low": 0.0, "top": np.nan},
         )
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
@@ -161,7 +163,7 @@ class TestEvolution:
         space = TruncatedSpace.for_ladder(state.cutoff, modes)
         v0 = initial_vector(space, state.coefficients)
         np.testing.assert_array_equal(full_vector(space, evolve(space, state.coefficients)), v0)
-        np.testing.assert_array_equal(oracle.apply_unitary(space, v0), v0)
+        np.testing.assert_array_equal(oracle.apply_unitary(space, v0, whole_basis(space)), v0)
 
     def test_norm_preserved(self):
         state = pinem_ladder(1.0, BEAM)
@@ -191,14 +193,21 @@ class TestEvolution:
         expected[m - j : m + j + 1, 0] = state.coefficients
         np.testing.assert_array_equal(t, expected)
 
+    def test_all_zero_ladder_is_a_norm_guard(self):
+        # no occupied sector: an empty window, and the norm guard reads 0
+        space = TruncatedSpace(5, (OracleMode(1, 0.1, photon_cutoff=2), OracleMode(2, 0.1)))
+        with pytest.raises(PhysicsGuardError, match="evolved norm 0.0 deviates"):
+            evolve(space, np.zeros(5, dtype=complex))
+
     def test_evolve_rejects_oversized_ladder(self):
         space = TruncatedSpace(5, (OracleMode(1, 0.1, photon_cutoff=2),))
         with pytest.raises(ValueError, match="wider than the truncated ladder"):
             evolve(space, np.zeros(13, dtype=complex))
 
     def test_state_holds_only_the_occupied_sectors(self):
-        # the matrix's largest space: the state of the occupied sectors, in
-        # ascending full-space order, with norm 1
+        # the matrix's largest space: the state on the window [K_min - 2, K_max]
+        # of the occupied sectors, in ascending full-space order, nonzero on the
+        # occupied sectors only, with norm 1
         state = propagate(
             pinem_ladder(max(BETA_GRID), BEAM),
             max(DISTANCE_GRID) * BEAM.talbot_distance,
@@ -209,11 +218,14 @@ class TestEvolution:
         assert space.dimension == 17407
         evolved = evolve(space, state.coefficients)
         k = oracle._sector_labels(*oracle._shape(space))
-        expected = np.flatnonzero(np.isin(k, _occupied_sectors(state.coefficients)))
-        assert 0 < expected.size < space.dimension
-        assert evolved.states.tobytes() == expected.tobytes()
-        assert np.all(np.diff(evolved.states) > 0)
-        assert evolved.amplitudes.shape == evolved.states.shape
+        sectors = _occupied_sectors(state.coefficients)
+        window = np.flatnonzero((min(sectors) - 2 <= k) & (k <= max(sectors)))
+        assert 0 < window.size < space.dimension
+        assert evolved.basis.states.tobytes() == window.tobytes()
+        assert np.all(np.diff(evolved.basis.states) > 0)
+        assert evolved.amplitudes.shape == evolved.basis.states.shape
+        held = np.isin(k[window], sectors)
+        assert np.all(evolved.amplitudes[~held] == 0) and np.all(evolved.amplitudes[held] != 0)
         norm = math.sqrt(np.sum(np.abs(evolved.amplitudes) ** 2))
         assert abs(norm - 1.0) <= 1e-10
 
@@ -302,7 +314,7 @@ class TestTwoModeObservables:
 
     def test_leakage_well_controlled(self, strong_two_mode):
         ladder, space, v = strong_two_mode
-        leak = truncation_leakage(space, _occupied_sectors(ladder.coefficients), v.amplitudes)
+        leak = truncation_leakage(space, v.basis, v.amplitudes)
         assert set(leak) == {"electron_low", "electron_high", "mode0_top_fock", "mode1_top_fock"}
         assert max(leak.values()) < 1e-8
         assert leak == v.leakage
@@ -394,17 +406,27 @@ def _occupied_sectors(coefficients):
 
 
 def _reached(space, coefficients):
-    return oracle._sector_states(*oracle._shape(space), _occupied_sectors(coefficients))[0]
+    """Full-space indices of the states in the occupied sectors."""
+    k = oracle._sector_labels(*oracle._shape(space))
+    return np.flatnonzero(np.isin(k, _occupied_sectors(coefficients)))
+
+
+def _window(space, sectors) -> oracle.Basis:
+    """The oracle's basis on the K-window [min(sectors) - max h_i, max(sectors)]."""
+    low = min(sectors) - max(m.harmonic for m in space.modes)
+    return oracle._basis(*oracle._shape(space), low, max(sectors))
 
 
 class TestReachableSubspace:
     """evolve runs one series on the seed s (the vacuum state |j = K, vac> of each
-    K-sector the ladder occupies) and scales it by c_K; the same series on the
-    whole space's seed vector, scaled the same way, must come out bit for bit."""
+    K-sector the ladder occupies) over the K-window around those sectors and
+    scales it by c_K; the same series on the whole space's seed vector, scaled
+    the same way, must come out bit for bit."""
 
     @staticmethod
     def assert_matches_full_space(space, coefficients):
-        full = oracle.apply_unitary(space, (initial_vector(space, coefficients) != 0) * 1.0)
+        seed = (initial_vector(space, coefficients) != 0) * 1.0
+        full = oracle.apply_unitary(space, seed, whole_basis(space))
         reached = _reached(space, coefficients)
         k = oracle._sector_labels(*oracle._shape(space))[reached]
         expected = np.zeros(space.dimension, dtype=complex)
@@ -429,12 +451,14 @@ class TestReachableSubspace:
         for space, coefficients in _other_spaces():
             self.assert_matches_full_space(space, coefficients)
 
-    def test_sector_generator_is_the_full_generator_on_the_reached_states(self):
+    def test_window_generator_is_the_full_generator_on_the_window_states(self):
         for space, coefficients in _other_spaces():
-            states = _reached(space, coefficients)
-            sectors = build_generator(space, _occupied_sectors(coefficients))
-            assert sectors.shape == (states.size, states.size)
-            assert abs(sectors - build_generator(space)[states][:, states]).max() == 0.0
+            window = _window(space, _occupied_sectors(coefficients))
+            states = window.states
+            assert states.size > _reached(space, coefficients).size
+            local = build_generator(space, window)
+            assert local.shape == (states.size, states.size)
+            assert abs(local - build_generator(space)[states][:, states]).max() == 0.0
 
     def test_generator_never_leaves_the_reached_states(self):
         for space, coefficients in itertools.chain(_matrix_spaces(), _other_spaces()):
@@ -442,8 +466,9 @@ class TestReachableSubspace:
 
     def test_reached_states_are_the_ladder_k_sectors(self):
         # K = j + sum_i h_i n_i in the sectors of the nonzero c_j: every |K| <= J
-        # for |beta| > 0, K = 0 alone for beta = 0: 30% of the matrix
-        total = reached = 0
+        # for |beta| > 0, K = 0 alone for beta = 0: 30% of the matrix; their
+        # windows add the max h_i sectors below: 31%
+        total = reached = windowed = 0
         for space, coefficients in _matrix_spaces():
             grids = np.meshgrid(
                 np.arange(-space.electron_halfwidth, space.electron_halfwidth + 1),
@@ -451,11 +476,16 @@ class TestReachableSubspace:
                 indexing="ij",
             )
             k = grids[0] + sum(m.harmonic * n for m, n in zip(space.modes, grids[1:]))
-            expected = np.flatnonzero(np.isin(k, _occupied_sectors(coefficients)))
+            sectors = _occupied_sectors(coefficients)
+            expected = np.flatnonzero(np.isin(k, sectors))
             np.testing.assert_array_equal(_reached(space, coefficients), expected)
+            low = min(sectors) - max(m.harmonic for m in space.modes)
+            window = np.flatnonzero((low <= k) & (k <= max(sectors)))
+            np.testing.assert_array_equal(evolve(space, coefficients).basis.states, window)
             total += space.dimension
             reached += expected.size
-        assert (total, reached) == (487890, 144882)
+            windowed += window.size
+        assert (total, reached, windowed) == (487890, 144882, 153549)
 
     @pytest.mark.parametrize(
         "shape, message",
@@ -478,9 +508,9 @@ def _spy_series(monkeypatch) -> list:
     spaces = []
     series = oracle.apply_unitary
 
-    def spy(space, v, sectors=None):
+    def spy(space, v, basis):
         spaces.append(space)
-        return series(space, v, sectors)
+        return series(space, v, basis)
 
     monkeypatch.setattr(oracle, "apply_unitary", spy)
     return spaces
@@ -524,7 +554,7 @@ class TestSharedSeedSeries:
         state = pinem_ladder(0.5, BEAM)
         modes = (OracleMode(1, 0.1),)
         monkeypatch.setattr(
-            oracle, "apply_unitary", lambda space, v, sectors=None: np.full_like(v, np.nan)
+            oracle, "apply_unitary", lambda space, v, basis: np.full_like(v, np.nan)
         )
         with pytest.raises(PhysicsGuardError, match="norm"):
             evolve(TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients)
@@ -532,21 +562,22 @@ class TestSharedSeedSeries:
         v = evolve(TruncatedSpace.for_ladder(state.cutoff, modes), state.coefficients).amplitudes
         assert abs(oracle._dot(v, v) - 1.0) <= 1e-10
 
+    def test_matrix_leaves_the_basis_cache_empty(self):
+        state = pinem_ladder(0.5, BEAM)
+        evolve(TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),)), state.coefficients)
+        assert oracle._basis.cache_info().currsize > 0
+        run_test_matrix(BEAM)
+        assert oracle._basis.cache_info().currsize == 0
+
     def test_cached_arrays_are_read_only(self):
         state = pinem_ladder(0.5, BEAM)
         space = TruncatedSpace.for_ladder(state.cutoff, (OracleMode(1, 0.1),))
-        evolve(space, state.coefficients)
+        evolved = evolve(space, state.coefficients)
         observables(space, evolve(space, state.coefficients))
-        shape, sectors = oracle._shape(space), _occupied_sectors(state.coefficients)
-        window = tuple(range(min(sectors) - 1, max(sectors) + 1))
-        cached = (
-            *oracle._generator_pattern(*shape, sectors),
-            *oracle._sector_states(*shape, sectors),
-            *oracle._sector_states(*shape, window),
-            *oracle._lowering(*shape, window),
-            *space._series[sectors],
-        )
-        for array in cached:
+        basis, u = space._series[_occupied_sectors(state.coefficients)]
+        assert evolved.basis is basis is _window(space, _occupied_sectors(state.coefficients))
+        assert len(basis) == 7
+        for array in (*basis, u):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
             with pytest.raises(ValueError, match="read-only"):
@@ -664,15 +695,48 @@ class TestSlicedAnnihilationAgainstKron:
         ids=["one-mode", "harmonics-1-2"],
     )
     def test_any_vector_on_separated_sectors(self, modes, sectors):
-        # random amplitudes on every state of the sectors, ladder and Fock edges included
+        # random amplitudes on every state of the sectors, ladder and Fock edges
+        # included, on the window that holds them
         space = TruncatedSpace(5, modes)
         k = oracle._sector_labels(*oracle._shape(space))
         rng = np.random.default_rng(25)
         w = np.where(np.isin(k, sectors), [1, 1j] @ rng.normal(size=(2, k.size)), 0.0)
-        states = oracle._sector_states(*oracle._shape(space), tuple(sectors))[0]
-        amplitudes = (w / np.linalg.norm(w))[states]
-        leakage = truncation_leakage(space, tuple(sectors), amplitudes)
-        self.assert_matches_kron(space, OracleState(states, amplitudes, leakage))
+        window = _window(space, sectors)
+        amplitudes = (w / np.linalg.norm(w))[window.states]
+        leakage = truncation_leakage(space, window, amplitudes)
+        self.assert_matches_kron(space, OracleState(window, amplitudes, leakage))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_windows_match_the_dense_route_and_kron(self, data):
+        # 1-2 modes of distinct harmonics 1-3 (photon cutoff <= 8 alone, <= 5 in a
+        # pair, so that the dense expm stays below dimension ~1,700); each |g|^2
+        # keeps the Poisson(|g|^2) population of its top Fock level N below 1e-8:
+        # |g|^(2N) / N! <= 2.5e-9
+        harmonics = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+        modes = []
+        for h in harmonics:
+            cutoff = data.draw(st.integers(1, 8 if len(harmonics) == 1 else 5))
+            g_max = (2.5e-9 * math.factorial(cutoff)) ** (0.5 / cutoff)
+            g_abs = data.draw(st.floats(0.1 * g_max, g_max))
+            phase = data.draw(st.floats(-math.pi, math.pi))
+            modes.append(OracleMode(h, g_abs * complex(math.cos(phase), math.sin(phase)), cutoff))
+        # a normalized ladder of half-width J with exact-zero gaps between occupied levels
+        half = data.draw(st.integers(1, 3))
+        occupied = data.draw(st.lists(st.booleans(), min_size=2 * half + 1, max_size=2 * half + 1))
+        occupied[data.draw(st.integers(0, 2 * half))] = True
+        coefficients = np.zeros(2 * half + 1, dtype=complex)
+        for j in np.flatnonzero(occupied):
+            magnitude = data.draw(st.floats(0.1, 1.0))
+            phase = data.draw(st.floats(-math.pi, math.pi))
+            coefficients[j] = magnitude * complex(math.cos(phase), math.sin(phase))
+        coefficients /= math.sqrt(np.sum(np.abs(coefficients) ** 2))
+        space = TruncatedSpace.for_ladder(half, tuple(modes))
+        assert space.dimension <= 4000
+        state = evolve(space, coefficients)
+        dense = evolve_dense(space, coefficients)
+        assert np.linalg.norm(full_vector(space, state) - dense) < 1e-10
+        self.assert_matches_kron(space, state)
 
     def test_harmonics_one_and_three_with_complex_couplings(self):
         state = propagate(pinem_ladder(0.5, BEAM), 0.1 * BEAM.talbot_distance, mode="quadratic")
@@ -781,9 +845,9 @@ class TestObservablesHelper:
     def test_zero_state_reads_zero(self):
         modes = (OracleMode(1, 0.3, photon_cutoff=4), OracleMode(2, 0.1, photon_cutoff=3))
         space = TruncatedSpace(6, modes)
-        states = oracle._sector_states(*oracle._shape(space), (-2, 3))[0]
-        zero = np.zeros(states.size, dtype=complex)
-        state = OracleState(states, zero, truncation_leakage(space, (-2, 3), zero))
+        window = _window(space, (-2, 3))
+        zero = np.zeros(window.states.size, dtype=complex)
+        state = OracleState(window, zero, truncation_leakage(space, window, zero))
         obs = observables(space, state, moment_orders=(1, 2))
         assert obs.mean_a == obs.mean_n == {1: 0.0, 2: 0.0}
         assert obs.central_moments == {1: {1: 0.0, 2: 0.0}, 2: {1: 0.0, 2: 0.0}}

@@ -587,7 +587,13 @@ class TestOptimalBunchingDistance:
         # Scan a narrow bracket around the known optimum to keep this fast;
         # the full-range behaviour is exercised by the acceptance gate.
         opt = optimal_bunching_distance(
-            pinem_ladder(4.0, BEAM), d_min=5.5e6, d_max=8.0e6, coarse_step=5.0e4
+            pinem_ladder(4.0, BEAM),
+            d_min=5.5e6,
+            d_max=8.0e6,
+            coarse_step=5.0e4,
+            refine_tol=1.0e3,
+            threshold=0.01,
+            n_scan=40,
         )
         assert opt.width == 17
         assert 6.0e6 < opt.distance < 7.2e6
@@ -597,7 +603,15 @@ class TestOptimalBunchingDistance:
 
     def test_carries_the_coarse_doc_map(self):
         state = pinem_ladder(4.0, BEAM)
-        opt = optimal_bunching_distance(state, d_min=5.5e6, d_max=8.0e6, coarse_step=5.0e4)
+        opt = optimal_bunching_distance(
+            state,
+            d_min=5.5e6,
+            d_max=8.0e6,
+            coarse_step=5.0e4,
+            refine_tol=1.0e3,
+            threshold=0.01,
+            n_scan=40,
+        )
         expected = doc_map(state, opt.coarse_distances, n_max=40)
         np.testing.assert_array_equal(opt.coarse_doc, expected)
         np.testing.assert_array_equal(opt.coarse_widths, spectral_width(expected))
