@@ -30,6 +30,7 @@ _EXPORTS = {
     "estate": (
         "EnvelopeSpec",
         "LadderState",
+        "SamplingLattice",
         "WavepacketDensity",
         "auto_cutoff",
         "pinem_ladder",

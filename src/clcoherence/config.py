@@ -36,7 +36,6 @@ from .detection import BeamSplitter
 from .errors import ConfigError
 from .estate import EnvelopeSpec, auto_cutoff, sampling_lattice
 from .kinematics import BeamParameters
-from .spectra import fft_pad
 
 SCENARIOS = (
     "doc-map",
@@ -496,11 +495,10 @@ class ScenarioConfig:
                 lattice = sampling_lattice(self.beam, env, cutoff)
             except ValueError as exc:
                 raise ConfigError(f"envelope: {exc}") from None
-            _, per_period, periods = lattice
-            pad = fft_pad(env)
-            sizes["lattice_span"] = int(self.lattice_top / self.beam.omega0 * pad * periods)
+            steps = self.lattice_top / self.beam.omega0 * lattice.pad * lattice.periods
+            sizes["lattice_span"] = int(steps)
             if self.scenario == "doc-slice":  # the one run that synthesizes the density
-                sizes["samples"] = per_period * periods * pad
+                sizes["samples"] = lattice.n_fft
         return sizes
 
     @classmethod

@@ -120,8 +120,8 @@ class ReferencePulse:
             raise ValueError("omega_grid must be a 1-D grid of 2 or more points")
         shape = np.exp(-((w - center) ** 2) / (2.0 * sigma**2))
         norm = np.sum(shape) * _mean_step(w)
-        if norm == 0.0:
-            raise ValueError("reference profile vanishes on this grid")
+        if not norm > 0.0:  # a NaN centre makes every sample NaN
+            raise ValueError("reference profile vanishes on this grid or is not finite")
         amp = np.sqrt(total_counts * shape / norm) * np.exp(1j * phase)
         return cls(w, amp)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import fft
@@ -135,7 +136,7 @@ def propagation_phase(beam: BeamParameters, j: np.ndarray, distance, mode: str) 
 
 def propagate(state: LadderState, distance: float, mode: str = "exact") -> LadderState:
     """Propagate a ladder state by `distance` nm with `propagation_phase`."""
-    if distance < 0.0:
+    if not distance >= 0.0:  # a NaN trips it
         raise ValueError("distance must be non-negative (nm)")
     phase = propagation_phase(state.beam, state.level_indices, distance, mode)
     return replace(state, coefficients=state.coefficients * phase)
@@ -155,29 +156,57 @@ class EnvelopeSpec:
         if self.kind not in ("infinite", "gaussian"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.fwhm_fs is None or self.fwhm_fs <= 0.0:
+            if self.fwhm_fs is None or not self.fwhm_fs > 0.0:  # a NaN trips it
                 raise ValueError("gaussian envelope requires a positive fwhm_fs")
         elif self.fwhm_fs is not None:
             raise ValueError("infinite envelope takes no fwhm_fs")
+        if self.window_fs is not None and not self.window_fs > 0.0:
+            raise ValueError("window_fs must be positive")
+
+
+class SamplingLattice(NamedTuple):
+    """The time and FFT lattice of a run with an envelope: dt = T0/per_period, a
+    window of `periods` whole periods centred on t = 0, zero-padded x`pad` for the
+    FFT.  Harmonic n of omega0 lands on the padded lattice at k = n * periods * pad."""
+
+    dt: float
+    per_period: int
+    periods: int
+    pad: int
+
+    @property
+    def n_fft(self) -> int:
+        """Length of the padded FFT lattice."""
+        return self.per_period * self.periods * self.pad
+
+    def frequencies(self, max_omega: float, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(k, omega) of the centred n_fft-point FFT lattice, k = -(n_fft//2)..(n_fft-1)//2
+        and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to |omega| <= max_omega and
+        to the bins k = 0 (mod step)."""
+        if not max_omega > 0.0:
+            raise ValueError("max_omega must be positive (rad/fs)")
+        n_fft = self.n_fft
+        val = 1.0 / (n_fft * self.dt)
+        k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
+        lo, hi = max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2)
+        k = step * np.arange(-(-lo // step), hi // step + 1)
+        omega = TWO_PI * (k * val)
+        keep = np.abs(omega) <= max_omega
+        return k[keep], omega[keep]
 
 
 @dataclass(frozen=True, eq=False)
 class WavepacketDensity:
-    """Sampled comoving temporal density rho(t) with unit integral.
-
-    Samples sit at t0 + i*dt; dt always divides the optical period exactly and
-    the window spans an integer number of periods, so every harmonic of omega0
-    lands exactly on the discrete spectral lattice.
-    """
+    """Sampled comoving temporal density rho(t) with unit integral: one sample per
+    time t_i = (i - N/2) dt of its lattice's window, N = per_period * periods."""
 
     samples: np.ndarray
-    dt: float
-    t0: float
-    envelope: EnvelopeSpec
-    omega0: float
+    lattice: SamplingLattice
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.samples, dtype=float)
+        if rho.shape != (self.lattice.per_period * self.lattice.periods,):
+            raise ValueError("a density holds one sample per time of its lattice")
         if not np.min(rho) >= -1.0e-12:
             raise PhysicsGuardError("density has significantly negative samples")
         rho = np.maximum(rho, 0.0)
@@ -187,21 +216,22 @@ class WavepacketDensity:
             raise PhysicsGuardError(f"density integral {total!r} deviates from 1")
 
     @property
-    def periods_in_window(self) -> int:
-        return int(round(self.samples.size * self.dt * self.omega0 / TWO_PI))
+    def dt(self) -> float:
+        return self.lattice.dt
 
 
 def sampling_lattice(
     beam: BeamParameters, envelope: EnvelopeSpec, cutoff: int
-) -> tuple[float, int, int]:
-    """(dt, samples per period, periods) sampling a ladder of half-width `cutoff`
-    over the envelope's window_fs.
+) -> SamplingLattice:
+    """The lattice sampling a ladder of half-width `cutoff` over the envelope's window_fs.
 
     A period holds P = max(256, the smallest power of two above 2*cutoff) samples,
     dt = T0/P: the wavefunction's highest sideband, `cutoff`, lies below Nyquist.  The
     window, by default 16*fwhm (gaussian) or 64*T0 (infinite), is rounded up to
     whole periods so that harmonics fall on the FFT lattice; it must cover >= 8*fwhm
-    resp. >= 64 periods (ValueError).
+    resp. >= 64 periods (ValueError).  A finite envelope is zero-padded x8, so its
+    line shapes are resolved; an infinite one is not padded, so every off-harmonic
+    bin vanishes by discrete orthogonality.
     """
     t_period = beam.optical_period
     samples_per_period = max(256, 1 << (2 * cutoff).bit_length())
@@ -218,7 +248,8 @@ def sampling_lattice(
         if window < 64.0 * t_period * (1.0 - 1.0e-12):
             raise ValueError(f"window={window:g} fs < 64 periods={64.0 * t_period:g} fs")
     n_periods = int(math.ceil(window / t_period - 1.0e-9))
-    return t_period / samples_per_period, samples_per_period, n_periods
+    pad = 1 if envelope.kind == "infinite" else 8
+    return SamplingLattice(t_period / samples_per_period, samples_per_period, n_periods, pad)
 
 
 def synthesize_density(state: LadderState, envelope: EnvelopeSpec) -> WavepacketDensity:
@@ -226,10 +257,11 @@ def synthesize_density(state: LadderState, envelope: EnvelopeSpec) -> Wavepacket
     the time lattice of `sampling_lattice` (its defaults and guards).  The ladder
     sum has period T0: one period, at times less whole periods (small phases), is
     a (P x 2J+1) phase matrix times the coefficients, tiled before |f|^2 is applied."""
-    dt_eff, samples_per_period, n_periods = sampling_lattice(state.beam, envelope, state.cutoff)
+    lattice = sampling_lattice(state.beam, envelope, state.cutoff)
+    dt_eff, n_periods = lattice.dt, lattice.periods
     t_period = state.beam.optical_period
     t0 = -0.5 * (n_periods * t_period)
-    t_one = dt_eff * np.arange(samples_per_period) - 0.5 * (n_periods % 2) * t_period
+    t_one = dt_eff * np.arange(lattice.per_period) - 0.5 * (n_periods % 2) * t_period
     phase = np.exp(np.multiply.outer(-1j * state.beam.omega0 * t_one, state.level_indices))
     # summed elementwise: a BLAS matvec this size wakes OpenBLAS threads that then spin
     rho = np.tile(np.abs(np.sum(phase * state.coefficients, axis=1)) ** 2, n_periods)
@@ -242,4 +274,4 @@ def synthesize_density(state: LadderState, envelope: EnvelopeSpec) -> Wavepacket
         f2 *= -4.0 * math.log(2.0)
         rho *= np.exp(f2, out=f2)
     rho /= np.sum(rho) * dt_eff
-    return WavepacketDensity(rho, dt_eff, t0, envelope, state.beam.omega0)
+    return WavepacketDensity(rho, lattice)

@@ -107,6 +107,10 @@ class TruncatedSpace:
         if not self.modes:
             raise ValueError("need at least one mode")
         object.__setattr__(self, "modes", tuple(self.modes))
+        harmonics = [m.harmonic for m in self.modes]
+        if len(set(harmonics)) < len(harmonics):  # observables key each mode by its harmonic
+            twice = next(h for h in harmonics if harmonics.count(h) > 1)
+            raise ValueError(f"two modes at harmonic {twice}: each needs its own harmonic")
         if self.dimension > _DIMENSION_LIMIT:
             raise PhysicsGuardError(
                 f"truncated space dimension {self.dimension} exceeds {_DIMENSION_LIMIT}"

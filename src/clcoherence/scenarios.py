@@ -50,7 +50,6 @@ from .spectra import (
     band_spectrum,
     density_spectrum,
     doc_map,
-    fft_pad,
     ladder_spectrum,
     mean_field,
     optimal_bunching_distance,
@@ -317,8 +316,8 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
     n_keep = DOC_SLICE_HARMONICS  # below 2J: auto_cutoff is at least 20
     top = n_keep * w0 * (1.0 + 1.0e-12)
     # harmonics sit on k = 0 (mod periods x pad): one period of the density, summed over periods
-    pad = fft_pad(cfg.envelope)
-    per_harmonic = density.periods_in_window * pad
+    lattice = density.lattice
+    per_harmonic = lattice.periods * lattice.pad
     harmonics = density_spectrum(density, top, step=per_harmonic)
 
     n = np.arange(-n_keep, n_keep + 1)
@@ -338,7 +337,7 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
         },
     )
 
-    step = _spectrum_step(pad * density.samples.size, n_keep * per_harmonic)
+    step = _spectrum_step(lattice.n_fft, n_keep * per_harmonic)
     spectrum = density_spectrum(density, top, step=step)
     doc_by_n = np.abs(f_all[2 * state.cutoff :]) ** 2
     summary = {
@@ -346,7 +345,7 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
         "envelope": {"kind": cfg.envelope.kind, "fwhm_fs": cfg.envelope.fwhm_fs},
         "samples": int(density.samples.size),
         "dt_fs": density.dt,
-        "periods_in_window": density.periods_in_window,
+        "periods_in_window": lattice.periods,
         "width_at_1pct": int(spectral_width(doc_by_n, 0.01)),
         "max_fft_ladder_mismatch": float(np.max(np.abs(f_fft - f_lad))),
     }

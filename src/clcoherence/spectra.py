@@ -18,9 +18,9 @@ statistics follow from F evaluated at sums and differences of frequencies:
 
 Routes to F: `ladder_spectrum` on the harmonic lattice; `band_spectrum`, the
 production route, in closed form on a sampled density's lattice cut to a band;
-`density_spectrum`, the FFT of a synthesized density on the same x8-padded
-lattice, whole or cut to a band, kept as the independent cross-check
-(doc-slice and the tests).  Asked for every s-th bin only, it transforms the
+`density_spectrum`, the FFT of a synthesized density on the same padded
+lattice (`SamplingLattice`), whole or cut to a band, kept as the independent
+cross-check (doc-slice and the tests).  Asked for every s-th bin only, it transforms the
 padded density summed modulo n/s, n/s points instead of n: sampling the DFT
 in frequency aliases the sequence in time (Oppenheim & Schafer,
 Discrete-Time Signal Processing, sec. 8.4).  doc-slice reads its harmonics
@@ -47,7 +47,6 @@ _HERMITIAN_TOL = 1.0e-10
 _MODULUS_TOL = 1.0e-9
 _GRID_SNAP_TOL = 1.0e-6  # in units of one grid step
 
-_FINITE_PAD_FACTOR = 8
 _UNIFORM_TOL = 1.0e-9  # relative spread of grid steps
 # Distances per doc_map block: bounds its amplitudes and per-harmonic products
 # (~50 B per level and distance) instead of holding them for the whole scan.
@@ -153,52 +152,23 @@ class DensitySpectrum:
         return complex(out) if np.isscalar(omega) else out
 
 
-def _fft_lattice(
-    n_fft: int, dt: float, max_omega: float, step: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """(k, omega) of the centred n_fft-point FFT lattice, k = -(n_fft//2)..(n_fft-1)//2
-    and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to |omega| <= max_omega and
-    to the bins k = 0 (mod step)."""
-    if not max_omega > 0.0:
-        raise ValueError("max_omega must be positive (rad/fs)")
-    val = 1.0 / (n_fft * dt)
-    k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
-    lo, hi = max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2)
-    k = step * np.arange(-(-lo // step), hi // step + 1)
-    omega = TWO_PI * (k * val)
-    keep = np.abs(omega) <= max_omega
-    return k[keep], omega[keep]
-
-
-def fft_pad(envelope: EnvelopeSpec) -> int:
-    """Zero-padding factor of the FFT lattice: x8 for a finite envelope, x1 for an infinite one."""
-    return 1 if envelope.kind == "infinite" else _FINITE_PAD_FACTOR
-
-
 def density_spectrum(
     density: WavepacketDensity, max_omega: float | None = None, step: int = 1
 ) -> DensitySpectrum:
-    """FFT of a density sampled on a window centred on t = 0 (else ValueError),
-    normalized to F(0) = 1, on its lattice cut to |omega| <= max_omega (None: all)
-    and to every step-th bin, k = 0 (mod step).
+    """FFT of a density on its padded lattice, normalized to F(0) = 1, cut to
+    |omega| <= max_omega (None: all) and to every step-th bin, k = 0 (mod step).
 
-    Finite envelopes are zero-padded x8 so line shapes are resolved while
-    harmonics of omega0 still land exactly on the padded lattice; infinite
-    envelopes are transformed unpadded, making every off-harmonic bin vanish
-    identically by discrete orthogonality.  `step` must divide the padded
-    length n (else ValueError): bin step*j of the n-point DFT is bin j of the
-    (n/step)-point DFT of the padded density summed modulo n/step, so only that
-    fold is transformed.
+    `step` must divide the padded length n (else ValueError): bin step*j of the
+    n-point DFT is bin j of the (n/step)-point DFT of the padded density summed
+    modulo n/step, so only that fold is transformed.
     """
     rho = density.samples
-    pad = fft_pad(density.envelope)
-    n_fft = pad * rho.size
+    lattice = density.lattice
+    n_fft, pad = lattice.n_fft, lattice.pad
     if not (1 <= step <= n_fft and n_fft % step == 0):
         raise ValueError(f"step {step!r} must divide the padded length {n_fft}")
-    if not abs(2.0 * density.t0 + rho.size * density.dt) <= 1.0e-12 * rho.size * density.dt:
-        raise ValueError("the density's window must be centred on t = 0 (t0 = -N dt/2)")
     m = n_fft // step
-    k, omega = _fft_lattice(n_fft, density.dt, math.inf if max_omega is None else max_omega, step)
+    k, omega = lattice.frequencies(math.inf if max_omega is None else max_omega, step)
     if m < rho.size:  # fold the density, whose zero padding adds nothing to the sums
         whole, rest = divmod(rho.size, m)
         folded = rho[: whole * m].reshape(whole, m).sum(axis=0)
@@ -219,17 +189,16 @@ def band_spectrum(state: LadderState, envelope: EnvelopeSpec, max_omega: float) 
 
     gaussian |f|^2 of FWHM D:  F(w) = sum_n L_n e^{-a (w - n w0)^2} / sum_n L_n e^{-a (n w0)^2},
     a = D^2 / (16 ln 2), each line summed only where it does not underflow to 0;
-    infinite:  L_n / L_0 at the harmonics of the unpadded lattice, 0 elsewhere.
+    infinite:  L_n / L_0 at the lattice's harmonics, 0 elsewhere.
     """
-    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff)
-    n_fft = per_period * periods * fft_pad(envelope)
-    k, omega = _fft_lattice(n_fft, dt_eff, max_omega)
+    lattice = sampling_lattice(state.beam, envelope, state.cutoff)
+    k, omega = lattice.frequencies(max_omega)
 
     n_max = 2 * state.cutoff
     lines = ladder_spectrum(state, n_max)  # L_n at n omega0, n = -n_max..n_max
     values = np.zeros(omega.size, dtype=complex)
     if envelope.kind == "infinite":
-        h, offset = np.divmod(k, periods)
+        h, offset = np.divmod(k, lattice.periods * lattice.pad)
         on = (offset == 0) & (np.abs(h) <= n_max)
         values[on] = lines.values[h[on] + n_max]
     else:
@@ -286,7 +255,7 @@ def doc_map(
     are built for about `_DOC_MAP_BLOCK` distances at a time.
     """
     d = np.asarray(distances, dtype=float)
-    if np.any(d < 0.0):
+    if not np.all(d >= 0.0):  # a NaN trips it
         raise ValueError("distances must be non-negative (nm)")
     if n_max is None:
         n_max = 2 * state.cutoff

@@ -208,6 +208,8 @@ class TestReferencePulse:
         for sigma, counts in ((math.nan, 10.0), (W0, math.nan)):  # a NaN trips the guard
             with pytest.raises(ValueError):
                 ReferencePulse.gaussian(grid, 3 * W0, sigma, counts)
+        with pytest.raises(ValueError, match="not finite"):  # a NaN centre: a NaN profile
+            ReferencePulse.gaussian(grid, math.nan, W0, 10.0)
 
     def test_gaussian_on_one_point_grid_rejected(self):
         with pytest.raises(ValueError, match="2 or more points"):

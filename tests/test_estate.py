@@ -234,8 +234,9 @@ class TestPropagation:
         np.testing.assert_allclose(out.coefficients, expected, rtol=0.0, atol=1e-12)
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            propagate(pinem_ladder(1.0, BEAM), -1.0)
+        for distance in (-1.0, math.nan):  # a NaN is refused, not sent on to the guards
+            with pytest.raises(ValueError, match="non-negative"):
+                propagate(pinem_ladder(1.0, BEAM), distance)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -277,7 +278,7 @@ class TestDensitySynthesis:
         )
         rho = density.samples
         half = 0.5 * rho.max()
-        times = density.t0 + density.dt * np.arange(rho.size)
+        times = density.dt * (np.arange(rho.size) - 0.5 * rho.size)
         above = times[rho >= half]
         fwhm = above[-1] - above[0]
         assert fwhm == pytest.approx(200.0, rel=5e-3)
@@ -287,7 +288,7 @@ class TestDensitySynthesis:
         window = density.samples.size * density.dt
         periods = window / BEAM.optical_period
         assert periods == pytest.approx(round(periods), abs=1e-9)
-        assert density.periods_in_window == round(periods)
+        assert density.lattice.periods == round(periods)
 
     def test_dt_snapped_to_period_fraction(self):
         density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
@@ -297,15 +298,15 @@ class TestDensitySynthesis:
 
     def test_256_samples_a_period_up_to_half_width_127(self):
         for cutoff in range(128):
-            assert sampling_lattice(BEAM, EnvelopeSpec("infinite"), cutoff)[1] == 256
+            assert sampling_lattice(BEAM, EnvelopeSpec("infinite"), cutoff).per_period == 256
 
     @pytest.mark.parametrize(
         "cutoff,per_period", [(128, 512), (255, 512), (256, 1024), (511, 1024), (1023, 2048)]
     )
     def test_samples_a_period_are_the_power_of_two_above_2j(self, cutoff, per_period):
-        dt, got, _ = sampling_lattice(BEAM, EnvelopeSpec("infinite"), cutoff)
-        assert got == per_period
-        assert dt == BEAM.optical_period / per_period
+        lattice = sampling_lattice(BEAM, EnvelopeSpec("infinite"), cutoff)
+        assert lattice.per_period == per_period
+        assert lattice.dt == BEAM.optical_period / per_period
 
     def test_window_too_short_rejected(self):
         state = pinem_ladder(1.0, BEAM)
@@ -317,14 +318,29 @@ class TestDensitySynthesis:
         rho = density.samples.copy()
         rho[7] = math.nan
         with pytest.raises(PhysicsGuardError, match="negative"):
-            WavepacketDensity(rho, density.dt, density.t0, density.envelope, density.omega0)
+            WavepacketDensity(rho, density.lattice)
 
     def test_nan_step_trips_integral_guard(self):
         density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
         with pytest.raises(PhysicsGuardError, match="integral"):
-            WavepacketDensity(
-                density.samples, math.nan, density.t0, density.envelope, density.omega0
-            )
+            WavepacketDensity(density.samples, density.lattice._replace(dt=math.nan))
+
+    def test_one_sample_per_lattice_time(self):
+        density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
+        lattice = density.lattice
+        assert density.samples.size == lattice.per_period * lattice.periods
+        with pytest.raises(ValueError, match="one sample per time"):
+            WavepacketDensity(density.samples, lattice._replace(periods=lattice.periods + 1))
+
+    @pytest.mark.parametrize(
+        "envelope,pad",
+        [(EnvelopeSpec("infinite"), 1), (EnvelopeSpec("gaussian", fwhm_fs=200.0), 8)],
+        ids=["infinite", "gaussian"],
+    )
+    def test_pad_and_fft_length(self, envelope, pad):
+        lattice = sampling_lattice(BEAM, envelope, 20)
+        assert lattice.pad == pad
+        assert lattice.n_fft == pad * lattice.per_period * lattice.periods
 
     def test_envelope_validation(self):
         with pytest.raises(ValueError):
@@ -335,6 +351,13 @@ class TestDensitySynthesis:
             EnvelopeSpec("boxcar")
         with pytest.raises(ValueError):
             EnvelopeSpec("infinite", fwhm_fs=100.0)
+        # a NaN or non-positive width or window is refused here, not by sampling_lattice
+        for fwhm_fs, window_fs in ((math.nan, None), (100.0, math.nan), (100.0, 0.0)):
+            with pytest.raises(ValueError, match="positive"):
+                EnvelopeSpec("gaussian", fwhm_fs, window_fs)
+        for window_fs in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="window_fs must be positive"):
+                EnvelopeSpec("infinite", window_fs=window_fs)
 
 
 def running_phasor_density(state, envelope):
@@ -344,7 +367,7 @@ def running_phasor_density(state, envelope):
     with a running phasor, is multiplied by the amplitude envelope f(t), and is
     squared and normalized on `sampling_lattice`'s lattice.
     """
-    dt_eff, per_period, periods = sampling_lattice(state.beam, envelope, state.cutoff)
+    dt_eff, per_period, periods, _ = sampling_lattice(state.beam, envelope, state.cutoff)
     t = -0.5 * (periods * state.beam.optical_period) + dt_eff * np.arange(periods * per_period)
     omega0 = state.beam.omega0
     step = np.exp(-1j * omega0 * t)
@@ -399,7 +422,7 @@ class TestPeriodicSynthesis:
         envelope = replace(envelope, window_fs=periods * BEAM.optical_period)
         density = self.assert_matches_loop(state, envelope)
         assert round(BEAM.optical_period / density.dt) == 512
-        assert density.periods_in_window == periods
+        assert density.lattice.periods == periods
 
     @pytest.mark.parametrize(
         "envelope,window",
@@ -413,7 +436,7 @@ class TestPeriodicSynthesis:
         # t0 = -n_periods T0/2 is then a half period off the period grid
         state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
         density = self.assert_matches_loop(state, replace(envelope, window_fs=window))
-        assert density.periods_in_window % 2 == 1
+        assert density.lattice.periods % 2 == 1
 
 
 @settings(max_examples=30, deadline=None)

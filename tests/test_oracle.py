@@ -179,6 +179,14 @@ class TestEvolution:
         with pytest.raises(PhysicsGuardError):
             evolve(space, state.coefficients)
 
+    @pytest.mark.parametrize("harmonics,twice", [((1, 1), 1), ((1, 2, 2), 2)])
+    def test_two_modes_at_one_harmonic_rejected(self, harmonics, twice):
+        # observables key each mode by its harmonic: a second mode there would
+        # overwrite the first's mean photon number and pair entries
+        modes = tuple(OracleMode(h, 0.1 * (i + 1), 4) for i, h in enumerate(harmonics))
+        with pytest.raises(ValueError, match=f"two modes at harmonic {twice}:"):
+            TruncatedSpace(20, modes)
+
     def test_dimension_guard(self):
         with pytest.raises(PhysicsGuardError):
             TruncatedSpace(10000, (OracleMode(1, 0.1),))

@@ -30,7 +30,6 @@ from clcoherence import (
     GridCoverageError,
     PhysicsGuardError,
     ReferencePulse,
-    WavepacketDensity,
     band_spectrum,
     central_moment,
     coupling_amplitude,
@@ -52,13 +51,11 @@ from clcoherence import (
 from clcoherence.config import LIMITS, ScenarioConfig
 from clcoherence.constants import TWO_PI
 from clcoherence.scenarios import build_state
-from clcoherence.estate import propagation_phase
+from clcoherence.estate import SamplingLattice, propagation_phase
 from clcoherence.spectra import (
     _DOC_MAP_BLOCK,
-    _fft_lattice,
     _next_fast_len,
     _require_uniform,
-    fft_pad,
 )
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -205,11 +202,11 @@ class TestBandSpectrum:
 
 def exp_phase_spectrum(density):
     """(omega, F) by the full-lattice route: np.fft.ifft, e^{i omega t0} evaluated
-    at every bin, then both arrays fftshifted."""
-    n_fft = density.samples.size * (1 if density.envelope.kind == "infinite" else 8)
+    at every bin, t0 = -N dt/2, then both arrays fftshifted."""
+    n_fft = density.lattice.n_fft
     raw = np.fft.ifft(density.samples, n=n_fft) * (n_fft * density.dt)
     omega = TWO_PI * np.fft.fftfreq(n_fft, d=density.dt)
-    values = raw * np.exp(1j * omega * density.t0)
+    values = raw * np.exp(1j * omega * (-0.5 * density.samples.size * density.dt))
     return np.fft.fftshift(omega), np.fft.fftshift(values)
 
 
@@ -246,14 +243,6 @@ class TestDensitySpectrumBand:
         np.testing.assert_array_equal(band.omega_grid, whole.omega_grid[shared])
         np.testing.assert_array_equal(band.values, whole.values[shared])
 
-    @pytest.mark.parametrize("shift", [1.0, 1.0e-6, math.nan])
-    def test_off_centre_window_is_rejected(self, shift):
-        # the t0 phase table holds only for t0 = -N dt/2
-        d = fft_case_density(*FFT_CASES[2])
-        moved = WavepacketDensity(d.samples, d.dt, d.t0 + shift * d.dt, d.envelope, d.omega0)
-        with pytest.raises(ValueError, match="centred"):
-            density_spectrum(moved)
-
     @pytest.mark.parametrize("max_omega", [0.0, -1.0, math.nan])
     def test_max_omega_must_be_positive(self, max_omega):
         with pytest.raises(ValueError, match="max_omega"):
@@ -280,13 +269,13 @@ class TestDensitySpectrumFold:
     @pytest.mark.parametrize("step", [2, 10, 16, 1200 * 8])
     def test_gaussian_fold_is_every_step_th_bin(self, step):
         density = fft_case_density(*FFT_CASES[0])
-        assert density.periods_in_window == 1200
+        assert density.lattice.periods == 1200
         self.assert_is_every_step_th_bin(density, step)
 
     @pytest.mark.parametrize("step", [1, 64])
     def test_infinite_fold_is_every_step_th_bin(self, step):
         density = fft_case_density(*FFT_CASES[2])
-        assert density.periods_in_window == 64
+        assert density.lattice.periods == 64
         self.assert_is_every_step_th_bin(density, step)
 
     @pytest.mark.parametrize("step", [0, -10, 7, 3943, 2457600 * 2, math.nan])
@@ -304,15 +293,15 @@ class TestLatticeSpanLimit:
 
     LIMIT = LIMITS["lattice_span"].limit
 
-    @pytest.mark.parametrize("envelope", FFT_CASES[0::2], ids=["x8 padded", "unpadded"])
+    @pytest.mark.parametrize("pad", [8, 1], ids=["x8 padded", "unpadded"])
     @pytest.mark.parametrize(
         "period_fs, per_period", [(BEAM.optical_period, 256), (1.2 / 299.792458, 300), (35.36, 509)]
     )
-    def test_lattice_at_the_limit_is_uniform(self, envelope, period_fs, per_period):
-        pad = fft_pad(envelope[2])
+    def test_lattice_at_the_limit_is_uniform(self, pad, period_fs, per_period):
         periods = int(self.LIMIT / (24 * pad))
         max_omega = 24 * TWO_PI / period_fs
-        _, omega = _fft_lattice(pad * per_period * periods, period_fs / per_period, max_omega)
+        lattice = SamplingLattice(period_fs / per_period, per_period, periods, pad)
+        _, omega = lattice.frequencies(max_omega)
         assert 0.99 * self.LIMIT < omega.size // 2 <= self.LIMIT  # steps from 0 up to the top
         _require_uniform(omega, "omega")
 
@@ -331,8 +320,12 @@ class TestLatticeSpanLimit:
         # a top on a lattice point (24 omega0, 1.5 omega0) may round to either side of it
         cfg = ScenarioConfig.from_file(scenario, CONFIGS / f"{name}.json")
         spec = band_spectrum(build_state(cfg), cfg.envelope, cfg.lattice_top)
-        steps = cfg.sizes()["lattice_span"]
+        sizes = cfg.sizes()
+        steps = sizes["lattice_span"]
         assert round(spec.omega_grid[-1] / spec.domega) in (steps - 1, steps)
+        if scenario == "doc-slice":  # the load-time count is the array the run builds
+            density = synthesize_density(build_state(cfg), cfg.envelope)
+            assert sizes["samples"] == density.lattice.n_fft
 
 
 class TestNumpyFFTAgainstScipy:
@@ -355,9 +348,8 @@ class TestNumpyFFTAgainstScipy:
         max_omega = min(2 * state.cutoff, 24) * cfg.beam.omega0 * (1.0 + 1e-12)
         spec = density_spectrum(density, max_omega, step=1)  # no fold: the whole transform
 
-        pad = 1 if density.envelope.kind == "infinite" else 8
-        n_fft = pad * density.samples.size
-        k, omega = _fft_lattice(n_fft, density.dt, max_omega)
+        pad, n_fft = density.lattice.pad, density.lattice.n_fft
+        k, omega = density.lattice.frequencies(max_omega)
         phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
         ref = ifft(density.samples, n=n_fft)[k] * (n_fft * density.dt) * phase[k % (2 * pad)]
         assert spec.omega_grid.tobytes() == omega.tobytes()
@@ -528,6 +520,11 @@ class TestDegreeOfCoherence:
             expected = abs(analytic_pinem_overlap(1.0, n, 0.1)) ** 2
             assert dm[n, 1] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_doc_map_rejects_negative_or_nan_distance(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            doc_map(pinem_ladder(2.0, BEAM), np.array([0.0, bad, 1.0e6]), n_max=3)
+
     def test_doc_zero_row_is_unity(self):
         state = pinem_ladder(2.0, BEAM)
         dm = doc_map(state, np.linspace(0, 1e7, 11), n_max=3)
@@ -653,7 +650,8 @@ class TestCentralMoments:
         # <(b - F)^N> = integral rho(t) (e^{i w t} - F)^N dt, evaluated by
         # direct Riemann sum on the synthesized density: an independent route
         # that bypasses the binomial expansion entirely.
-        t = density.t0 + density.dt * np.arange(density.samples.size)
+        n = density.samples.size
+        t = density.dt * (np.arange(n) - 0.5 * n)  # the lattice's times, centred on t = 0
         b = np.exp(1j * omega * t)
         return np.sum(density.samples * (b - f_omega) ** order) * density.dt
 
