@@ -20,6 +20,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
+# Grid points per block of `WaveguideCoupling.eels_probability` (128 kB a float array)
+_EELS_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class FlatCoupling:
@@ -51,7 +54,7 @@ class GaussianBandCoupling:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.center <= 0.0 or self.sigma <= 0.0:
+        if not (self.center > 0.0 and self.sigma > 0.0):  # a NaN trips it
             raise ValueError("center and sigma must be positive (rad/fs)")
 
     def amplitude(self, omega):
@@ -116,11 +119,12 @@ class WaveguideCoupling:
     length: float
 
     def __post_init__(self) -> None:
-        if self.omega_match <= 0.0:
+        # `not (x > 0)`: a NaN trips it
+        if not self.omega_match > 0.0:
             raise ValueError("omega_match must be positive (rad/fs)")
-        if self.v_electron <= 0.0 or self.v_group <= 0.0:
+        if not (self.v_electron > 0.0 and self.v_group > 0.0):
             raise ValueError("velocities must be positive (nm/fs)")
-        if self.length <= 0.0:
+        if not self.length > 0.0:
             raise ValueError("length must be positive (nm)")
 
     def phase_mismatch(self, omega):
@@ -139,13 +143,24 @@ class WaveguideCoupling:
         return out if np.asarray(omega).shape else complex(out)
 
     def eels_probability(self) -> float:
-        # |g|^2 integrated over the model band (0, 2*omega_match); the sinc
-        # tails beyond fall off as 1/delta^2 and contribute negligibly.
+        """|g|^2 integrated over the model band (0, 2*omega_match) by the trapezoid
+        rule on 200,001 points; the sinc tails beyond fall off as 1/delta^2 and
+        contribute negligibly.
+
+        Working set: the grid and its 200,000 trapezoid terms d (y1 + y0) / 2, plus
+        the temporaries of one `_EELS_BLOCK`-point block of |g|^2.  One np.sum over
+        the terms is np.trapezoid's pairwise sum, so the result is its bit for bit.
+        """
         lo = self.omega_match * 1.0e-2
         hi = 2.0 * self.omega_match - lo
         dense = np.linspace(lo, hi, 200001)
-        g2 = abs(complex(self.g0)) ** 2 * self.envelope(dense) ** 2  # |e^{ix}| = 1
-        return float(np.trapezoid(g2, dense))
+        g0_sq = abs(complex(self.g0)) ** 2
+        terms = np.empty(dense.size - 1)
+        for i in range(0, terms.size, _EELS_BLOCK):
+            x = dense[i : i + _EELS_BLOCK + 1]  # the block's terms and the next one's first point
+            y = g0_sq * self.envelope(x) ** 2  # |e^{ix}| = 1
+            terms[i : i + _EELS_BLOCK] = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+        return float(np.sum(terms))
 
 
 CouplingModel = Union[FlatCoupling, GaussianBandCoupling, TabulatedCoupling, WaveguideCoupling]

@@ -32,6 +32,9 @@ from .kinematics import BeamParameters, wavenumber
 
 _NORM_TOL = 1.0e-10
 _EDGE_TOL = 1.0e-14
+# Elements per block of `synthesize_density`'s phase matrix and |f|^2 (256 kB complex):
+# the blocks stay in cache, and its working set is one density plus one block.
+_BLOCK = 1 << 14
 
 
 def auto_cutoff(beta_abs: float) -> int:
@@ -136,8 +139,8 @@ def propagation_phase(beam: BeamParameters, j: np.ndarray, distance, mode: str) 
 
 def propagate(state: LadderState, distance: float, mode: str = "exact") -> LadderState:
     """Propagate a ladder state by `distance` nm with `propagation_phase`."""
-    if not distance >= 0.0:  # a NaN trips it
-        raise ValueError("distance must be non-negative (nm)")
+    if not 0.0 <= distance < math.inf:  # a NaN trips it
+        raise ValueError("distance must be non-negative and finite (nm)")
     phase = propagation_phase(state.beam, state.level_indices, distance, mode)
     return replace(state, coefficients=state.coefficients * phase)
 
@@ -156,12 +159,12 @@ class EnvelopeSpec:
         if self.kind not in ("infinite", "gaussian"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.fwhm_fs is None or not self.fwhm_fs > 0.0:  # a NaN trips it
-                raise ValueError("gaussian envelope requires a positive fwhm_fs")
+            if self.fwhm_fs is None or not 0.0 < self.fwhm_fs < math.inf:  # a NaN trips it
+                raise ValueError("gaussian envelope requires a positive, finite fwhm_fs")
         elif self.fwhm_fs is not None:
             raise ValueError("infinite envelope takes no fwhm_fs")
-        if self.window_fs is not None and not self.window_fs > 0.0:
-            raise ValueError("window_fs must be positive")
+        if self.window_fs is not None and not 0.0 < self.window_fs < math.inf:
+            raise ValueError("window_fs must be positive and finite")
 
 
 class SamplingLattice(NamedTuple):
@@ -198,7 +201,12 @@ class SamplingLattice(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class WavepacketDensity:
     """Sampled comoving temporal density rho(t) with unit integral: one sample per
-    time t_i = (i - N/2) dt of its lattice's window, N = per_period * periods."""
+    time t_i = (i - N/2) dt of its lattice's window, N = per_period * periods.
+
+    `samples` is read-only.  A writable array is copied, so the density does not
+    alias an array its caller may go on writing; a read-only float array is kept
+    as it is, which is how `synthesize_density` hands over its own without a copy.
+    Negatives down to -1e-12 are clamped to 0, in a copy."""
 
     samples: np.ndarray
     lattice: SamplingLattice
@@ -207,9 +215,12 @@ class WavepacketDensity:
         rho = np.asarray(self.samples, dtype=float)
         if rho.shape != (self.lattice.per_period * self.lattice.periods,):
             raise ValueError("a density holds one sample per time of its lattice")
-        if not np.min(rho) >= -1.0e-12:
+        low = np.min(rho)
+        if not low >= -1.0e-12:
             raise PhysicsGuardError("density has significantly negative samples")
-        rho = np.maximum(rho, 0.0)
+        if low < 0.0 or rho.flags.writeable:
+            rho = np.maximum(rho, 0.0)
+            rho.flags.writeable = False
         object.__setattr__(self, "samples", rho)
         total = float(np.sum(rho) * self.dt)
         if not abs(total - 1.0) <= 1.0e-8:
@@ -256,22 +267,34 @@ def synthesize_density(state: LadderState, envelope: EnvelopeSpec) -> Wavepacket
     """Sample rho(t) = |f(t)|^2 |sum_j c_j e^{-i j omega0 t}|^2, normalized to 1, on
     the time lattice of `sampling_lattice` (its defaults and guards).  The ladder
     sum has period T0: one period, at times less whole periods (small phases), is
-    a (P x 2J+1) phase matrix times the coefficients, tiled before |f|^2 is applied."""
+    a (P x 2J+1) phase matrix times the coefficients, tiled before |f|^2 is applied.
+
+    Working set: the N-sample density and one block of `_BLOCK` elements.  The
+    phase matrix is summed a block of rows at a time and |f|^2 applied to a block
+    of samples at a time, each row and sample by the whole-array arithmetic, so
+    the samples do not depend on the blocking."""
     lattice = sampling_lattice(state.beam, envelope, state.cutoff)
-    dt_eff, n_periods = lattice.dt, lattice.periods
+    dt_eff, per_period, n_periods = lattice.dt, lattice.per_period, lattice.periods
     t_period = state.beam.optical_period
     t0 = -0.5 * (n_periods * t_period)
-    t_one = dt_eff * np.arange(lattice.per_period) - 0.5 * (n_periods % 2) * t_period
-    phase = np.exp(np.multiply.outer(-1j * state.beam.omega0 * t_one, state.level_indices))
-    # summed elementwise: a BLAS matvec this size wakes OpenBLAS threads that then spin
-    rho = np.tile(np.abs(np.sum(phase * state.coefficients, axis=1)) ** 2, n_periods)
-    if envelope.kind == "gaussian":  # |f(t)|^2 built in one buffer, t = t0 + i dt
-        f2 = np.arange(rho.size, dtype=float)
-        f2 *= dt_eff
-        f2 += t0
-        f2 /= envelope.fwhm_fs
-        np.square(f2, out=f2)
-        f2 *= -4.0 * math.log(2.0)
-        rho *= np.exp(f2, out=f2)
+    t_one = dt_eff * np.arange(per_period) - 0.5 * (n_periods % 2) * t_period
+    arg = -1j * state.beam.omega0 * t_one
+    psi = np.empty(per_period, dtype=complex)
+    rows = max(1, _BLOCK // state.coefficients.size)
+    for lo in range(0, per_period, rows):
+        phase = np.exp(np.multiply.outer(arg[lo : lo + rows], state.level_indices))
+        # summed elementwise: a BLAS matvec this size wakes OpenBLAS threads that then spin
+        psi[lo : lo + rows] = np.sum(phase * state.coefficients, axis=1)
+    rho = np.tile(np.abs(psi) ** 2, n_periods)
+    if envelope.kind == "gaussian":  # |f(t)|^2 a block at a time, t = t0 + i dt
+        for lo in range(0, rho.size, _BLOCK):
+            f2 = np.arange(lo, min(lo + _BLOCK, rho.size), dtype=float)
+            f2 *= dt_eff
+            f2 += t0
+            f2 /= envelope.fwhm_fs
+            np.square(f2, out=f2)
+            f2 *= -4.0 * math.log(2.0)
+            rho[lo : lo + _BLOCK] *= np.exp(f2, out=f2)
     rho /= np.sum(rho) * dt_eff
+    rho.flags.writeable = False  # handed over: the density keeps it without a copy
     return WavepacketDensity(rho, lattice)

@@ -309,16 +309,18 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
     ladder sums at the harmonics.  spectrum.csv holds the FFT on every s-th point
     of its lattice; its omega < 0 rows are written as the Hermitian mirror of the
     omega > 0 rows, once the FFT's own omega < 0 half has passed DensitySpectrum's
-    guard, and the density is released before they are written."""
+    guard.  The density's one reference is popped into spectrum.csv's transform,
+    which frees the samples once it has folded them, before its rfft (CPython
+    3.11 and later move a call's arguments into the callee's frame)."""
     state = build_state(cfg)
-    density = synthesize_density(state, cfg.envelope)
+    held = [synthesize_density(state, cfg.envelope)]
     w0 = cfg.beam.omega0
     n_keep = DOC_SLICE_HARMONICS  # below 2J: auto_cutoff is at least 20
     top = n_keep * w0 * (1.0 + 1.0e-12)
     # harmonics sit on k = 0 (mod periods x pad): one period of the density, summed over periods
-    lattice = density.lattice
+    lattice = held[0].lattice
     per_harmonic = lattice.periods * lattice.pad
-    harmonics = density_spectrum(density, top, step=per_harmonic)
+    harmonics = density_spectrum(held[0], top, step=per_harmonic)
 
     n = np.arange(-n_keep, n_keep + 1)
     f_fft = harmonics.value_at(n * w0)
@@ -337,19 +339,18 @@ def _run_doc_slice(cfg: ScenarioConfig, write):
         },
     )
 
-    step = _spectrum_step(lattice.n_fft, n_keep * per_harmonic)
-    spectrum = density_spectrum(density, top, step=step)
     doc_by_n = np.abs(f_all[2 * state.cutoff :]) ** 2
     summary = {
         "distance_mm": cfg.propagation.distance_mm,
         "envelope": {"kind": cfg.envelope.kind, "fwhm_fs": cfg.envelope.fwhm_fs},
-        "samples": int(density.samples.size),
-        "dt_fs": density.dt,
+        "samples": int(held[0].samples.size),
+        "dt_fs": held[0].dt,
         "periods_in_window": lattice.periods,
         "width_at_1pct": int(spectral_width(doc_by_n, 0.01)),
         "max_fft_ladder_mismatch": float(np.max(np.abs(f_fft - f_lad))),
     }
-    del density  # the row text held while spectrum.csv is written stays below its peak
+    step = _spectrum_step(lattice.n_fft, n_keep * per_harmonic)
+    spectrum = density_spectrum(held.pop(), top, step=step)
     f = spectrum.values
     columns = {
         "omega_over_omega0": spectrum.omega_grid / w0,

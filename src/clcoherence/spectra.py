@@ -161,9 +161,14 @@ def density_spectrum(
     `step` must divide the padded length n (else ValueError): bin step*j of the
     n-point DFT is bin j of the (n/step)-point DFT of the padded density summed
     modulo n/step, so only that fold is transformed.
+
+    Working set: the fold (n/step floats), its rfft (n/(2 step) complex) and the
+    kept bins, besides the density.  No reference to the density is held past
+    the fold: a caller that hands over its only one frees the N samples before
+    the transform.
     """
-    rho = density.samples
-    lattice = density.lattice
+    rho, lattice, dt = density.samples, density.lattice, density.dt
+    del density
     n_fft, pad = lattice.n_fft, lattice.pad
     if not (1 <= step <= n_fft and n_fft % step == 0):
         raise ValueError(f"step {step!r} must divide the padded length {n_fft}")
@@ -178,7 +183,7 @@ def density_spectrum(
     # rho is real: ifft(rho)_k = conj(rfft(rho)_k) / n_fft for k >= 0, its conjugate at -k.
     r = rfft(rho, n=m)[np.abs(k) // step]
     phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
-    values = np.where(k >= 0, np.conj(r), r) / n_fft * (n_fft * density.dt) * phase[k % (2 * pad)]
+    values = np.where(k >= 0, np.conj(r), r) / n_fft * (n_fft * dt) * phase[k % (2 * pad)]
     return DensitySpectrum(omega, values)
 
 
@@ -255,8 +260,8 @@ def doc_map(
     are built for about `_DOC_MAP_BLOCK` distances at a time.
     """
     d = np.asarray(distances, dtype=float)
-    if not np.all(d >= 0.0):  # a NaN trips it
-        raise ValueError("distances must be non-negative (nm)")
+    if not np.all((d >= 0.0) & (d < math.inf)):  # a NaN trips it
+        raise ValueError("distances must be non-negative and finite (nm)")
     if n_max is None:
         n_max = 2 * state.cutoff
     n_max = int(min(n_max, 2 * state.cutoff))

@@ -1,10 +1,12 @@
 """Coupling models: flat band, Gaussian band, tabulated, traveling-wave coupler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from clcoherence import coupling
 from clcoherence import (
     BeamParameters,
     FlatCoupling,
@@ -65,6 +67,12 @@ class TestGaussianBandCoupling:
             GaussianBandCoupling(0.1, -1.0, 0.1)
         with pytest.raises(ValueError):
             GaussianBandCoupling(0.1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["center", "sigma"])
+    def test_nan_field_is_refused(self, field):
+        kwargs = {"g0": 0.1, "center": 1.0, "sigma": 0.1, field: math.nan}
+        with pytest.raises(ValueError, match="must be positive"):
+            GaussianBandCoupling(**kwargs)
 
 
 class TestTabulatedCoupling:
@@ -181,6 +189,44 @@ class TestWaveguideCoupling:
             self._coupler(-1.0)
         with pytest.raises(ValueError):
             WaveguideCoupling(0.1, -W0, BEAM.velocity, BEAM.velocity, 0.0, 1e5)
+
+    @pytest.mark.parametrize("field", ["omega_match", "v_electron", "v_group", "length"])
+    def test_nan_field_is_refused(self, field):
+        kwargs = {
+            "g0": 0.1,
+            "omega_match": W0,
+            "v_electron": BEAM.velocity,
+            "v_group": 1.05 * BEAM.velocity,
+            "gvd": 0.4,
+            "length": 1e5,
+            field: math.nan,
+        }
+        with pytest.raises(ValueError, match="must be positive"):
+            WaveguideCoupling(**kwargs)
+
+    # the shipped lengths 10, 100, 1000 um; blocks of 4k to 32k points, and one
+    # of 199,999 whose second block is the grid's last term alone
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 14, 1 << 15, 199_999])
+    @pytest.mark.parametrize("gvd", [0.4, 0.0])
+    @pytest.mark.parametrize("length_nm", [1e4, 1e5, 1e6])
+    def test_blocked_eels_is_the_trapezoid_bit_for_bit(self, monkeypatch, length_nm, gvd, block):
+        monkeypatch.setattr(coupling, "_EELS_BLOCK", block)
+        m = WaveguideCoupling(0.3 - 0.4j, W0, BEAM.velocity, 1.05 * BEAM.velocity, gvd, length_nm)
+        lo = 1e-2 * W0
+        dense = np.linspace(lo, 2.0 * W0 - lo, 200001)
+        ref = np.trapezoid(abs(complex(m.g0)) ** 2 * m.envelope(dense) ** 2, dense)
+        assert m.eels_probability() == float(ref)
+
+    def test_eels_peak_is_below_three_grid_arrays(self):
+        m = self._coupler(1e5, gvd=0.4)
+        m.eels_probability()  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            m.eels_probability()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 200001 * 8  # the grid, its terms and one block (whole-array: ~6)
 
 
 class TestDispatch:

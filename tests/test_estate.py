@@ -7,6 +7,7 @@ is checked against a running-phasor sum over the whole window.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from clcoherence import (
     propagate,
     synthesize_density,
 )
-from clcoherence.estate import bessel_ladder, sampling_lattice
+from clcoherence.estate import _BLOCK, bessel_ladder, sampling_lattice
 from clcoherence.spectra import ladder_overlap
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -234,7 +235,8 @@ class TestPropagation:
         np.testing.assert_allclose(out.coefficients, expected, rtol=0.0, atol=1e-12)
 
     def test_negative_distance_rejected(self):
-        for distance in (-1.0, math.nan):  # a NaN is refused, not sent on to the guards
+        # a NaN or inf is refused, not sent on to the guards
+        for distance in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="non-negative"):
                 propagate(pinem_ladder(1.0, BEAM), distance)
 
@@ -351,13 +353,36 @@ class TestDensitySynthesis:
             EnvelopeSpec("boxcar")
         with pytest.raises(ValueError):
             EnvelopeSpec("infinite", fwhm_fs=100.0)
-        # a NaN or non-positive width or window is refused here, not by sampling_lattice
-        for fwhm_fs, window_fs in ((math.nan, None), (100.0, math.nan), (100.0, 0.0)):
+        # a NaN, infinite or non-positive width or window is refused here, not by sampling_lattice
+        bad = ((math.nan, None), (100.0, math.nan), (100.0, 0.0), (math.inf, None), (100.0, math.inf))
+        for fwhm_fs, window_fs in bad:
             with pytest.raises(ValueError, match="positive"):
                 EnvelopeSpec("gaussian", fwhm_fs, window_fs)
-        for window_fs in (math.nan, -1.0):
+        for window_fs in (math.nan, -1.0, math.inf):
             with pytest.raises(ValueError, match="window_fs must be positive"):
                 EnvelopeSpec("infinite", window_fs=window_fs)
+
+    def test_samples_are_read_only_and_alias_no_writable_array(self):
+        density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
+        assert not density.samples.flags.writeable
+        # a read-only array is kept; a writable one is copied, and a caller's
+        # later writes to it do not reach the density
+        assert WavepacketDensity(density.samples, density.lattice).samples is density.samples
+        rho = density.samples.copy()
+        copy = WavepacketDensity(rho, density.lattice)
+        assert not np.shares_memory(copy.samples, rho)
+        rho[:] = 0.0
+        np.testing.assert_array_equal(copy.samples, density.samples)
+
+    def test_negative_round_off_is_clamped_in_a_copy(self):
+        density = synthesize_density(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"))
+        rho = density.samples.copy()
+        rho[4] += rho[3]  # the integral stays 1
+        rho[3] = -1.0e-13
+        rho.flags.writeable = False
+        clamped = WavepacketDensity(rho, density.lattice)
+        assert clamped.samples[3] == 0.0 and rho[3] == -1.0e-13
+        assert not clamped.samples.flags.writeable
 
 
 def running_phasor_density(state, envelope):
@@ -380,6 +405,60 @@ def running_phasor_density(state, envelope):
         psi *= np.exp(-2.0 * math.log(2.0) * (t / envelope.fwhm_fs) ** 2)
     rho = np.abs(psi) ** 2
     return rho / (np.sum(rho) * dt_eff)
+
+
+def whole_array_density(state, envelope):
+    """`synthesize_density`'s arithmetic on whole arrays: the one-period phase
+    matrix at once and |f|^2 over the whole window in one buffer."""
+    dt_eff, per_period, n_periods, _ = sampling_lattice(state.beam, envelope, state.cutoff)
+    t_period = state.beam.optical_period
+    t0 = -0.5 * (n_periods * t_period)
+    t_one = dt_eff * np.arange(per_period) - 0.5 * (n_periods % 2) * t_period
+    phase = np.exp(np.multiply.outer(-1j * state.beam.omega0 * t_one, state.level_indices))
+    rho = np.tile(np.abs(np.sum(phase * state.coefficients, axis=1)) ** 2, n_periods)
+    if envelope.kind == "gaussian":
+        f2 = np.arange(rho.size, dtype=float)
+        f2 *= dt_eff
+        f2 += t0
+        f2 /= envelope.fwhm_fs
+        np.square(f2, out=f2)
+        f2 *= -4.0 * math.log(2.0)
+        rho *= np.exp(f2, out=f2)
+    rho /= np.sum(rho) * dt_eff
+    return rho
+
+
+class TestBlockedSynthesis:
+    """The phase matrix and |f|^2 in blocks give the whole-array samples bit for
+    bit, with one density and one block alive at a time."""
+
+    # |beta| = 60: 329 levels, 49 rows a block of the 512-row phase matrix
+    STATE = propagate(pinem_ladder(60.0, BEAM), 6.47e6 * 4.0 / 60.0)
+    ENVELOPES = [
+        EnvelopeSpec("infinite"),
+        EnvelopeSpec("gaussian", fwhm_fs=50.0, window_fs=301 * BEAM.optical_period),
+    ]
+
+    @pytest.mark.parametrize("envelope", ENVELOPES, ids=["infinite", "gaussian-50"])
+    def test_blocks_match_the_whole_arrays_bit_for_bit(self, envelope):
+        density = synthesize_density(self.STATE, envelope)
+        assert density.lattice.per_period > 4 * (_BLOCK // self.STATE.coefficients.size)
+        if envelope.kind == "gaussian":
+            assert density.samples.size > 4 * _BLOCK
+        assert density.samples.tobytes() == whole_array_density(self.STATE, envelope).tobytes()
+
+    @pytest.mark.parametrize("envelope", ENVELOPES, ids=["infinite", "gaussian-50"])
+    def test_peak_is_one_density_and_one_block(self, envelope):
+        synthesize_density(self.STATE, envelope)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            density = synthesize_density(self.STATE, envelope)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block is 16 B a matrix element, its product with the coefficients as much
+        # again; whole arrays took the 2.6 MB phase matrix and two density copies
+        assert peak < density.samples.nbytes + 4 * 16 * _BLOCK
 
 
 def _band_cases():

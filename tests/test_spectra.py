@@ -12,6 +12,8 @@ Independent cross-checks used here:
 """
 
 import math
+import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,7 +52,8 @@ from clcoherence import (
 )
 from clcoherence.config import LIMITS, ScenarioConfig
 from clcoherence.constants import TWO_PI
-from clcoherence.scenarios import build_state
+from clcoherence import scenarios, spectra
+from clcoherence.scenarios import build_state, run_scenario
 from clcoherence.estate import SamplingLattice, propagation_phase
 from clcoherence.spectra import (
     _DOC_MAP_BLOCK,
@@ -277,6 +280,31 @@ class TestDensitySpectrumFold:
         density = fft_case_density(*FFT_CASES[2])
         assert density.lattice.periods == 64
         self.assert_is_every_step_th_bin(density, step)
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="a Python call hands its arguments to the callee's frame from CPython 3.11",
+    )
+    def test_doc_slice_frees_its_density_before_the_large_rfft(self, monkeypatch, tmp_path):
+        # the density's one reference goes into spectrum.csv's transform, which
+        # drops it once folded: the samples are gone when the rfft starts
+        samples, alive_at = [], []
+        synthesize, rfft = scenarios.synthesize_density, spectra.rfft
+
+        def tracked_synthesis(*args):
+            density = synthesize(*args)
+            samples.append(weakref.ref(density.samples))
+            return density
+
+        def tracked_rfft(x, n):
+            alive_at.append((n, samples[0]() is not None))
+            return rfft(x, n=n)
+
+        monkeypatch.setattr(scenarios, "synthesize_density", tracked_synthesis)
+        monkeypatch.setattr(spectra, "rfft", tracked_rfft)
+        cfg = ScenarioConfig.from_file("doc-slice", CONFIGS / "doc_slice.json")
+        run_scenario(cfg, tmp_path)
+        assert alive_at == [(256, True), (245760, False)]
 
     @pytest.mark.parametrize("step", [0, -10, 7, 3943, 2457600 * 2, math.nan])
     def test_step_must_divide_the_padded_length(self, step):
@@ -520,7 +548,7 @@ class TestDegreeOfCoherence:
             expected = abs(analytic_pinem_overlap(1.0, n, 0.1)) ** 2
             assert dm[n, 1] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])  # inf: refused, not a NaN row
     def test_doc_map_rejects_negative_or_nan_distance(self, bad):
         with pytest.raises(ValueError, match="non-negative"):
             doc_map(pinem_ladder(2.0, BEAM), np.array([0.0, bad, 1.0e6]), n_max=3)
