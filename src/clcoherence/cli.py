@@ -63,11 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(message)s",
-        stream=sys.stderr,
-    )
+    # basicConfig adds the handler once per process; the level is set on every call
+    logging.basicConfig(format="%(message)s", stream=sys.stderr)
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         cfg = ScenarioConfig.from_file(args.scenario, args.config)
         if args.seed is not None or args.gnuplot_stub:

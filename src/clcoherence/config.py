@@ -32,6 +32,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import __version__
+from .constants import TWO_PI
 from .detection import BeamSplitter
 from .errors import ConfigError
 from .estate import EnvelopeSpec, auto_cutoff, sampling_lattice
@@ -463,13 +464,22 @@ class ScenarioConfig:
         return center - half, center + half
 
     @property
-    def lattice_top(self) -> float:
-        """|omega| (rad/fs) up to which a run with an envelope reads its spectral lattice."""
+    def lattice_range(self) -> tuple[float, float]:
+        """(low, high) in rad/fs: the part of its spectral lattice a run with an envelope
+        reads.  doc-slice reads |omega| <= 24 omega0, waveguide and pulse-shape 0..hi.
+        detect's noise floor reads F at every sum of two band points, up to 2 hi, and at
+        every difference, down to lo - hi: that end is counted in whole lattice steps,
+        and half a step more, so that the lattice point below each difference is kept."""
         if self.scenario == "doc-slice":
-            return DOC_SLICE_HARMONICS * self.beam.omega0
-        hi = self.band[1]
-        # detect's noise floor reads F at every sum frequency of its band
-        return 2.0 * hi if self.scenario == "detect" else hi
+            top = DOC_SLICE_HARMONICS * self.beam.omega0
+            return -top, top
+        lo, hi = self.band
+        if self.scenario != "detect":
+            return 0.0, hi
+        cutoff = _cutoff(self.modulation.beta_abs, "modulation.beta_abs")
+        lattice = sampling_lattice(self.beam, self.envelope, cutoff)
+        step = TWO_PI / (lattice.n_fft * lattice.dt)
+        return -(math.ceil((hi - lo) / step) + 0.5) * step, 2.0 * hi
 
     def sizes(self) -> dict:
         """The count of every LIMITS row this run has, by row name."""
@@ -495,7 +505,8 @@ class ScenarioConfig:
                 lattice = sampling_lattice(self.beam, env, cutoff)
             except ValueError as exc:
                 raise ConfigError(f"envelope: {exc}") from None
-            steps = self.lattice_top / self.beam.omega0 * lattice.pad * lattice.periods
+            # the steps from 0 to the top, the range's high end in every run
+            steps = self.lattice_range[1] / self.beam.omega0 * lattice.pad * lattice.periods
             sizes["lattice_span"] = int(steps)
             if self.scenario == "doc-slice":  # the one run that synthesizes the density
                 sizes["samples"] = lattice.n_fft

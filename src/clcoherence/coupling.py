@@ -15,6 +15,8 @@ so longer couplers select a narrower spectral slice (bandwidth ~ 1/L).
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -22,6 +24,11 @@ import numpy as np
 
 # Grid points per block of `WaveguideCoupling.eels_probability` (128 kB a float array)
 _EELS_BLOCK = 1 << 14
+
+
+def _require_finite_g0(g0) -> None:
+    if not cmath.isfinite(complex(g0)):
+        raise ValueError("g0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -33,8 +40,11 @@ class FlatCoupling:
     band_max: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.band_min < self.band_max):
+        _require_finite_g0(self.g0)
+        if not (0.0 < self.band_min < self.band_max):  # a NaN trips it
             raise ValueError("need 0 < band_min < band_max (rad/fs)")
+        if not self.band_max < math.inf:
+            raise ValueError("band_max must be finite (rad/fs)")
 
     def amplitude(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -54,8 +64,12 @@ class GaussianBandCoupling:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.center > 0.0 and self.sigma > 0.0):  # a NaN trips it
-            raise ValueError("center and sigma must be positive (rad/fs)")
+        _require_finite_g0(self.g0)
+        # `not (0 < x < inf)`: a NaN trips it
+        if not 0.0 < self.center < math.inf:
+            raise ValueError("center must be positive and finite (rad/fs)")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite (rad/fs)")
 
     def amplitude(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -119,13 +133,18 @@ class WaveguideCoupling:
     length: float
 
     def __post_init__(self) -> None:
-        # `not (x > 0)`: a NaN trips it
-        if not self.omega_match > 0.0:
-            raise ValueError("omega_match must be positive (rad/fs)")
-        if not (self.v_electron > 0.0 and self.v_group > 0.0):
-            raise ValueError("velocities must be positive (nm/fs)")
-        if not self.length > 0.0:
-            raise ValueError("length must be positive (nm)")
+        _require_finite_g0(self.g0)
+        # `not (0 < x < inf)`: a NaN trips it
+        if not 0.0 < self.omega_match < math.inf:
+            raise ValueError("omega_match must be positive and finite (rad/fs)")
+        if not 0.0 < self.v_electron < math.inf:
+            raise ValueError("v_electron must be positive and finite (nm/fs)")
+        if not 0.0 < self.v_group < math.inf:
+            raise ValueError("v_group must be positive and finite (nm/fs)")
+        if not math.isfinite(self.gvd):
+            raise ValueError("gvd must be finite (fs^2/nm)")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("length must be positive and finite (nm)")
 
     def phase_mismatch(self, omega):
         """dk(omega) in rad/nm."""

@@ -182,20 +182,27 @@ class SamplingLattice(NamedTuple):
         """Length of the padded FFT lattice."""
         return self.per_period * self.periods * self.pad
 
-    def frequencies(self, max_omega: float, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def frequencies(self, low: float, high: float, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """(k, omega) of the centred n_fft-point FFT lattice, k = -(n_fft//2)..(n_fft-1)//2
-        and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to |omega| <= max_omega and
-        to the bins k = 0 (mod step)."""
-        if not max_omega > 0.0:
-            raise ValueError("max_omega must be positive (rad/fs)")
+        and omega_k = 2 pi (k * val), val = 1/(n_fft dt), cut to low <= omega <= high
+        (either end may be infinite) and to the bins k = 0 (mod step).
+
+        Both are views: one k and one omega array span the cut and a bin either side
+        of it, and two bounds on the ascending omega cut them."""
+        if not low < high:  # a NaN trips it
+            raise ValueError("need low < high (rad/fs)")
         n_fft = self.n_fft
         val = 1.0 / (n_fft * self.dt)
-        k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
-        lo, hi = max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2)
-        k = step * np.arange(-(-lo // step), hi // step + 1)
-        omega = TWO_PI * (k * val)
-        keep = np.abs(omega) <= max_omega
-        return k[keep], omega[keep]
+        unit = TWO_PI * val
+        # a bin beyond each end, within the lattice; an infinite end is clamped first
+        first = max(-(n_fft // 2), math.floor(min(max(low / unit, -n_fft), n_fft)) - 1)
+        last = min((n_fft - 1) // 2, math.ceil(min(max(high / unit, -n_fft), n_fft)) + 1)
+        k = np.arange(-(-first // step), last // step + 1)
+        k *= step
+        omega = k * val
+        omega *= TWO_PI
+        cut = slice(np.searchsorted(omega, low), np.searchsorted(omega, high, side="right"))
+        return k[cut], omega[cut]
 
 
 @dataclass(frozen=True, eq=False)

@@ -477,12 +477,16 @@ MODE_SETS = ((1,), (1, 2))
 def run_test_matrix(beam: BeamParameters) -> list[OracleCheckRow]:
     """The full validation matrix: |beta| x d/z_T x g x mode sets (54 rows).  The
     three distances of a (|beta|, g, modes) evolve on one space object, so they
-    share its seed series (`evolve`): 18 series for 54 rows, gone on return with
-    the basis cache, whose memory a later run in the process then reuses."""
-    spaces = {}
-    grid = product(BETA_GRID, DISTANCE_GRID, COUPLING_GRID, MODE_SETS)
-    rows = [_run_single(b, d, g, m, beam, spaces) for b, d, g, m in grid]
-    _basis.cache_clear()
+    share its seed series (`evolve`): 18 series for 54 rows.  The spaces of a
+    |beta| and the basis cache go once that |beta|'s 18 rows are done, so at
+    most one |beta|'s series and bases are held at a time."""
+    rows = []
+    for b in BETA_GRID:
+        spaces = {}
+        grid = product(DISTANCE_GRID, COUPLING_GRID, MODE_SETS)
+        rows.extend(_run_single(b, d, g, m, beam, spaces) for d, g, m in grid)
+        del spaces
+        _basis.cache_clear()
     return rows
 
 

@@ -190,10 +190,10 @@ def build_state(cfg: ScenarioConfig) -> LadderState:
 
 
 def _band_spectrum(cfg: ScenarioConfig, what: str):
-    """F on the sampled lattice of a run up to |omega| = cfg.lattice_top; the band
+    """F on the part of a run's sampled lattice it reads, cfg.lattice_range; the band
     lo <= omega <= hi that the run reads (cfg.band) must hold 2 or more lattice points."""
     lo, hi = cfg.band
-    spectrum = band_spectrum(build_state(cfg), cfg.envelope, cfg.lattice_top)
+    spectrum = band_spectrum(build_state(cfg), cfg.envelope, *cfg.lattice_range)
     w = spectrum.omega_grid
     if np.count_nonzero((w > 0.0) & (w >= lo) & (w <= hi)) < 2:
         raise ConfigError(

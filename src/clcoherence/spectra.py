@@ -58,9 +58,12 @@ def _require_uniform(x: np.ndarray, what: str) -> None:
     steps agree to 1e-9 relative."""
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"{what} must be a 1-D grid of at least 2 points")
+    # max|steps - s0| is the larger of max(steps) - s0 and s0 - min(steps), since rounding
+    # is monotone: one temporary, the steps.  A NaN step trips it.
     steps = np.diff(x)
-    if not (steps[0] > 0.0 and np.max(np.abs(steps - steps[0])) <= _UNIFORM_TOL * steps[0]):
-        raise ValueError(f"{what} must be uniform and ascending")  # a NaN step trips it
+    s0, tol = steps[0], _UNIFORM_TOL * steps[0]
+    if not (s0 > 0.0 and np.max(steps) - s0 <= tol and s0 - np.min(steps) <= tol):
+        raise ValueError(f"{what} must be uniform and ascending")
 
 
 def _mean_step(x: np.ndarray) -> float:
@@ -110,17 +113,20 @@ class DensitySpectrum:
             raise ValueError("omega_grid and values must be matching 1-D arrays")
         _require_uniform(w, "omega_grid")
         step = w[1] - w[0]
-        i0 = int(np.argmin(np.abs(w)))
+        i0 = int(np.searchsorted(w, 0.0))  # the point nearest 0 is this one or the one before
+        if i0 == w.size or (i0 > 0 and abs(w[i0 - 1]) <= abs(w[i0])):
+            i0 -= 1
         if abs(w[i0]) > 1.0e-9 * step:
             raise ValueError("omega_grid must contain omega = 0")
         if not abs(v[i0] - 1.0) <= _F0_TOL:  # `not (err <= tol)`: a NaN trips it
             raise PhysicsGuardError(f"F(0) = {v[i0]!r} deviates from 1 beyond {_F0_TOL:g}")
-        # Hermitian symmetry F(-w) = conj F(w) on every +/- pair in the grid
-        left = v[:i0][::-1]
-        right = v[i0 + 1 :]
-        m = min(left.size, right.size)
-        if m and not np.max(np.abs(left[:m] - np.conj(right[:m]))) <= _HERMITIAN_TOL:
-            raise PhysicsGuardError("spectrum violates Hermitian symmetry")
+        # Hermitian symmetry F(-w) = conj F(w) on every +/- pair in the grid, in one buffer
+        m = min(i0, w.size - 1 - i0)
+        if m:
+            diff = np.conjugate(v[i0 + 1 : i0 + 1 + m])
+            np.subtract(v[i0 - 1 :: -1][:m], diff, out=diff)
+            if not np.max(np.abs(diff)) <= _HERMITIAN_TOL:
+                raise PhysicsGuardError("spectrum violates Hermitian symmetry")
         if not np.max(np.abs(v)) <= 1.0 + _MODULUS_TOL:
             raise PhysicsGuardError("|F| exceeds 1 beyond tolerance")
 
@@ -162,8 +168,9 @@ def density_spectrum(
     n-point DFT is bin j of the (n/step)-point DFT of the padded density summed
     modulo n/step, so only that fold is transformed.
 
-    Working set: the fold (n/step floats), its rfft (n/(2 step) complex) and the
-    kept bins, besides the density.  No reference to the density is held past
+    Working set: the fold (n/step floats) and its rfft (n/(2 step) complex),
+    then a copy of the bins read and the lattice arrays, which are built once
+    the fold and the rfft are gone.  No reference to the density is held past
     the fold: a caller that hands over its only one frees the N samples before
     the transform.
     """
@@ -172,40 +179,53 @@ def density_spectrum(
     n_fft, pad = lattice.n_fft, lattice.pad
     if not (1 <= step <= n_fft and n_fft % step == 0):
         raise ValueError(f"step {step!r} must divide the padded length {n_fft}")
+    top = math.inf if max_omega is None else max_omega
+    if not top > 0.0:  # a NaN trips it
+        raise ValueError("max_omega must be positive (rad/fs)")
     m = n_fft // step
-    k, omega = lattice.frequencies(math.inf if max_omega is None else max_omega, step)
     if m < rho.size:  # fold the density, whose zero padding adds nothing to the sums
         whole, rest = divmod(rho.size, m)
         folded = rho[: whole * m].reshape(whole, m).sum(axis=0)
         folded[:rest] += rho[whole * m :]
         rho = folded
+        del folded
+    # the bins |k|/step read: up to top/(2 pi val step), val = 1/(n_fft dt), and one more
+    reach = math.floor(min(top * (n_fft * dt) / (TWO_PI * step), m)) + 1
+    r = rfft(rho, n=m)[: reach + 1].copy()
+    del rho  # the fold
+    k, omega = lattice.frequencies(-top, top, step)
     # F_k = n_fft dt ifft(rho)_k e^{i w_k t0}, and w_k t0 = -pi k/pad: a table of 2 pad phases.
     # rho is real: ifft(rho)_k = conj(rfft(rho)_k) / n_fft for k >= 0, its conjugate at -k.
-    r = rfft(rho, n=m)[np.abs(k) // step]
+    r = r[np.abs(k) // step]
     phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
     values = np.where(k >= 0, np.conj(r), r) / n_fft * (n_fft * dt) * phase[k % (2 * pad)]
     return DensitySpectrum(omega, values)
 
 
-def band_spectrum(state: LadderState, envelope: EnvelopeSpec, max_omega: float) -> DensitySpectrum:
+def band_spectrum(
+    state: LadderState, envelope: EnvelopeSpec, low: float, high: float
+) -> DensitySpectrum:
     """F in closed form on the lattice (and with the guards, `sampling_lattice`)
     of density_spectrum(synthesize_density(state, envelope)), cut to
-    |omega| <= max_omega.  With L_n = ladder_overlap(state, n), |n| <= 2J:
+    low <= omega <= high, a range that holds omega = 0 (else ValueError).  With
+    L_n = ladder_overlap(state, n), |n| <= 2J:
 
     gaussian |f|^2 of FWHM D:  F(w) = sum_n L_n e^{-a (w - n w0)^2} / sum_n L_n e^{-a (n w0)^2},
     a = D^2 / (16 ln 2), each line summed only where it does not underflow to 0;
     infinite:  L_n / L_0 at the lattice's harmonics, 0 elsewhere.
     """
+    if not low <= 0.0 <= high:  # a NaN trips it
+        raise ValueError("the range low..high must hold omega = 0 (rad/fs)")
     lattice = sampling_lattice(state.beam, envelope, state.cutoff)
-    k, omega = lattice.frequencies(max_omega)
+    k, omega = lattice.frequencies(low, high)
 
     n_max = 2 * state.cutoff
     lines = ladder_spectrum(state, n_max)  # L_n at n omega0, n = -n_max..n_max
     values = np.zeros(omega.size, dtype=complex)
-    if envelope.kind == "infinite":
-        h, offset = np.divmod(k, lattice.periods * lattice.pad)
-        on = (offset == 0) & (np.abs(h) <= n_max)
-        values[on] = lines.values[h[on] + n_max]
+    if envelope.kind == "infinite":  # harmonic n sits at k = n per, index n per - k[0]
+        per, k0 = lattice.periods * lattice.pad, int(k[0])
+        n = np.arange(max(-n_max, -(-k0 // per)), min(n_max, int(k[-1]) // per) + 1)
+        values[n * per - k0] = lines.values[n + n_max]
     else:
         a = envelope.fwhm_fs**2 / (16.0 * math.log(2.0))
         reach = math.sqrt(746.0 / a)  # exp(-x) is exactly 0.0 in float64 for x > 745.14

@@ -1251,6 +1251,26 @@ def test_readme_library_example_runs():
     _probe(blocks[0])
 
 
+@pytest.mark.parametrize(
+    "order", [("--quiet", ""), ("", "--quiet")], ids=["quiet-first", "quiet-second"]
+)
+def test_quiet_holds_for_each_call_in_one_process(tmp_path, order):
+    # logging.basicConfig configures a process once; each call sets its own level
+    code = (
+        "import sys\n"
+        "sys.stderr = sys.stdout\n"
+        "from clcoherence.cli import main\n"
+        f"for flag in {list(order)!r}:\n"
+        f"    main(['sweep', '--config', {str(CONFIGS / 'sweep.json')!r},\n"
+        f"          '--out', {str(tmp_path / 'o')!r}, *filter(None, [flag])])\n"
+        "    print('END OF CALL')\n"
+    )
+    calls = _probe(code).split("END OF CALL")[:2]
+    for flag, output in zip(order, calls):
+        assert "sweep: wrote 2 files" in output
+        assert ("sweep over beta_abs: 5 values" in output) == (flag != "--quiet"), (flag, output)
+
+
 def test_package_import_loads_no_numpy():
     assert _probe("import sys, clcoherence; print('numpy' in sys.modules)") == "False"
 

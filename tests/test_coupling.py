@@ -49,6 +49,16 @@ class TestFlatCoupling:
         with pytest.raises(ValueError):
             FlatCoupling(0.1, -1.0, 1.0)
 
+    # each accepted before, and EELS then read nan or inf
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("g0", complex(math.nan, 0.0), "g0 must be finite"), ("band_max", math.inf, "band_max")],
+    )
+    def test_non_finite_field_is_refused(self, field, value, match):
+        kwargs = {"g0": 0.1, "band_min": 1.0, "band_max": 2.0, field: value}
+        with pytest.raises(ValueError, match=match):
+            FlatCoupling(**kwargs)
+
 
 class TestGaussianBandCoupling:
     def test_peak_and_falloff(self):
@@ -72,6 +82,15 @@ class TestGaussianBandCoupling:
     def test_nan_field_is_refused(self, field):
         kwargs = {"g0": 0.1, "center": 1.0, "sigma": 0.1, field: math.nan}
         with pytest.raises(ValueError, match="must be positive"):
+            GaussianBandCoupling(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("g0", math.nan), ("center", math.inf), ("sigma", math.inf)],
+    )
+    def test_non_finite_field_is_refused(self, field, value):
+        kwargs = {"g0": 0.1, "center": 1.0, "sigma": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             GaussianBandCoupling(**kwargs)
 
 
@@ -202,6 +221,31 @@ class TestWaveguideCoupling:
             field: math.nan,
         }
         with pytest.raises(ValueError, match="must be positive"):
+            WaveguideCoupling(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("g0", math.nan),
+            ("gvd", math.nan),
+            ("gvd", -math.inf),
+            ("length", math.inf),
+            ("omega_match", math.inf),
+            ("v_electron", math.inf),
+            ("v_group", math.inf),
+        ],
+    )
+    def test_non_finite_field_is_refused(self, field, value):
+        kwargs = {
+            "g0": 0.1,
+            "omega_match": W0,
+            "v_electron": BEAM.velocity,
+            "v_group": 1.05 * BEAM.velocity,
+            "gvd": 0.4,
+            "length": 1e5,
+            field: value,
+        }
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             WaveguideCoupling(**kwargs)
 
     # the shipped lengths 10, 100, 1000 um; blocks of 4k to 32k points, and one

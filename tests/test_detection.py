@@ -1,10 +1,13 @@
 """Balanced-heterodyne detection: splitter algebra, Poisson sampling, noise floor."""
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clcoherence import (
     BeamParameters,
@@ -30,7 +33,8 @@ from clcoherence import (
     synthesize_density,
 )
 from clcoherence.config import ScenarioConfig
-from clcoherence.scenarios import build_coupling, build_state
+from clcoherence.spectra import _mean_step
+from clcoherence.scenarios import _band_spectrum, build_coupling, build_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -168,7 +172,7 @@ class TestReferencePulse:
         # the shipped detect run's 2,305-point reference grid: its FFT-generated
         # steps jitter, and normalizing with w[1] - w[0] missed by 8.4e-14
         cfg = ScenarioConfig.from_file("detect", CONFIGS / "detect.json")
-        spectrum = band_spectrum(build_state(cfg), cfg.envelope, cfg.lattice_top)
+        spectrum = band_spectrum(build_state(cfg), cfg.envelope, *cfg.lattice_range)
         grid = mean_field(build_coupling(cfg), spectrum, band=cfg.band).omega_grid
         assert grid.size == 2305
         ref = cfg.detection.reference
@@ -516,6 +520,35 @@ def _raise(t, axis):
     out = np.zeros_like(t)
     out[..., 1:] = np.sqrt(np.arange(1.0, t.shape[-1])) * t[..., :-1]
     return np.moveaxis(out, -1, axis)
+
+
+class TestDetectLattice:
+    """detect builds its lattice on [-(hi - lo), 2 hi] only: every difference and
+    every sum of two band points that the noise floor looks up is on it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        center=st.floats(min_value=0.3, max_value=3.0),
+        width=st.floats(min_value=0.02, max_value=0.999),  # 2 or more band points
+        fwhm_fs=st.floats(min_value=20.0, max_value=400.0),
+    )
+    def test_every_noise_floor_lookup_is_covered(self, center, width, fwhm_fs):
+        payload = json.loads((CONFIGS / "detect.json").read_text())
+        payload["envelope"]["fwhm_fs"] = fwhm_fs
+        reference = payload["detection"]["reference"]
+        reference.update(center_over_omega0=center, sigma_over_omega0=width * center / 6.0)
+        cfg = ScenarioConfig.from_mapping("detect", payload)
+        spectrum = _band_spectrum(cfg, "detection.reference")  # the run's own lattice
+        model = build_coupling(cfg)
+        grid = mean_field(model, spectrum, band=cfg.band).omega_grid
+        lo, hi = cfg.band
+        # the range is tight: its low end is within a step of lo - hi
+        step = _mean_step(spectrum.omega_grid)
+        assert lo - hi - step < spectrum.omega_grid[0] <= lo - hi + 1e-9 * step
+        assert spectrum.omega_grid[0] <= grid[0] - grid[-1]
+        pulse = ReferencePulse.gaussian(grid, center * W0, width * center / 6.0 * W0, 1e4)
+        report = noise_floor_terms(BeamSplitter.heterodyne(), pulse, model, spectrum)
+        assert math.isfinite(report.variance_total)
 
 
 class TestNoiseFloorAgainstOracle:

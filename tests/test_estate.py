@@ -27,7 +27,8 @@ from clcoherence import (
     propagate,
     synthesize_density,
 )
-from clcoherence.estate import _BLOCK, bessel_ladder, sampling_lattice
+from clcoherence.constants import TWO_PI
+from clcoherence.estate import _BLOCK, SamplingLattice, bessel_ladder, sampling_lattice
 from clcoherence.spectra import ladder_overlap
 
 BEAM = BeamParameters.from_wavelength(200e3, 800.0)
@@ -516,6 +517,96 @@ class TestPeriodicSynthesis:
         state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
         density = self.assert_matches_loop(state, replace(envelope, window_fs=window))
         assert density.lattice.periods % 2 == 1
+
+
+def masked_frequencies(lattice, low, high, step=1):
+    """(k, omega) by the whole-lattice mask: omega_k = 2 pi (k * val) on every
+    k = 0 (mod step) of the centred lattice, then low <= omega <= high."""
+    n_fft = lattice.n_fft
+    val = 1.0 / (n_fft * lattice.dt)
+    k = step * np.arange(-(n_fft // 2 // step), (n_fft - 1) // 2 // step + 1)
+    omega = TWO_PI * (k * val)
+    keep = (omega >= low) & (omega <= high)
+    return k[keep], omega[keep]
+
+
+def symmetric_frequencies(lattice, max_omega, step=1):
+    """The symmetric cut |omega| <= max_omega as `frequencies` made it before it took
+    a range: the bins up to the top, a mask, and a copy of each array."""
+    n_fft = lattice.n_fft
+    val = 1.0 / (n_fft * lattice.dt)
+    k_max = int(min(max_omega / (TWO_PI * val), n_fft // 2)) + 1
+    lo, hi = max(-k_max, -(n_fft // 2)), min(k_max, (n_fft - 1) // 2)
+    k = step * np.arange(-(-lo // step), hi // step + 1)
+    omega = TWO_PI * (k * val)
+    keep = np.abs(omega) <= max_omega
+    return k[keep], omega[keep]
+
+
+class TestLatticeFrequencies:
+    """`SamplingLattice.frequencies` cuts one k and one omega array with two bounds:
+    the mask's bits, as views."""
+
+    @staticmethod
+    def assert_same(found, expected):
+        for a, b in zip(found, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        period=st.floats(min_value=0.5, max_value=40.0),
+        per_period=st.integers(min_value=2, max_value=300),
+        periods=st.integers(min_value=1, max_value=40),
+        pad=st.sampled_from([1, 2, 8]),
+        step_index=st.integers(min_value=0, max_value=5),
+        ends=st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)),
+        on_point=st.tuples(st.booleans(), st.booleans()),
+        data=st.data(),
+    )
+    def test_cut_is_the_mask_bit_for_bit(
+        self, period, per_period, periods, pad, step_index, ends, on_point, data
+    ):
+        lattice = SamplingLattice(period / per_period, per_period, periods, pad)
+        n_fft = lattice.n_fft
+        divisors = [s for s in range(1, min(n_fft, 64) + 1) if n_fft % s == 0]
+        step = divisors[step_index % len(divisors)]
+        _, whole = masked_frequencies(lattice, -math.inf, math.inf, step)
+        nyquist = TWO_PI / (2.0 * lattice.dt)  # the lattice spans about +/- this
+        low, high = sorted(e * nyquist for e in ends)
+        if on_point[0] or on_point[1]:  # a bound exactly on a lattice point
+            i, j = sorted(data.draw(st.integers(0, whole.size - 1)) for _ in range(2))
+            low = whole[i] if on_point[0] else low
+            high = whole[j] if on_point[1] else high
+        if not low < high:
+            high = math.inf
+        k, omega = lattice.frequencies(low, high, step)
+        self.assert_same((k, omega), masked_frequencies(lattice, low, high, step))
+        assert k.base is not None and omega.base is not None  # views, not copies
+        if on_point[0] and low > whole[0]:
+            assert omega[0] == low
+        if on_point[1] and high < whole[-1]:
+            assert omega[-1] == high
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        per_period=st.integers(min_value=2, max_value=300),
+        periods=st.integers(min_value=1, max_value=40),
+        pad=st.sampled_from([1, 8]),
+        top=st.floats(min_value=1e-3, max_value=2.0),
+    )
+    def test_symmetric_cut_is_the_former_cut(self, per_period, periods, pad, top):
+        lattice = SamplingLattice(BEAM.optical_period / per_period, per_period, periods, pad)
+        max_omega = top * TWO_PI / (2.0 * lattice.dt)
+        for step in (1, pad):
+            expected = symmetric_frequencies(lattice, max_omega, step)
+            self.assert_same(lattice.frequencies(-max_omega, max_omega, step), expected)
+
+    @pytest.mark.parametrize(
+        "low, high", [(0.0, 0.0), (1.0, -1.0), (math.nan, 1.0), (-1.0, math.nan)]
+    )
+    def test_empty_or_nan_range_is_refused(self, low, high):
+        with pytest.raises(ValueError, match="low < high"):
+            SamplingLattice(0.01, 256, 64, 1).frequencies(low, high)
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,6 +12,7 @@ and its observables against Kronecker-product operators.
 import dataclasses
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -576,6 +577,29 @@ class TestSharedSeedSeries:
         assert oracle._basis.cache_info().currsize > 0
         run_test_matrix(BEAM)
         assert oracle._basis.cache_info().currsize == 0
+
+    def test_matrix_holds_no_space_of_a_finished_beta(self, monkeypatch):
+        # the 18 rows of a |beta| done, its spaces (their series and bases) are gone
+        seen = []  # (|beta|, weak reference to the space its row evolved on)
+        run_single, evolve_state = oracle._run_single, oracle.evolve
+
+        def each_row(beta_abs, *args):
+            finished = [ref for b, ref in seen if b != beta_abs]
+            assert all(ref() is None for ref in finished), beta_abs
+            if finished and not any(b == beta_abs for b, _ in seen):
+                assert oracle._basis.cache_info().currsize == 0
+            seen.append((beta_abs, None))
+            return run_single(beta_abs, *args)
+
+        def spy(space, coefficients):
+            seen[-1] = (seen[-1][0], weakref.ref(space))
+            return evolve_state(space, coefficients)
+
+        monkeypatch.setattr(oracle, "_run_single", each_row)
+        monkeypatch.setattr(oracle, "evolve", spy)
+        rows = run_test_matrix(BEAM)
+        assert len(rows) == len(seen) == 54 and all(r.passed for r in rows)
+        assert all(ref() is None for _, ref in seen)
 
     def test_cached_arrays_are_read_only(self):
         state = pinem_ladder(0.5, BEAM)

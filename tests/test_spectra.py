@@ -13,6 +13,7 @@ Independent cross-checks used here:
 
 import math
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -132,7 +133,7 @@ BAND_ENVELOPES = [
 def assert_band_matches_fft(state, envelope, max_omega):
     """band_spectrum equals the FFT route's lattice exactly and its values to 1e-8."""
     ref = density_spectrum(synthesize_density(state, envelope))
-    band = band_spectrum(state, envelope, max_omega)
+    band = band_spectrum(state, envelope, -max_omega, max_omega)
     shared = np.abs(ref.omega_grid) <= max_omega
     np.testing.assert_array_equal(band.omega_grid, ref.omega_grid[shared])
     assert np.max(np.abs(band.values - ref.values[shared])) <= 1e-8
@@ -195,12 +196,53 @@ class TestBandSpectrum:
         with pytest.raises(ValueError, match="window"):
             synthesize_density(state, envelope)
         with pytest.raises(ValueError, match="window"):
-            band_spectrum(state, envelope, 2.0 * W0)
+            band_spectrum(state, envelope, -2.0 * W0, 2.0 * W0)
 
     @pytest.mark.parametrize("max_omega", [0.0, -1.0, math.nan])
     def test_max_omega_must_be_positive(self, max_omega):
         with pytest.raises(ValueError):
-            band_spectrum(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"), max_omega)
+            band_spectrum(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"), -max_omega, max_omega)
+
+    @pytest.mark.parametrize("low, high", [(0.5 * W0, 2.0 * W0), (-2.0 * W0, -0.5 * W0)])
+    def test_range_must_hold_zero(self, low, high):
+        with pytest.raises(ValueError, match="omega = 0"):
+            band_spectrum(pinem_ladder(1.0, BEAM), EnvelopeSpec("infinite"), low, high)
+
+    # waveguide and pulse-shape read 0..hi, whose lattice holds no -omega partner:
+    # the Hermitian guard is kept in reach here, on the symmetric range
+    @pytest.mark.parametrize("envelope", BAND_ENVELOPES, ids=lambda e: f"{e.kind}-{e.fwhm_fs}")
+    @pytest.mark.parametrize("beta_abs,distance", BAND_STATES)
+    def test_symmetric_range_is_hermitian(self, envelope, beta_abs, distance):
+        state = propagate(pinem_ladder(beta_abs, BEAM), distance)
+        band = band_spectrum(state, envelope, -2.3 * W0, 2.3 * W0)
+        w, v = band.omega_grid, band.values
+        assert w.size % 2 == 1 and np.array_equal(w, -w[::-1])
+        assert np.max(np.abs(v - np.conj(v[::-1]))) <= spectra._HERMITIAN_TOL
+
+    @pytest.mark.parametrize("envelope", BAND_ENVELOPES, ids=lambda e: f"{e.kind}-{e.fwhm_fs}")
+    @pytest.mark.parametrize("low, high", [(0.0, 1.5), (-0.16, 2.3), (-2.3, 0.0)])
+    def test_range_is_the_symmetric_cut_bit_for_bit(self, envelope, low, high):
+        state = propagate(pinem_ladder(4.0, BEAM), 6.47e6)
+        whole = band_spectrum(state, envelope, -2.3 * W0, 2.3 * W0)
+        band = band_spectrum(state, envelope, low * W0, high * W0)
+        shared = (whole.omega_grid >= low * W0) & (whole.omega_grid <= high * W0)
+        assert band.omega_grid.tobytes() == whole.omega_grid[shared].tobytes()
+        assert band.values.tobytes() == whole.values[shared].tobytes()
+
+    def test_detect_lattice_peak_is_its_arrays_and_one_temporary(self):
+        # the shipped detect run's spectrum: guards and all, the peak is its omega and
+        # F (24 B a point), the integer k of the cut (8 B) and one complex temporary
+        # (16 B); the whole-lattice mask and the guards' copies took 56 B a point
+        cfg = ScenarioConfig.from_file("detect", CONFIGS / "detect.json")
+        state = build_state(cfg)
+        band_spectrum(state, cfg.envelope, *cfg.lattice_range)  # first-call allocations
+        tracemalloc.start()
+        try:
+            spec = band_spectrum(state, cfg.envelope, *cfg.lattice_range)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * spec.omega_grid.size
 
 
 def exp_phase_spectrum(density):
@@ -329,7 +371,7 @@ class TestLatticeSpanLimit:
         periods = int(self.LIMIT / (24 * pad))
         max_omega = 24 * TWO_PI / period_fs
         lattice = SamplingLattice(period_fs / per_period, per_period, periods, pad)
-        _, omega = lattice.frequencies(max_omega)
+        _, omega = lattice.frequencies(-max_omega, max_omega)
         assert 0.99 * self.LIMIT < omega.size // 2 <= self.LIMIT  # steps from 0 up to the top
         _require_uniform(omega, "omega")
 
@@ -347,13 +389,54 @@ class TestLatticeSpanLimit:
     def test_span_is_the_steps_up_to_the_top(self, scenario, name):
         # a top on a lattice point (24 omega0, 1.5 omega0) may round to either side of it
         cfg = ScenarioConfig.from_file(scenario, CONFIGS / f"{name}.json")
-        spec = band_spectrum(build_state(cfg), cfg.envelope, cfg.lattice_top)
+        spec = band_spectrum(build_state(cfg), cfg.envelope, *cfg.lattice_range)
         sizes = cfg.sizes()
         steps = sizes["lattice_span"]
         assert round(spec.omega_grid[-1] / spec.domega) in (steps - 1, steps)
         if scenario == "doc-slice":  # the load-time count is the array the run builds
             density = synthesize_density(build_state(cfg), cfg.envelope)
             assert sizes["samples"] == density.lattice.n_fft
+
+
+def former_uniform(x) -> bool:
+    """The uniformity test as a max over |steps - steps[0]|."""
+    steps = np.diff(x)
+    return bool(
+        steps[0] > 0.0
+        and np.max(np.abs(steps - steps[0])) <= spectra._UNIFORM_TOL * steps[0]
+    )
+
+
+# moves of a point, in units of the tolerance on one step: either side of its edge
+BUMPS = [-2.0, -1.0000001, -1.0, -0.9999999, 0.5, 0.9999999, 1.0, 1.0000001]
+
+
+class TestRequireUniform:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        origin=st.floats(min_value=-1e3, max_value=1e3),
+        step=st.floats(min_value=1e-6, max_value=10.0),
+        bumps=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=39), st.sampled_from(BUMPS)),
+            max_size=3,
+        ),
+        nan_at=st.sampled_from([None, "first", "middle", "last"]),
+    )
+    def test_decides_as_the_max_abs_form(self, n, origin, step, bumps, nan_at):
+        x = origin + step * np.arange(n)
+        for i, size in bumps:  # move a point by about the tolerance on one step
+            x[i % n] += size * spectra._UNIFORM_TOL * step
+        if nan_at is not None:
+            x[{"first": 0, "middle": n // 2, "last": n - 1}[nan_at]] = math.nan
+        uniform = former_uniform(x)
+        if nan_at is not None:
+            assert not uniform
+        if uniform:
+            _require_uniform(x, "x")
+        else:
+            with pytest.raises(ValueError, match="uniform and ascending"):
+                _require_uniform(x, "x")
 
 
 class TestNumpyFFTAgainstScipy:
@@ -377,7 +460,7 @@ class TestNumpyFFTAgainstScipy:
         spec = density_spectrum(density, max_omega, step=1)  # no fold: the whole transform
 
         pad, n_fft = density.lattice.pad, density.lattice.n_fft
-        k, omega = density.lattice.frequencies(max_omega)
+        k, omega = density.lattice.frequencies(-max_omega, max_omega)
         phase = np.exp(-1j * np.pi / pad * np.arange(2 * pad))
         ref = ifft(density.samples, n=n_fft)[k] * (n_fft * density.dt) * phase[k % (2 * pad)]
         assert spec.omega_grid.tobytes() == omega.tobytes()
@@ -465,6 +548,29 @@ class TestDensitySpectrumValidation:
         v[-1] = math.nan
         with pytest.raises(PhysicsGuardError, match=r"\|F\| exceeds"):
             DensitySpectrum(grid, v)
+
+    # the lattices of waveguide and pulse-shape (0..hi) and of detect (-(hi - lo)..2 hi)
+    @pytest.mark.parametrize("below, above", [(0, 8), (8, 0), (2, 8), (8, 3)])
+    def test_one_sided_grid_checks_the_pairs_it_holds(self, below, above):
+        grid = np.arange(-below, above + 1) * 0.25
+        v = np.zeros(grid.size, dtype=complex)
+        v[below] = 1.0
+        v[0 if below > above else -1] = 0.3j  # the outermost point has no partner
+        DensitySpectrum(grid, v)
+        pairs = min(below, above)
+        if pairs:  # a breach on the outermost pair
+            v[below - pairs] = v[below + pairs] = 0.3j
+            with pytest.raises(PhysicsGuardError, match="Hermitian"):
+                DensitySpectrum(grid, v)
+
+    @pytest.mark.parametrize("grid", [np.arange(0.0, 9.0), np.arange(-8.0, 1.0)])
+    @pytest.mark.parametrize("offset", [1e-12, -1e-12])
+    def test_zero_found_at_either_end_within_its_snap(self, grid, offset):
+        v = np.zeros(grid.size, dtype=complex)
+        v[np.argmin(np.abs(grid))] = 1.0
+        DensitySpectrum(grid + offset, v)
+        with pytest.raises(ValueError, match="omega = 0"):
+            DensitySpectrum(grid + 0.5, v)
 
     def test_value_at_snaps_and_guards(self):
         state = pinem_ladder(1.0, BEAM)
@@ -661,7 +767,9 @@ class TestCoherentField:
             mean_field(self.model, self.spec, band=(3.0, 1.0))
 
     def test_nan_coupling_trips_the_cap(self):
-        model = FlatCoupling(complex(math.nan, 0.0), 0.5 * W0, 20.5 * W0)
+        # FlatCoupling refuses a NaN g0 when built: set it past that check
+        model = FlatCoupling(0.05, 0.5 * W0, 20.5 * W0)
+        object.__setattr__(model, "g0", complex(math.nan, 0.0))
         with pytest.raises(PhysicsGuardError, match="exceeds"):
             mean_field(model, self.spec, band=(0.9 * W0, 5.1 * W0))
 
